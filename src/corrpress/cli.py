@@ -619,23 +619,26 @@ def _build_parser():
     return parser
 
 
+def _fail(args, exc, code):
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    _emit(args.command, {}, {}, args.output, status="error", error=error)
+    sys.stderr.write(f"error: {exc}\n")
+    return code
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CorrpressError as exc:
-        code = 3 if isinstance(exc, SolverError) else 2
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(args.command, {}, {}, args.output, status="error", error=error)
-        sys.stderr.write(f"error: {exc}\n")
-        return code
+        return _fail(args, exc, 3 if isinstance(exc, SolverError) else 2)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a failed numerical process
+        return _fail(args, SolverError(f"linear algebra failure: {exc}"), 3)
     except (ValueError, KeyError, TypeError) as exc:
         # malformed documents surface here when shapes are beyond parsing
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(args.command, {}, {}, args.output, status="error", error=error)
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _fail(args, exc, 2)
 
 
 if __name__ == "__main__":

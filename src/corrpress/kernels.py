@@ -44,10 +44,11 @@ class TransitionKernel:
         if np.any(m < -tol):
             raise ShapeMismatch("negative kernel entry")
         m = np.where(m < 0.0, 0.0, m)
-        bad = [(i, j) for i in range(n) for j in range(n)
-               if m[i, j] > 0.0 and not corr.has_edge(i, j)]
-        if bad:
-            raise ShapeMismatch(f"kernel mass outside the edge set: {bad[:8]}")
+        off = m > 0.0
+        off[corr.edge_arrays()] = False
+        if np.any(off):
+            bad = [tuple(map(int, e)) for e in np.argwhere(off)[:8]]
+            raise ShapeMismatch(f"kernel mass outside the edge set: {bad}")
         rows = np.sum(m, axis=1)
         if np.any(np.abs(rows - 1.0) > tol):
             worst = int(np.argmax(np.abs(rows - 1.0)))
@@ -209,11 +210,12 @@ def measure_entropy(mu):
 
 
 def entropy_rate(mu, kernel):
-    """h = -sum_i mu(i) sum_j Q(i,j) log Q(i,j)."""
-    m = kernel.matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.where(m > 0.0, np.log(np.where(m > 0.0, m, 1.0)), 0.0)
-    return float(-np.sum(np.asarray(mu, dtype=float)[:, None] * m * lg))
+    """h = -sum_i mu(i) sum_j Q(i,j) log Q(i,j), summed over the edges."""
+    src, dst = kernel.corr.edge_arrays()
+    q = kernel.matrix[src, dst]
+    pos = q > 0.0
+    mu = np.asarray(mu, dtype=float)[src[pos]]
+    return float(-np.sum(mu * q[pos] * np.log(q[pos])))
 
 
 def stationary_gap(mu, kernel):
@@ -286,28 +288,26 @@ def kernel_entropy(mu, kernel, n_max, partition=None):
 
 def pair_from_kernel(mu, kernel):
     """Edge vector of the pair law mu(i) Q(i, j), aligned with corr.edges."""
-    corr = kernel.corr
-    mu = np.asarray(mu, dtype=float)
-    return np.array([mu[i] * kernel.matrix[i, j] for i, j in corr.edges])
+    src, dst = kernel.corr.edge_arrays()
+    return np.asarray(mu, dtype=float)[src] * kernel.matrix[src, dst]
 
 
 def kernel_from_pair(corr, pair_values, fallback="lowest"):
     """Row-normalize a pair measure into a kernel.
 
-    Rows with no mass get the point mass at their lowest-index
-    successor, so the result is always a valid kernel.
+    Negative entries count as zero.  Rows with no mass get the point
+    mass at their lowest-index successor, so the result is always a
+    valid kernel.
     """
     n = corr.n_states
-    idx = corr.edge_index()
+    src, dst = corr.edge_arrays()
+    w = np.maximum(np.asarray(pair_values, dtype=float), 0.0)
+    rows = np.bincount(src, weights=w, minlength=n)
+    empty = np.flatnonzero(rows <= 0.0)
+    if empty.size and fallback != "lowest":
+        raise IndexOutOfRange([], n)
     m = np.zeros((n, n))
-    for (i, j), k in idx.items():
-        m[i, j] = max(float(pair_values[k]), 0.0)
-    rows = np.sum(m, axis=1)
-    for i in range(n):
-        if rows[i] > 0.0:
-            m[i] /= rows[i]
-        else:
-            if fallback != "lowest":
-                raise IndexOutOfRange([], n)
-            m[i, corr.successors(i)[0]] = 1.0
+    m[src, dst] = w / np.where(rows > 0.0, rows, 1.0)[src]
+    # edges are sorted, so a state's first edge goes to its lowest successor
+    m[empty, dst[np.searchsorted(src, empty)]] = 1.0
     return TransitionKernel(corr, m)

@@ -5,11 +5,13 @@ weighted path sums in log domain and reports the sequence
 a_n = (1/n) log sum over length-(n+1) walks of exp(S_n phi); with the
 discrete metric every set of walks is separated, so no net is needed.
 The spectral route computes log of the spectral radius of the edge
-weight matrix M_ij = exp(phi(i, j)), component by component.
+weight matrix M_ij = exp(phi(i, j)), class by class, with one Perron
+solver: dense eig on small classes, power iteration on large ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,11 @@ from .relations import Decomposition, decomposition_validate
 # maximum count as dominant.  Shared with the variational layer.
 TIE_TOL = 1e-9
 
+# Classes of up to DENSE_MAX states take the dense eigensolver, larger
+# ones the sparse power iteration (see SpectralCache.solve).  Timed on
+# random sparse primitive classes, the two routes break even at about
+# 50-100 states.  POWER_CAP bounds the power steps on any class.
+DENSE_MAX = 64
 POWER_CAP = 100000
 BRACKET_TOL = 1e-13
 
@@ -101,50 +108,177 @@ def _log_matvec(v, src, dst, weights, size):
     return out
 
 
-def _component_log_radius(comp, corr, values):
-    """log spectral radius of the weight matrix restricted to one component.
+def _power_vector(src, dst, w, k, period, cap):
+    """Log radius, log Perron vector and bracket of v -> v M on a class.
 
-    Power iteration from the all-ones vector, run in log domain with
-    max-norm normalization.  For a component of period p the growth is
-    averaged over p consecutive steps; the two-sided growth bracket
-    (Collatz-Wielandt) certifies the estimate, so the stopping rule
-    bounds the error by half the bracket width.
+    Power iteration from the all-ones vector in log domain, normalized
+    by the maximum.  The growth over one period is bracketed by the
+    Collatz-Wielandt bounds, min and max over i of (v M^p)_i / v_i, so
+    the stopping rule bounds the error of the midpoint by half the
+    bracket width.  v M^p settles on each cyclic subclass separately;
+    the sum of rho^-t v M^t over one period is the Perron vector of M
+    itself.  Swapping src and dst gives the right vector.  Returns None
+    when the bracket is still too wide after cap steps.
     """
-    pos = {s: k for k, s in enumerate(comp)}
-    src, dst, w = [], [], []
-    loop_weight = None
-    for eidx, (i, j) in enumerate(corr.edges):
-        if i in pos and j in pos:
-            src.append(pos[i])
-            dst.append(pos[j])
-            w.append(values[eidx])
-            if i == j:
-                loop_weight = values[eidx]
-    if not src:
-        return -np.inf
-    k = len(comp)
-    if k == 1:
-        return float(loop_weight)
-    src = np.array(src, dtype=np.int64)
-    dst = np.array(dst, dtype=np.int64)
-    w = np.asarray(w, dtype=float)
-    p = component_period(comp, corr._succ)
     v = np.zeros(k)
     steps = 0
-    width = np.inf
-    while steps < POWER_CAP:
-        u = v
-        for _ in range(p):
-            u = _log_matvec(u, src, dst, w, k)
-        steps += p
-        diffs = u - v
+    while steps < cap:
+        sweep = [v]
+        for _ in range(period):
+            sweep.append(_log_matvec(sweep[-1], src, dst, w, k))
+        steps += period
+        diffs = sweep[-1] - v
         lo = float(np.min(diffs))
         hi = float(np.max(diffs))
-        width = (hi - lo) / p
-        if width < BRACKET_TOL:
-            return (lo + hi) / (2.0 * p)
-        v = u - np.max(u)
-    raise ConvergenceFailure(steps, residual=width)
+        if (hi - lo) / period < BRACKET_TOL:
+            logrho = (lo + hi) / (2.0 * period)
+            vec = np.logaddexp.reduce(
+                [u - t * logrho for t, u in enumerate(sweep[:-1])], axis=0)
+            return logrho, vec, (lo / period, hi / period)
+        v = sweep[-1] - np.max(sweep[-1])
+    return None
+
+
+def _unit(log_vec):
+    x = np.exp(log_vec - np.max(log_vec))
+    return x / float(np.sum(x))
+
+
+def _perron_from(w, vecs, rho):
+    idx = int(np.argmin(np.abs(w - rho)))
+    v = vecs[:, idx]
+    # rotate the phase away, then insist on a positive real vector
+    pivot = v[int(np.argmax(np.abs(v)))]
+    v = np.real(v / pivot)
+    v = np.where(v < 0.0, 0.0, v)
+    s = float(np.sum(v))
+    if s <= 0.0:
+        raise ConvergenceFailure(0)
+    return v / s
+
+
+def _class_edges(corr, components):
+    """Index the edges inside each class in one vectorized pass.
+
+    Returns the state -> class label array and, per class, the local
+    source and target indices of its internal edges with their global
+    edge indices, in edge order.
+    """
+    sizes = np.fromiter(map(len, components), dtype=np.int64,
+                        count=len(components))
+    members = np.fromiter(itertools.chain.from_iterable(components),
+                          dtype=np.int64, count=corr.n_states)
+    label = np.empty(corr.n_states, dtype=np.int64)
+    local = np.empty(corr.n_states, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    label[members] = np.repeat(np.arange(len(components)), sizes)
+    local[members] = np.arange(corr.n_states) - np.repeat(starts, sizes)
+    src, dst = corr.edge_arrays()
+    inside = np.flatnonzero(label[src] == label[dst])
+    inside = inside[np.argsort(label[src[inside]], kind="stable")]
+    cuts = np.cumsum(np.bincount(label[src[inside]],
+                                 minlength=len(components)))[:-1]
+    return label, list(zip(np.split(local[src[inside]], cuts),
+                           np.split(local[dst[inside]], cuts),
+                           np.split(inside, cuts)))
+
+
+class SpectralCache:
+    """Perron data of the spectral classes of a fixed edge graph.
+
+    The classes (strongly connected components) and the edges inside
+    them depend only on the support, so they are indexed once; every
+    quantity for a given potential then comes from solve(), the one
+    Perron routine.  Classes of up to DENSE_MAX states take a dense
+    eigensolve, larger ones a sparse power iteration.
+    """
+
+    def __init__(self, corr):
+        self.corr = corr
+        self.components = strongly_connected_components(corr.n_states, corr._succ)
+        # class_edges[c] = (local sources, local targets, edge indices)
+        self.class_of, self.class_edges = _class_edges(corr, self.components)
+        self.periods = {c: component_period(comp, corr._succ)
+                        for c, comp in enumerate(self.components)
+                        if len(comp) > DENSE_MAX}
+
+    def solve(self, c, values, vectors=True):
+        """(log rho, right, left, bracket) of the weight matrix on class c.
+
+        right and left are Perron vectors normalized to sum one, None
+        when vectors is false.  bracket is the Collatz-Wielandt interval
+        holding log rho that stopped the power iteration; it is exact on
+        one-state classes and None on the dense route, which also takes
+        large classes the power iteration cannot settle within its step
+        budget.  A class with no internal edge has log rho = -inf and no
+        Perron vectors.
+        """
+        rows, cols, eidx = self.class_edges[c]
+        k = len(self.components[c])
+        if eidx.size == 0:
+            if vectors:
+                raise ConvergenceFailure(0)
+            return -np.inf, None, None, (-np.inf, -np.inf)
+        w = values[eidx]
+        if k == 1:
+            logrho = float(w[0])
+            one = np.ones(1) if vectors else None
+            return logrho, one, one, (logrho, logrho)
+        if k > DENSE_MAX:
+            # past about k^3 / edges steps a dense eigensolve is cheaper,
+            # so a class that mixes too slowly falls through to it
+            cap = min(POWER_CAP, k ** 3 // eidx.size)
+            left = _power_vector(rows, cols, w, k, self.periods[c], cap)
+            if left is not None:
+                logrho, left_vec, bracket = left
+                if not vectors:
+                    return logrho, None, None, bracket
+                right = _power_vector(cols, rows, w, k, self.periods[c], cap)
+                if right is not None:
+                    return logrho, _unit(right[1]), _unit(left_vec), bracket
+        shift = float(np.max(w))
+        m = np.zeros((k, k))
+        m[rows, cols] = np.exp(w - shift)
+        if not vectors:
+            # entries can underflow to an exact zero matrix
+            rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+            logrho = shift + math.log(rho) if rho > 0.0 else -np.inf
+            return logrho, None, None, None
+        lam, vecs = np.linalg.eig(m)
+        rho = float(np.max(np.abs(lam)))
+        if rho <= 0.0:
+            raise ConvergenceFailure(0)
+        right = _perron_from(lam, vecs, rho)
+        left = _perron_from(*np.linalg.eig(m.T), rho)
+        return shift + math.log(rho), right, left, None
+
+    def log_radii(self, values):
+        return [self.solve(c, values, vectors=False)[0]
+                for c in range(len(self.components))]
+
+    def pressure(self, values):
+        return max(self.log_radii(values))
+
+    def dominant(self, values, tie_tol=TIE_TOL):
+        radii = self.log_radii(values)
+        top = max(radii)
+        dom = [c for c, r in enumerate(radii) if top - r <= tie_tol]
+        dom.sort(key=lambda c: min(self.components[c]))
+        return top, dom, radii
+
+    def radii_and_perron(self, values, tie_tol=TIE_TOL):
+        """Pressure, dominant classes and Perron data of the lowest one.
+
+        For descent loops, where value and gradient are wanted at the
+        same potential.  A lone class dominates without a radius pass,
+        so it costs one solve.  Returns (pressure, dominant indices,
+        (logrho, right, left)).
+        """
+        if len(self.components) == 1:
+            logrho, right, left, _ = self.solve(0, values)
+            return logrho, [0], (logrho, right, left)
+        top, dom, _ = self.dominant(values, tie_tol)
+        return top, dom, self.solve(dom[0], values)[:3]
 
 
 @dataclass(frozen=True)
@@ -167,12 +301,10 @@ def spectral_pressure(corr, phi, tie_tol=TIE_TOL):
     dominates.  Every state has a successor, so some cycle exists and
     the pressure is finite.
     """
-    comps = strongly_connected_components(corr.n_states, corr._succ)
-    radii = [_component_log_radius(c, corr, phi.values) for c in comps]
-    top = max(radii)
-    dominant = [k for k, r in enumerate(radii) if top - r <= tie_tol]
-    dominant.sort(key=lambda k: min(comps[k]))
-    return SpectralResult(float(top), tuple(comps), tuple(radii), tuple(dominant))
+    cache = SpectralCache(corr)
+    top, dom, radii = cache.dominant(phi.values, tie_tol)
+    return SpectralResult(float(top), tuple(cache.components), tuple(radii),
+                          tuple(dom))
 
 
 def path_pressure_sequence(corr, phi, n_max):
@@ -210,145 +342,3 @@ def decomposition_pressure(corr, phi, decomp):
         sub, order = corr.restrict(block)
         vals.append(spectral_pressure(sub, phi.restrict(sub, order)).pressure)
     return DecompositionPressure(float(max(vals)), tuple(vals))
-
-
-class SpectralCache:
-    """Dense eigensolver path over a fixed edge graph.
-
-    The component structure depends only on the support, so it is
-    computed once; per-potential quantities (radii, Perron data) then
-    come from small dense eigenproblems.  Used by the variational
-    layer, where the potential changes every iteration; agreement with
-    the power iteration route is covered by tests.
-    """
-
-    def __init__(self, corr):
-        self.corr = corr
-        self.components = strongly_connected_components(corr.n_states, corr._succ)
-        self._local = []
-        for comp in self.components:
-            pos = {s: k for k, s in enumerate(comp)}
-            rows, cols, eidx = [], [], []
-            for k, (i, j) in enumerate(corr.edges):
-                if i in pos and j in pos:
-                    rows.append(pos[i])
-                    cols.append(pos[j])
-                    eidx.append(k)
-            self._local.append((np.array(rows, dtype=np.int64),
-                                np.array(cols, dtype=np.int64),
-                                np.array(eidx, dtype=np.int64)))
-
-    def _matrix(self, c, values):
-        comp = self.components[c]
-        rows, cols, eidx = self._local[c]
-        if eidx.size == 0:
-            return None, 0.0
-        shift = float(np.max(values[eidx]))
-        m = np.zeros((len(comp), len(comp)))
-        m[rows, cols] = np.exp(values[eidx] - shift)
-        return m, shift
-
-    def log_radii(self, values):
-        out = []
-        for c, comp in enumerate(self.components):
-            m, shift = self._matrix(c, values)
-            if m is None:
-                out.append(-np.inf)
-            elif len(comp) == 1:
-                out.append(shift)
-            else:
-                # entries can underflow to an exact zero matrix
-                rho = float(np.max(np.abs(np.linalg.eigvals(m))))
-                out.append(shift + math.log(rho) if rho > 0.0 else -np.inf)
-        return out
-
-    def pressure(self, values):
-        return max(self.log_radii(values))
-
-    def dominant(self, values, tie_tol=TIE_TOL):
-        radii = self.log_radii(values)
-        top = max(radii)
-        dom = [c for c, r in enumerate(radii) if top - r <= tie_tol]
-        dom.sort(key=lambda c: min(self.components[c]))
-        return top, dom, radii
-
-    def perron(self, c, values):
-        """(log radius, right vector, left vector) on component c.
-
-        Vectors are strictly positive and normalized to sum one; the
-        component must contain a cycle.
-        """
-        comp = self.components[c]
-        m, shift = self._matrix(c, values)
-        if m is None:
-            raise ValueError("component has no cycle")
-        if len(comp) == 1:
-            return shift, np.ones(1), np.ones(1)
-        w, vecs = np.linalg.eig(m)
-        rho = float(np.max(np.abs(w)))
-        right = _perron_from(w, vecs, rho)
-        left = _perron_vector(m.T, rho)
-        return shift + math.log(rho), right, left
-
-    def radii_and_perron(self, values, tie_tol=TIE_TOL):
-        """Radii of every class plus Perron data on the lowest dominant one.
-
-        Single fused pass for descent loops, where value and gradient
-        are wanted at the same potential: one eig call per side on the
-        dominant class instead of separate radius and vector solves.
-        Returns (pressure, dominant indices, (logrho, right, left)).
-        """
-        if len(self.components) == 1 and len(self.components[0]) > 1:
-            m, shift = self._matrix(0, values)
-            w, vecs = np.linalg.eig(m)
-            rho = float(np.max(np.abs(w)))
-            if rho <= 0.0:
-                raise ConvergenceFailure(0)
-            right = _perron_from(w, vecs, rho)
-            left = _perron_vector(m.T, rho)
-            top = shift + math.log(rho)
-            return top, [0], (top, right, left)
-        radii = []
-        mats = []
-        for c, comp in enumerate(self.components):
-            m, shift = self._matrix(c, values)
-            mats.append((m, shift))
-            if m is None:
-                radii.append(-np.inf)
-            elif len(comp) == 1:
-                radii.append(shift)
-            else:
-                rho = float(np.max(np.abs(np.linalg.eigvals(m))))
-                radii.append(shift + math.log(rho) if rho > 0.0 else -np.inf)
-        top = max(radii)
-        dom = [c for c, r in enumerate(radii) if top - r <= tie_tol]
-        dom.sort(key=lambda c: min(self.components[c]))
-        c = dom[0]
-        m, shift = mats[c]
-        if m is None or not np.isfinite(radii[c]):
-            raise ConvergenceFailure(0)
-        if len(self.components[c]) == 1:
-            return top, dom, (shift, np.ones(1), np.ones(1))
-        w, vecs = np.linalg.eig(m)
-        rho = float(np.max(np.abs(w)))
-        right = _perron_from(w, vecs, rho)
-        left = _perron_vector(m.T, rho)
-        return top, dom, (shift + math.log(rho), right, left)
-
-
-def _perron_from(w, vecs, rho):
-    idx = int(np.argmin(np.abs(w - rho)))
-    v = vecs[:, idx]
-    # rotate the phase away, then insist on a positive real vector
-    pivot = v[int(np.argmax(np.abs(v)))]
-    v = np.real(v / pivot)
-    v = np.where(v < 0.0, 0.0, v)
-    s = float(np.sum(v))
-    if s <= 0.0:
-        raise ConvergenceFailure(0)
-    return v / s
-
-
-def _perron_vector(m, rho):
-    w, vecs = np.linalg.eig(m)
-    return _perron_from(w, vecs, rho)

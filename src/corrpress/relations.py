@@ -285,19 +285,17 @@ def decomposition_validate(corr, decomp):
         report["covers"] = False
         report["valid"] = False
         report["missing"] = sorted(set(range(corr.n_states)) - covered)
+    earlier = set()
     for k, b in enumerate(blocks):
         bset = set(b)
         empty = [i for i in b if not any(j in bset for j in corr.successors(i))]
         if empty:
             report["block_rows"].append({"block": k, "states": empty})
             report["valid"] = False
-    for k in range(1, len(blocks)):
-        earlier = set()
-        for b in blocks[:k]:
-            earlier.update(b)
-        forbidden = earlier - set(blocks[k])
-        bad = [(i, j) for i, j in corr.edges if i in blocks[k] and j in forbidden]
+        forbidden = earlier - bset
+        bad = [(i, j) for i, j in corr.edges if i in bset and j in forbidden]
         if bad:
             report["forbidden_edges"].append({"block": k, "edges": sorted(bad)})
             report["valid"] = False
+        earlier |= bset
     return report

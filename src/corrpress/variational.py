@@ -26,6 +26,7 @@ from .errors import (
 from .kernels import (
     TransitionKernel,
     entropy_rate,
+    kernel_from_pair,
     pair_from_kernel,
     stationary_gap,
     validate_measure,
@@ -81,7 +82,7 @@ def _gibbs_on_component(cache, c, values):
     The pair weights l_i M_ij r_j / (rho l.r) give the exact gradient
     of log rho with respect to the potential entries.
     """
-    logrho, right, left = cache.perron(c, values)
+    logrho, right, left, _ = cache.solve(c, values)
     pair = _pair_from_perron(cache, c, values, logrho, right, left)
     return logrho, pair, cache.components[c]
 
@@ -100,40 +101,33 @@ class EquilibriumPair:
 def gibbs_equilibrium(corr, phi, tie_tol=TIE_TOL):
     """Equilibrium state from the dominant spectral class.
 
-    Requires a unique dominant class.  Rows outside the class get the
-    point mass at their lowest successor; the measure vanishes there,
-    so those rows are a convention only.
+    Requires a unique dominant class.  With Perron data (rho, r, l) of
+    that class the kernel is Q_ij = M_ij r_j / (rho r_i) and the
+    measure is the Parry measure l_i r_i / <l, r>.  Rows outside the
+    class get the point mass at their lowest successor; the measure
+    vanishes there, so those rows are a convention only.
     """
     cache = SpectralCache(corr)
-    top, dom, _ = cache.dominant(phi.values, tie_tol)
+    _, dom, _ = cache.dominant(phi.values, tie_tol)
     if len(dom) != 1:
         raise NonUniqueDominantClass([cache.components[c] for c in dom])
     c = dom[0]
     comp = cache.components[c]
-    logrho, right = cache.perron(c, phi.values)[0:2]
-    pos = {s: k for k, s in enumerate(comp)}
+    logrho, right, left, _ = cache.solve(c, phi.values)
+    rows, cols, eidx = cache.class_edges[c]
+    src, dst = corr.edge_arrays()
+    q_in = np.exp(phi.values[eidx] - logrho) * right[cols] / right[rows]
+    q_in /= np.bincount(rows, weights=q_in, minlength=len(comp))[rows]
     n = corr.n_states
     q = np.zeros((n, n))
-    for k, (i, j) in enumerate(corr.edges):
-        if i in pos and j in pos:
-            q[i, j] = math.exp(phi.values[k] - logrho) * right[pos[j]] / right[pos[i]]
-    for i in range(n):
-        if i in pos:
-            q[i] /= float(np.sum(q[i]))
-        else:
-            q[i, corr.successors(i)[0]] = 1.0
+    q[src[eidx], dst[eidx]] = q_in
+    # edges are sorted, so a state's first edge goes to its lowest successor
+    outside = np.flatnonzero(cache.class_of != c)
+    q[outside, dst[np.searchsorted(src, outside)]] = 1.0
     kernel = TransitionKernel(corr, q)
-    # stationary distribution of the kernel on the class, solved directly
-    idx = list(comp)
-    block = q[np.ix_(idx, idx)]
-    a = np.vstack([block.T - np.eye(len(idx)), np.ones(len(idx))])
-    b = np.zeros(len(idx) + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.where(pi < 0.0, 0.0, pi)
-    pi /= float(np.sum(pi))
     mu = np.zeros(n)
-    mu[idx] = pi
+    parry = left * right
+    mu[list(comp)] = parry / float(np.sum(parry))
     pair = pair_from_kernel(mu, kernel)
     h = entropy_rate(mu, kernel)
     integral = float(np.dot(pair, phi.values))
@@ -254,7 +248,7 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=400000):
     for (i, j, k), v in zip(local_edges, nu_loc):
         if v > 0.0:
             value += v * (phi.values[k] - math.log(v / mu_s[i]))
-    kernel = _kernel_from_pair_rows(corr, pair, mu)
+    kernel = kernel_from_pair(corr, pair)
     return MeasurePressureResult(float(value), pair, kernel, err,
                                  iterations, face_restricted)
 
@@ -278,21 +272,6 @@ def _positive_face(local_edges, mu_s, n_loc, eps=1e-12):
         if -value > eps:
             keep.append(local_edges[k])
     return keep or None
-
-
-def _kernel_from_pair_rows(corr, pair, mu):
-    n = corr.n_states
-    idx = corr.edge_index()
-    q = np.zeros((n, n))
-    for (i, j), k in idx.items():
-        q[i, j] = max(pair[k], 0.0)
-    for i in range(n):
-        s = float(np.sum(q[i]))
-        if s > 0.0:
-            q[i] /= s
-        else:
-            q[i, corr.successors(i)[0]] = 1.0
-    return TransitionKernel(corr, q)
 
 
 @dataclass(frozen=True, eq=False)

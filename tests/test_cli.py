@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from corrpress.cli import main
@@ -132,6 +133,18 @@ def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys):
     assert code == 3
     assert doc["status"] == "error"
     assert doc["error"]["type"] == "ConvergenceFailure"
+
+
+def test_eigensolver_failure_is_exit_three(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, yet it is a solver failure
+    def broken_eig(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", broken_eig)
+    code, doc = run(capsys, ["equilibrium", "--input", golden_corr(tmp_path)])
+    assert code == 3
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "SolverError"
 
 
 def test_unbalanced_pair_reports_minus_infinity(tmp_path, capsys):

@@ -220,3 +220,33 @@ def test_pair_kernel_round_trip():
     # rows without mass fall back to the lowest successor
     dead = kernel_from_pair(corr, np.array([1.0, 0.0, 0.0]))
     assert dead.matrix[1, 0] == 1.0
+
+
+def test_edge_formulas_match_the_dense_loops():
+    rng = np.random.default_rng(36)
+    for n in (3, 7, 20):
+        edges = {(i, int(j)) for i in range(n)
+                 for j in rng.choice(n, size=min(3, n), replace=False)}
+        corr = FiniteCorrespondence(n, sorted(edges))
+        ker = random_kernel(rng, corr)
+        mu = rng.dirichlet(np.ones(n))
+        m = ker.matrix
+        pair = pair_from_kernel(mu, ker)
+        assert np.array_equal(
+            pair, np.array([mu[i] * m[i, j] for i, j in corr.edges]))
+        dense = -sum(mu[i] * m[i, j] * math.log(m[i, j])
+                     for i in range(n) for j in range(n) if m[i, j] > 0.0)
+        assert entropy_rate(mu, ker) == pytest.approx(dense, rel=1e-13)
+        # a pair measure with an empty row and a negative entry
+        pair[[k for k, (i, _) in enumerate(corr.edges) if i == 0]] = 0.0
+        pair[-1] = -1e-3
+        loop = np.zeros((n, n))
+        for (i, j), w in zip(corr.edges, pair):
+            loop[i, j] = max(w, 0.0)
+        for i in range(n):
+            if loop[i].sum() > 0.0:
+                loop[i] /= loop[i].sum()
+            else:
+                loop[i, corr.successors(i)[0]] = 1.0
+        assert np.allclose(kernel_from_pair(corr, pair).matrix, loop,
+                           rtol=1e-14, atol=0.0)

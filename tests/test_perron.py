@@ -1,0 +1,149 @@
+"""The power route of the Perron solver, on classes above DENSE_MAX."""
+
+import math
+
+import numpy as np
+import pytest
+
+from corrpress import (
+    FiniteCorrespondence,
+    NonUniqueDominantClass,
+    Potential,
+    ShapeMismatch,
+    TransitionKernel,
+    gibbs_equilibrium,
+    spectral_pressure,
+)
+from corrpress.kernels import stationary_gap
+from corrpress.pressure import DENSE_MAX, SpectralCache, component_period
+
+
+def sparse_primitive(rng, n):
+    """A cycle through every state, two extra successors each, one loop."""
+    order = [int(s) for s in rng.permutation(n)]
+    edges = {(order[k], order[(k + 1) % n]) for k in range(n)}
+    for i in range(n):
+        for j in rng.choice(n, size=2, replace=False):
+            edges.add((i, int(j)))
+    edges.add((order[0], order[0]))
+    return FiniteCorrespondence(n, sorted(edges))
+
+
+def block_cyclic(rng, n, period):
+    """Every edge steps from state group g to group g + 1 mod period."""
+    edges = {(k, (k + 1) % n) for k in range(n)}
+    for i in range(n):
+        targets = np.arange((i + 1) % period, n, period)
+        for j in rng.choice(targets, size=2, replace=False):
+            edges.add((i, int(j)))
+    return FiniteCorrespondence(n, sorted(edges))
+
+
+def dense_log_radius(corr, phi):
+    m = np.zeros((corr.n_states, corr.n_states))
+    src, dst = corr.edge_arrays()
+    m[src, dst] = np.exp(phi.values)
+    return math.log(float(np.max(np.abs(np.linalg.eigvals(m)))))
+
+
+def lstsq_stationary(kernel, states):
+    """Stationary law of the kernel on a class by least squares."""
+    idx = list(states)
+    block = kernel.matrix[np.ix_(idx, idx)]
+    a = np.vstack([block.T - np.eye(len(idx)), np.ones(len(idx))])
+    b = np.zeros(len(idx) + 1)
+    b[-1] = 1.0
+    pi = np.linalg.lstsq(a, b, rcond=None)[0]
+    mu = np.zeros(kernel.corr.n_states)
+    mu[idx] = pi
+    return mu
+
+
+def large_cases():
+    rng = np.random.default_rng(4242)
+    cases = []
+    for n in (150, 300):
+        corr = sparse_primitive(rng, n)
+        phi = Potential(corr, rng.uniform(-1.0, 1.0, corr.n_edges))
+        cases.append(pytest.param(corr, phi, 1, id=f"primitive-{n}"))
+    for n, period in ((180, 3), (200, 2)):
+        corr = block_cyclic(rng, n, period)
+        phi = Potential(corr, rng.uniform(-1.0, 1.0, corr.n_edges))
+        cases.append(pytest.param(corr, phi, period,
+                                  id=f"cyclic-{n}-period-{period}"))
+    return cases
+
+
+@pytest.mark.parametrize("corr, phi, period", large_cases())
+def test_power_route_is_bracketed_and_matches_dense_eig(corr, phi, period):
+    cache = SpectralCache(corr)
+    assert len(cache.components) == 1
+    assert corr.n_states > DENSE_MAX
+    assert component_period(cache.components[0], corr._succ) == period
+    logrho, right, left, (lo, hi) = cache.solve(0, phi.values)
+    assert lo <= logrho <= hi
+    assert hi - lo < 1e-12
+    assert logrho == pytest.approx(dense_log_radius(corr, phi), abs=1e-10)
+    # both vectors are Perron vectors of the same matrix
+    m = np.zeros((corr.n_states, corr.n_states))
+    src, dst = corr.edge_arrays()
+    m[src, dst] = np.exp(phi.values - logrho)
+    assert np.max(np.abs(m @ right - right) / right) <= 1e-10
+    assert np.max(np.abs(left @ m - left) / left) <= 1e-10
+    assert cache.solve(0, phi.values, vectors=False)[0] == logrho
+
+
+@pytest.mark.parametrize("corr, phi, period", large_cases())
+def test_power_route_gibbs_measure_is_the_stationary_solve(corr, phi, period):
+    eq = gibbs_equilibrium(corr, phi)
+    assert eq.pressure == spectral_pressure(corr, phi).pressure
+    assert stationary_gap(eq.measure, eq.kernel) <= 1e-9
+    old = lstsq_stationary(eq.kernel, eq.dominant_class)
+    assert np.max(np.abs(eq.measure - old)) <= 1e-10
+    assert eq.entropy + eq.integral == pytest.approx(eq.pressure, abs=1e-9)
+
+
+def test_two_large_equal_classes_tie():
+    rng = np.random.default_rng(77)
+    one = sparse_primitive(rng, 120)
+    n = one.n_states
+    # a second copy, reached from the first by one transient edge
+    edges = list(one.edges) + [(i + n, j + n) for i, j in one.edges] + [(0, n)]
+    corr = FiniteCorrespondence(2 * n, edges)
+    values = rng.uniform(-1.0, 1.0, one.n_edges)
+    phi = Potential(corr, {e: v for e, v in zip(one.edges, values)}
+                    | {(i + n, j + n): v for (i, j), v in zip(one.edges, values)})
+    res = spectral_pressure(corr, phi)
+    assert [len(c) for c in res.dominant_classes] == [n, n]
+    with pytest.raises(NonUniqueDominantClass):
+        gibbs_equilibrium(corr, phi)
+
+
+def test_kernel_support_check_rejects_mass_off_the_edges():
+    rng = np.random.default_rng(78)
+    corr = sparse_primitive(rng, 200)
+    eq = gibbs_equilibrium(corr, Potential.zero(corr))
+    TransitionKernel(corr, eq.kernel.matrix)
+    i = 5
+    j = next(j for j in range(corr.n_states) if not corr.has_edge(i, j))
+    moved = eq.kernel.matrix.copy()
+    k = corr.successors(i)[0]
+    moved[i, j], moved[i, k] = moved[i, k], 0.0
+    with pytest.raises(ShapeMismatch, match=rf"\({i}, {j}\)"):
+        TransitionKernel(corr, moved)
+
+
+def test_slowly_mixing_class_falls_back_to_dense():
+    # a long cycle with one chord: the second eigenvalue is so close to
+    # rho in modulus that the power iteration would need far more steps
+    # than a dense eigensolve costs
+    n = 80
+    corr = FiniteCorrespondence(
+        n, [(k, (k + 1) % n) for k in range(n)] + [(n - 2, 0)])
+    phi = Potential.zero(corr)
+    logrho, right, left, bracket = SpectralCache(corr).solve(0, phi.values)
+    assert bracket is None
+    assert logrho == pytest.approx(dense_log_radius(corr, phi), abs=1e-10)
+    eq = gibbs_equilibrium(corr, phi)
+    assert eq.pressure == spectral_pressure(corr, phi).pressure
+    assert stationary_gap(eq.measure, eq.kernel) <= 1e-9

@@ -246,3 +246,17 @@ def test_spectral_cache_agrees_with_power_iteration_route():
         cache = SpectralCache(corr)
         assert cache.pressure(phi.values) \
             == pytest.approx(spectral_pressure(corr, phi).pressure, abs=1e-9)
+
+
+def test_class_edges_match_a_per_class_loop():
+    rng = np.random.default_rng(112)
+    for _ in range(20):
+        corr = random_relation(rng, int(rng.integers(2, 12)))
+        cache = SpectralCache(corr)
+        for c, comp in enumerate(cache.components):
+            pos = {s: k for k, s in enumerate(comp)}
+            loop = [(pos[i], pos[j], k) for k, (i, j) in enumerate(corr.edges)
+                    if i in pos and j in pos]
+            rows, cols, eidx = cache.class_edges[c]
+            assert list(zip(rows, cols, eidx)) == loop
+            assert all(cache.class_of[s] == c for s in comp)
