@@ -179,8 +179,7 @@ def _map_from(doc):
 def _config_from(doc):
     if doc is None:
         return SolverConfig()
-    allowed = {"max_iterations", "tolerance", "step_rule", "step_size",
-               "divergence_floor"}
+    allowed = {"max_iterations", "tolerance"}
     bad = set(doc) - allowed
     if bad:
         raise ShapeMismatch(f"unknown solver options {sorted(bad)}")
@@ -330,7 +329,8 @@ def cmd_aentropy(args):
         "residual": _f(res.residual),
         "converged": bool(res.converged),
         "boundary_flag": bool(res.boundary),
-        "potential": _flist(res.potential),
+        # the dual certificate is -inf on edges nu misses: null in JSON
+        "potential": [None if v == -np.inf else _f(v) for v in res.potential],
     }
     _emit("aentropy", inputs, results, args.output)
     return 0

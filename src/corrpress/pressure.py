@@ -145,16 +145,22 @@ def _unit(log_vec):
 
 
 def _perron_from(w, vecs, rho):
+    """Perron vector of an eigendecomposition, positive and summing to one.
+
+    After scaling by the largest entry, entries down to -1e-10 are
+    rounding and become zero; a more negative entry means the
+    eigensolve did not produce a Perron vector.
+    """
     idx = int(np.argmin(np.abs(w - rho)))
     v = vecs[:, idx]
     # rotate the phase away, then insist on a positive real vector
     pivot = v[int(np.argmax(np.abs(v)))]
     v = np.real(v / pivot)
-    v = np.where(v < 0.0, 0.0, v)
-    s = float(np.sum(v))
-    if s <= 0.0:
-        raise ConvergenceFailure(0)
-    return v / s
+    worst = float(np.min(v))
+    if worst < -1e-10:
+        raise ConvergenceFailure(0, residual=-worst)
+    v = np.maximum(v, 0.0)
+    return v / float(np.sum(v))
 
 
 def _class_edges(corr, components):
@@ -201,6 +207,9 @@ class SpectralCache:
         self.periods = {c: component_period(comp, corr._succ)
                         for c, comp in enumerate(self.components)
                         if len(comp) > DENSE_MAX}
+        # classes whose power iteration once ran out of budget; the
+        # dense route is exact, so keeping them on it costs speed only
+        self.slow = set()
 
     def solve(self, c, values, vectors=True):
         """(log rho, right, left, bracket) of the weight matrix on class c.
@@ -210,8 +219,9 @@ class SpectralCache:
         holding log rho that stopped the power iteration; it is exact on
         one-state classes and None on the dense route, which also takes
         large classes the power iteration cannot settle within its step
-        budget.  A class with no internal edge has log rho = -inf and no
-        Perron vectors.
+        budget; such a class skips the power iteration in every later
+        call on this cache.  A class with no internal edge has
+        log rho = -inf and no Perron vectors.
         """
         rows, cols, eidx = self.class_edges[c]
         k = len(self.components[c])
@@ -224,7 +234,7 @@ class SpectralCache:
             logrho = float(w[0])
             one = np.ones(1) if vectors else None
             return logrho, one, one, (logrho, logrho)
-        if k > DENSE_MAX:
+        if k > DENSE_MAX and c not in self.slow:
             # past about k^3 / edges steps a dense eigensolve is cheaper,
             # so a class that mixes too slowly falls through to it
             cap = min(POWER_CAP, k ** 3 // eidx.size)
@@ -236,6 +246,7 @@ class SpectralCache:
                 right = _power_vector(cols, rows, w, k, self.periods[c], cap)
                 if right is not None:
                     return logrho, _unit(right[1]), _unit(left_vec), bracket
+            self.slow.add(c)
         shift = float(np.max(w))
         m = np.zeros((k, k))
         m[rows, cols] = np.exp(w - shift)
@@ -265,20 +276,6 @@ class SpectralCache:
         dom = [c for c, r in enumerate(radii) if top - r <= tie_tol]
         dom.sort(key=lambda c: min(self.components[c]))
         return top, dom, radii
-
-    def radii_and_perron(self, values, tie_tol=TIE_TOL):
-        """Pressure, dominant classes and Perron data of the lowest one.
-
-        For descent loops, where value and gradient are wanted at the
-        same potential.  A lone class dominates without a radius pass,
-        so it costs one solve.  Returns (pressure, dominant indices,
-        (logrho, right, left)).
-        """
-        if len(self.components) == 1:
-            logrho, right, left, _ = self.solve(0, values)
-            return logrho, [0], (logrho, right, left)
-        top, dom, _ = self.dominant(values, tie_tol)
-        return top, dom, self.solve(dom[0], values)[:3]
 
 
 @dataclass(frozen=True)

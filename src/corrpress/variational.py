@@ -4,19 +4,21 @@ Type one works with the kernel entropy rate: the pressure dominates
 h + integral of phi over every invariant pair, with equality at the
 Gibbs pair of the dominant spectral class.  Type two replaces h by
 the abstract entropy, the value of an inverse variational problem
-inf over potentials of [pressure - pairing]; that infimum is solved
-here by subgradient descent.
+inf over potentials of [pressure - pairing].  The pressure is the
+Legendre-Fenchel conjugate of the Markov entropy rate, so that
+infimum has a closed form: the entropy rate -sum nu log(nu / row) of
+a balanced pair, certified by the dual potential log(nu / row), and
+minus infinity for an unbalanced one, certified by a coboundary
+direction along which the objective has no lower bound.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     NonUniqueDominantClass,
     NotInvariant,
     NotStationary,
@@ -32,59 +34,41 @@ from .kernels import (
     validate_measure,
 )
 from .pressure import TIE_TOL, SpectralCache, spectral_pressure
-from .relations import Potential
 from .simplex import OPTIMAL, simplex
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver options read from a --config document.
+
+    The mpressure command turns both into measure_pressure's scaling
+    budget and tolerance.  abstract_kernel_entropy reads tolerance
+    only, as the largest marginal imbalance it counts as balanced.
+    """
+
     max_iterations: int = 10000
     tolerance: float = 1e-8
-    step_rule: str = "backtracking"
-    step_size: float = 1.0
-    divergence_floor: float = -50.0
 
     def __post_init__(self):
         if self.tolerance <= 0 or self.max_iterations < 1:
             raise ShapeMismatch("bad solver configuration")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ShapeMismatch(f"unknown step rule {self.step_rule!r}")
 
 
-def _pair_from_perron(cache, c, values, logrho, right, left):
-    corr = cache.corr
-    comp = cache.components[c]
-    pos = {s: k for k, s in enumerate(comp)}
-    mu_loc = left * right
-    mu_loc = mu_loc / float(np.sum(mu_loc))
-    pair = np.zeros(corr.n_edges)
-    for k, (i, j) in enumerate(corr.edges):
-        if i in pos and j in pos:
-            # entries whose eigenvector weight underflowed carry no mass
-            if mu_loc[pos[i]] <= 0.0 or right[pos[i]] <= 0.0:
-                continue
-            pair[k] = (mu_loc[pos[i]]
-                       * math.exp(values[k] - logrho)
-                       * right[pos[j]] / right[pos[i]])
-    # the rows of a Gibbs kernel are stochastic up to eigenvector error
-    row_mass = np.zeros(corr.n_states)
-    src, _ = corr.edge_arrays()
-    np.add.at(row_mass, src, pair)
-    for k, (i, j) in enumerate(corr.edges):
-        if pair[k] > 0.0:
-            pair[k] *= mu_loc[pos[i]] / row_mass[i]
-    return pair
+def _gibbs_on_class(cache, c, values):
+    """Gibbs kernel and Parry measure of one spectral class.
 
-
-def _gibbs_on_component(cache, c, values):
-    """Pair measure of the Gibbs state on one class.
-
-    The pair weights l_i M_ij r_j / (rho l.r) give the exact gradient
-    of log rho with respect to the potential entries.
+    With Perron data (rho, r, l) of class c the kernel is
+    Q_ij = M_ij r_j / (rho r_i) over the class edges, in the order of
+    cache.class_edges[c], and the measure is l_i r_i / <l, r> over the
+    class states.  The pair weights mu_i Q_ij are the gradient of
+    log rho with respect to the potential entries.
     """
     logrho, right, left, _ = cache.solve(c, values)
-    pair = _pair_from_perron(cache, c, values, logrho, right, left)
-    return logrho, pair, cache.components[c]
+    rows, cols, eidx = cache.class_edges[c]
+    q_in = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
+    q_in /= np.bincount(rows, weights=q_in, minlength=len(right))[rows]
+    parry = left * right
+    return logrho, q_in, parry / float(np.sum(parry))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +97,9 @@ def gibbs_equilibrium(corr, phi, tie_tol=TIE_TOL):
         raise NonUniqueDominantClass([cache.components[c] for c in dom])
     c = dom[0]
     comp = cache.components[c]
-    logrho, right, left, _ = cache.solve(c, phi.values)
-    rows, cols, eidx = cache.class_edges[c]
+    logrho, q_in, mu_loc = _gibbs_on_class(cache, c, phi.values)
+    eidx = cache.class_edges[c][2]
     src, dst = corr.edge_arrays()
-    q_in = np.exp(phi.values[eidx] - logrho) * right[cols] / right[rows]
-    q_in /= np.bincount(rows, weights=q_in, minlength=len(comp))[rows]
     n = corr.n_states
     q = np.zeros((n, n))
     q[src[eidx], dst[eidx]] = q_in
@@ -126,8 +108,7 @@ def gibbs_equilibrium(corr, phi, tie_tol=TIE_TOL):
     q[outside, dst[np.searchsorted(src, outside)]] = 1.0
     kernel = TransitionKernel(corr, q)
     mu = np.zeros(n)
-    parry = left * right
-    mu[list(comp)] = parry / float(np.sum(parry))
+    mu[list(comp)] = mu_loc
     pair = pair_from_kernel(mu, kernel)
     h = entropy_rate(mu, kernel)
     integral = float(np.dot(pair, phi.values))
@@ -242,12 +223,9 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=400000):
     w = np.array([phi.values[e[2]] for e in local_edges])
     nu_loc = np.exp(f[src] + w + g[dst])
     pair = np.zeros(corr.n_edges)
-    for (i, j, k), v in zip(local_edges, nu_loc):
-        pair[k] = v
-    value = 0.0
-    for (i, j, k), v in zip(local_edges, nu_loc):
-        if v > 0.0:
-            value += v * (phi.values[k] - math.log(v / mu_s[i]))
+    pair[[e[2] for e in local_edges]] = nu_loc
+    pos = nu_loc > 0.0
+    value = np.sum(nu_loc[pos] * (w[pos] - np.log(nu_loc[pos] / mu_s[src[pos]])))
     kernel = kernel_from_pair(corr, pair)
     return MeasurePressureResult(float(value), pair, kernel, err,
                                  iterations, face_restricted)
@@ -285,86 +263,26 @@ class AbstractEntropyResult:
     boundary: bool
 
 
-def _entropy_descent(corr, nu, cfg, normalize_each_step=False):
-    """Descent core behind abstract_kernel_entropy; never raises on a
-    spent budget, so internal callers can score rough candidates."""
-    cache = SpectralCache(corr)
-    boundary = bool(np.any(nu <= 0.0))
-    psi = np.zeros(corr.n_edges)
-
-    def objective(v):
-        return cache.pressure(v) - float(np.dot(nu, v))
-
-    def gradient(v):
-        # fused pass: value and Gibbs pair from one eigensolve per side
-        _, dom, (logrho, right, left) = cache.radii_and_perron(v)
-        pair = _pair_from_perron(cache, dom[0], v, logrho, right, left)
-        return pair - nu
-
-    fval = objective(psi)
-    it = 0
-    gnorm = np.inf
-    step0 = cfg.step_size
-    prev_psi = None
-    prev_grad = None
-    while it < cfg.max_iterations:
-        it += 1
-        grad = gradient(psi)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.tolerance:
-            return AbstractEntropyResult(float(fval), False, psi, it,
-                                         gnorm, True, boundary)
-        if cfg.step_rule == "fixed":
-            step = cfg.step_size
-            nxt = psi - step * grad
-            fnxt = objective(nxt)
-        else:
-            # spectral initial step: unit steps crawl on flat curvature
-            if prev_grad is not None:
-                s = psi - prev_psi
-                y = grad - prev_grad
-                sy = float(np.dot(s, y))
-                if sy > 1e-300:
-                    step0 = min(max(float(np.dot(s, s)) / sy, 1e-3), 1e3)
-                else:
-                    step0 = min(2.0 * step0, 1e3)
-            prev_psi, prev_grad = psi, grad
-            step = step0
-            fnxt = None
-            for _ in range(60):
-                nxt = psi - step * grad
-                fnxt = objective(nxt)
-                if fnxt <= fval - 1e-4 * step * gnorm * gnorm:
-                    break
-                step *= 0.5
-            else:
-                # no Armijo progress: the iterate sits at a kink
-                return AbstractEntropyResult(float(fval), False, psi, it,
-                                             gnorm, gnorm <= cfg.tolerance,
-                                             boundary)
-        psi = nxt
-        fval = fnxt
-        if normalize_each_step:
-            psi = psi - cache.pressure(psi)
-            fval = objective(psi)
-        if fval < cfg.divergence_floor:
-            return AbstractEntropyResult(float("-inf"), True, psi, it,
-                                         gnorm, True, boundary)
-    return AbstractEntropyResult(float(fval), False, psi, it,
-                                 gnorm, False, boundary)
-
-
-def abstract_kernel_entropy(corr, nu, config=None, normalize_each_step=False):
+def abstract_kernel_entropy(corr, nu, config=None):
     """Abstract entropy of a pair measure by the inverse variational
     principle: inf over psi of [pressure(psi) - <nu, psi>].
 
-    Subgradient descent from psi = 0 with Armijo backtracking (factor
-    one half, spectral initial step).  The objective is invariant under
-    constants and, for balanced nu, under differences psi(i)-psi(j);
-    unbalanced nu drives it below any floor, reported as minus
-    infinity.  When nu misses some edges the infimum may be attained
-    only in the limit; the boundary flag records that, and the value
-    at the last iterate is reported rather than an error.
+    The pressure is the Legendre-Fenchel conjugate of the Markov
+    entropy rate, so the infimum has a closed form.  With g the row
+    marginal minus the column marginal of nu:
+
+    - if |g|_1 exceeds config.tolerance, the objective decreases without
+      bound along the coboundary d(i, j) = g(i) - g(j): the pressure
+      does not see d while <nu, d> = |g|_2^2 > 0.  The value is minus
+      infinity and d is returned as the potential;
+    - otherwise the value is the entropy rate -sum nu log(nu / row),
+      and the potential is the dual certificate psi* = log(nu / row),
+      with pressure(psi*) = 0 and <nu, psi*> = -value.  psi* is minus
+      infinity on edges nu misses, where the infimum is reached only
+      in the limit; the boundary flag records them.
+
+    residual is |g|_1.  Nothing is iterated: iterations is 0 and
+    converged is always true.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (corr.n_edges,):
@@ -372,11 +290,20 @@ def abstract_kernel_entropy(corr, nu, config=None, normalize_each_step=False):
     if abs(float(np.sum(nu)) - 1.0) > 1e-9 or np.any(nu < -1e-12):
         raise ShapeMismatch("pair measure must be a probability on edges")
     cfg = config or SolverConfig()
-    res = _entropy_descent(corr, nu, cfg, normalize_each_step)
-    if not res.converged and not res.boundary and not res.minus_infinity \
-            and res.iterations >= cfg.max_iterations:
-        raise ConvergenceFailure(res.iterations, residual=res.residual)
-    return res
+    nu = np.maximum(nu, 0.0)
+    src, dst = corr.edge_arrays()
+    row = np.bincount(src, weights=nu, minlength=corr.n_states)
+    g = row - np.bincount(dst, weights=nu, minlength=corr.n_states)
+    residual = float(np.sum(np.abs(g)))
+    carried = nu > 0.0
+    boundary = not bool(np.all(carried))
+    if residual > cfg.tolerance:
+        return AbstractEntropyResult(float("-inf"), True, g[src] - g[dst], 0,
+                                     residual, True, boundary)
+    psi = np.full(corr.n_edges, -np.inf)
+    psi[carried] = np.log(nu[carried] / row[src[carried]])
+    value = -float(np.dot(nu[carried], psi[carried]))
+    return AbstractEntropyResult(value, False, psi, 0, residual, True, boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,87 +313,19 @@ class AbstractMeasurePressure:
     candidates: int
 
 
-def _coupling_vertices(corr, mu, support, local_edges, cap=20000):
-    """Vertices of the transport polytope over the mu-positive states."""
-    import itertools
-
-    n_loc = len(support)
-    m = len(local_edges)
-    rows = []
-    for i in range(n_loc):
-        rows.append([1.0 if e[0] == i else 0.0 for e in local_edges])
-    for j in range(n_loc - 1):
-        rows.append([1.0 if e[1] == j else 0.0 for e in local_edges])
-    b = [float(mu[s]) for s in support] + [float(mu[s]) for s in support[:-1]]
-    rank = np.linalg.matrix_rank(np.array(rows)) if rows else 0
-    if rank == 0 or math.comb(m, rank) > cap:
-        return []
-    from .simplex import gauss_solve
-    found = []
-    seen = set()
-    for cols in itertools.combinations(range(m), rank):
-        sub = [[row[c] for c in cols] for row in rows]
-        kind, x = gauss_solve(sub, b, exact=False)
-        if kind != "unique" or any(v < -1e-10 for v in x):
-            continue
-        full = np.zeros(corr.n_edges)
-        for c, v in zip(cols, x):
-            full[local_edges[c][2]] = max(float(v), 0.0)
-        key = tuple(np.round(full / max(float(np.sum(full)), 1e-30), 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        found.append(full / float(np.sum(full)))
-    return found
-
-
-def abstract_measure_pressure(corr, phi, mu, config=None):
+def abstract_measure_pressure(corr, phi, mu):
     """sup of [abstract entropy + <nu, phi>] over couplings of mu.
 
-    A documented heuristic: the entropic-transport optimizer seeds a
-    candidate set together with the vertices of the coupling polytope
-    (when few enough to enumerate), and two rounds of midpoint
-    refinement around the best candidate follow.  The result is always
-    at least the kernel-entropy value at the optimizer, hence at least
-    the measure pressure up to solver error.
+    A coupling of an invariant measure is balanced, so its abstract
+    entropy is its entropy rate, and the supremum is the entropic
+    transport value of measure_pressure.  The value is reported at
+    that optimal coupling, the single candidate.
     """
-    cfg = config or SolverConfig(tolerance=1e-6)
     mp = measure_pressure(corr, phi, mu)
-    mu = validate_measure(corr.n_states, mu)
-    support = [i for i in range(corr.n_states) if mu[i] > 0.0]
-    loc = {s: k for k, s in enumerate(support)}
-    local_edges = [(loc[i], loc[j], k) for k, (i, j) in enumerate(corr.edges)
-                   if i in loc and j in loc]
-    candidates = [mp.pair / float(np.sum(mp.pair))]
-    candidates.extend(_coupling_vertices(corr, mu, support, local_edges))
-
-    # cheap scoring pass first; only the winner gets the full budget
-    coarse = SolverConfig(max_iterations=min(250, cfg.max_iterations),
-                          tolerance=max(1e-5, cfg.tolerance),
-                          divergence_floor=cfg.divergence_floor)
-
-    def score(nu, conf):
-        res = _entropy_descent(corr, np.asarray(nu, dtype=float), conf)
-        if res.minus_infinity:
-            return float("-inf")
-        return res.value + float(np.dot(nu, phi.values))
-
-    scored = [(score(nu, coarse), k) for k, nu in enumerate(candidates)]
-    best_val, best_k = max(scored)
-    best = candidates[best_k]
-    for _ in range(2):
-        improved = False
-        for k, nu in enumerate(candidates):
-            if k == best_k:
-                continue
-            mid = 0.5 * (best + nu)
-            v = score(mid, coarse)
-            if v > best_val:
-                best_val, best = v, mid
-                improved = True
-        if not improved:
-            break
-    return AbstractMeasurePressure(score(best, cfg), best, len(candidates))
+    nu = mp.pair / float(np.sum(mp.pair))
+    res = abstract_kernel_entropy(corr, nu)
+    return AbstractMeasurePressure(res.value + float(np.dot(nu, phi.values)),
+                                   nu, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,12 +345,14 @@ def tangent_functionals(corr, phi, tie_tol=TIE_TOL):
     cache = SpectralCache(corr)
     top, dom, _ = cache.dominant(phi.values, tie_tol)
     tangents = []
-    classes = []
     for c in dom:
-        _, pair, comp = _gibbs_on_component(cache, c, phi.values)
+        _, q_in, mu_loc = _gibbs_on_class(cache, c, phi.values)
+        rows, _, eidx = cache.class_edges[c]
+        pair = np.zeros(corr.n_edges)
+        pair[eidx] = mu_loc[rows] * q_in
         tangents.append(pair)
-        classes.append(comp)
-    return TangentSet(float(top), tuple(tangents), tuple(classes),
+    return TangentSet(float(top), tuple(tangents),
+                      tuple(cache.components[c] for c in dom),
                       len(tangents) == 1)
 
 

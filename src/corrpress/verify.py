@@ -312,13 +312,45 @@ def battery_type_one(seed=20140, gibbs_count=100, mp_count=20, mp_each=5,
     ]
 
 
+def _certificate_gaps(rng, corr, nu, hhat):
+    """Both sides of the closed-form entropy against the definition.
+
+    hhat is abstract_kernel_entropy's result for nu.  The objective
+    pressure(psi) - <nu, psi> is evaluated by the Perron solver at the
+    dual certificate psi* (attainment: it must equal hhat.value) and at
+    random potentials, some far from psi* and some close to it (weak
+    duality: it must not go below hhat.value).  Returns the attainment
+    gap and the largest amount by which hhat.value exceeded the
+    objective.
+    """
+    def objective(values):
+        return (spectral_pressure(corr, Potential(corr, values)).pressure
+                - float(np.dot(nu, values)))
+
+    attain = abs(objective(hhat.potential) - hhat.value)
+    excess = 0.0
+    for _ in range(4):
+        excess = max(excess, hhat.value - objective(
+            rng.uniform(-1.0, 1.0, corr.n_edges)))
+        for scale in (1e-1, 1e-2):
+            bump = scale * rng.uniform(-1.0, 1.0, corr.n_edges)
+            excess = max(excess, hhat.value - objective(hhat.potential + bump))
+    return attain, excess
+
+
 def battery_type_two(seed=20150, count=50, unbalanced_count=20,
                      with_evidence=False):
+    """Abstract entropy in closed form against the inverse variational
+    principle it solves, on Gibbs pairs and on stationary pairs of
+    random kernels (both of full support)."""
     rng = np.random.default_rng(seed)
+    # a stream of its own, so the instances drawn from rng do not move
+    probe_rng = np.random.default_rng([seed, 1])
     cfg = SolverConfig(tolerance=1e-5)
     gibbs_gap = 0.0
     domination = 0.0
     equality = 0.0
+    certificates = []
     rows = []
     for k in range(count):
         corr = random_primitive(rng, 2, 10)
@@ -331,9 +363,12 @@ def battery_type_two(seed=20150, count=50, unbalanced_count=20,
         ker = random_kernel(rng, corr)
         _, mu = stationary_measures(ker)[0]
         h = entropy_rate(mu, ker)
-        hhat = abstract_kernel_entropy(corr, pair_from_kernel(mu, ker), cfg)
+        pair = pair_from_kernel(mu, ker)
+        hhat = abstract_kernel_entropy(corr, pair, cfg)
         domination = max(domination, h - hhat.value)
         equality = max(equality, abs(hhat.value - h))
+        certificates += [_certificate_gaps(probe_rng, corr, nu, ent)
+                         for nu, ent in ((eq.pair, res), (pair, hhat))]
         if with_evidence and k < 12:
             rows.append("n=%d h=%.6f hhat=%.6f diff=%.1e"
                         % (corr.n_states, h, hhat.value, hhat.value - h))
@@ -343,11 +378,17 @@ def battery_type_two(seed=20150, count=50, unbalanced_count=20,
         res = abstract_kernel_entropy(corr, random_unbalanced_pair(rng, corr))
         if not res.minus_infinity:
             bad += 1
+    attain, excess = np.max(certificates, axis=0)
     checks = [
         CheckResult("entropy-matches-gibbs", gibbs_gap <= 1e-4, gibbs_gap,
                     "%d primitive instances" % count),
         CheckResult("abstract-dominates-entropy", domination <= 1e-4,
                     domination, "worst h minus abstract entropy"),
+        CheckResult("abstract-entropy-certificate",
+                    attain <= 1e-9 and excess <= 1e-12, max(attain, excess),
+                    "attainment gap %.1e at the dual potential, weak "
+                    "duality short by %.1e at most over %d pairs"
+                    % (attain, excess, len(certificates))),
         CheckResult("unbalanced-minus-infinity", bad == 0, float(bad),
                     "%d unbalanced pair measures" % unbalanced_count),
     ]

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from corrpress import ConvergenceFailure
 from corrpress.cli import main
+from corrpress.pressure import SpectralCache
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 LOG_GOLDEN = math.log(GOLDEN)
@@ -121,18 +123,59 @@ def test_unnormalized_measure_is_an_input_error(tmp_path, capsys):
     assert doc["error"]["type"] == "ShapeMismatch"
 
 
-def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys):
+def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys, monkeypatch):
+    # the Perron solver behind every pressure call gives up
+    def exhausted(self, c, values, vectors=True):
+        raise ConvergenceFailure(100000, residual=1e-3)
+
+    monkeypatch.setattr(SpectralCache, "solve", exhausted)
+    code, doc = run(capsys, ["pressure", "--input", golden_corr(tmp_path),
+                             "--method", "spectral"])
+    assert code == 3
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "ConvergenceFailure"
+
+
+def test_skewed_pair_entropy_ignores_the_iteration_budget(tmp_path, capsys):
     corr = write(tmp_path, "full.json",
                  {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]})
-    # balanced but far from optimal, one iteration cannot reach tolerance
+    # balanced, far from the uniform pair; the closed form needs no steps
     nu = write(tmp_path, "skew.json",
                {"edges": [[0, 0, 0.4], [0, 1, 0.1], [1, 0, 0.1], [1, 1, 0.4]]})
     cfg = write(tmp_path, "cfg.json", {"max_iterations": 1})
     code, doc = run(capsys, ["aentropy", "--input", corr, "--nu", nu,
                              "--config", cfg])
-    assert code == 3
-    assert doc["status"] == "error"
-    assert doc["error"]["type"] == "ConvergenceFailure"
+    assert code == 0
+    res = doc["results"]
+    assert res["value"] == pytest.approx(
+        -(0.8 * math.log(0.8) + 0.2 * math.log(0.2)), abs=1e-12)
+    assert res["iterations"] == 0 and res["converged"] is True
+
+
+def test_removed_solver_options_are_input_errors(tmp_path, capsys):
+    corr = golden_corr(tmp_path)
+    nu = write(tmp_path, "loop.json",
+               {"edges": [[0, 0, 1.0], [0, 1, 0.0], [1, 0, 0.0]]})
+    cfg = write(tmp_path, "cfg.json", {"step_rule": "fixed"})
+    code, doc = run(capsys, ["aentropy", "--input", corr, "--nu", nu,
+                             "--config", cfg])
+    assert code == 2
+    assert doc["error"]["type"] == "ShapeMismatch"
+
+
+def test_point_mass_pair_reports_null_certificate_entries(tmp_path, capsys):
+    corr = golden_corr(tmp_path)
+    nu = write(tmp_path, "loop.json",
+               {"edges": [[0, 0, 1.0], [0, 1, 0.0], [1, 0, 0.0]]})
+    # reports are written with allow_nan=False, so a -inf would not exit 0
+    code, doc = run(capsys, ["aentropy", "--input", corr, "--nu", nu])
+    assert code == 0
+    res = doc["results"]
+    assert res["boundary_flag"] is True
+    assert res["minus_infinity"] is False
+    assert res["value"] == 0.0
+    # log 1 on the loop, -inf (null) on the two missed edges
+    assert res["potential"] == [0.0, None, None]
 
 
 def test_eigensolver_failure_is_exit_three(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from corrpress import pressure
 from corrpress import (
+    ConvergenceFailure,
     FiniteCorrespondence,
     NonUniqueDominantClass,
     Potential,
@@ -15,7 +17,8 @@ from corrpress import (
     spectral_pressure,
 )
 from corrpress.kernels import stationary_gap
-from corrpress.pressure import DENSE_MAX, SpectralCache, component_period
+from corrpress.pressure import (DENSE_MAX, SpectralCache, _perron_from,
+                                component_period)
 
 
 def sparse_primitive(rng, n):
@@ -133,13 +136,16 @@ def test_kernel_support_check_rejects_mass_off_the_edges():
         TransitionKernel(corr, moved)
 
 
-def test_slowly_mixing_class_falls_back_to_dense():
-    # a long cycle with one chord: the second eigenvalue is so close to
-    # rho in modulus that the power iteration would need far more steps
-    # than a dense eigensolve costs
-    n = 80
-    corr = FiniteCorrespondence(
+def slowly_mixing_class(n=80):
+    """A long cycle with one chord: the second eigenvalue is so close to
+    rho in modulus that the power iteration would need far more steps
+    than a dense eigensolve costs."""
+    return FiniteCorrespondence(
         n, [(k, (k + 1) % n) for k in range(n)] + [(n - 2, 0)])
+
+
+def test_slowly_mixing_class_falls_back_to_dense():
+    corr = slowly_mixing_class()
     phi = Potential.zero(corr)
     logrho, right, left, bracket = SpectralCache(corr).solve(0, phi.values)
     assert bracket is None
@@ -147,3 +153,32 @@ def test_slowly_mixing_class_falls_back_to_dense():
     eq = gibbs_equilibrium(corr, phi)
     assert eq.pressure == spectral_pressure(corr, phi).pressure
     assert stationary_gap(eq.measure, eq.kernel) <= 1e-9
+
+
+def test_slowly_mixing_class_pays_the_power_budget_once(monkeypatch):
+    calls = []
+    original = pressure._power_vector
+
+    def counting(*args):
+        out = original(*args)
+        calls.append(out is None)
+        return out
+
+    monkeypatch.setattr(pressure, "_power_vector", counting)
+    corr = slowly_mixing_class()
+    eq = gibbs_equilibrium(corr, Potential.zero(corr))
+    # the radius pass fails once; the vector pass goes straight to dense
+    assert calls == [True]
+    assert stationary_gap(eq.measure, eq.kernel) <= 1e-9
+
+
+def test_perron_vector_clips_rounding_negatives_only():
+    w = np.array([0.5, 2.0, -1.0])
+    vecs = np.zeros((3, 3), dtype=complex)
+    # the Perron column, with a phase and one entry negative by rounding
+    vecs[:, 1] = -1j * np.array([2.0, 1.0, -1e-11])
+    v = _perron_from(w, vecs, 2.0)
+    assert np.array_equal(v, [2.0 / 3.0, 1.0 / 3.0, 0.0])
+    vecs[:, 1] = np.array([2.0, 1.0, -0.2])
+    with pytest.raises(ConvergenceFailure):
+        _perron_from(w, vecs, 2.0)

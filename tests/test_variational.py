@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from corrpress import (
-    ConvergenceFailure,
     FiniteCorrespondence,
     NonUniqueDominantClass,
     NotInvariant,
@@ -26,6 +25,7 @@ from corrpress import (
     uniform_measure,
 )
 from corrpress.kernels import stationary_gap
+from corrpress.verify import random_invariant_measure as cycle_mixture
 
 LOG2 = math.log(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -139,6 +139,20 @@ def test_measure_pressure_never_exceeds_pressure():
             assert res.value <= p + 1e-8
 
 
+def test_measure_pressure_value_matches_the_edge_loop():
+    rng = np.random.default_rng(71)
+    for _ in range(8):
+        corr = random_relation(rng, int(rng.integers(2, 6)))
+        phi = random_potential(rng, corr)
+        mu = cycle_mixture(rng, corr)
+        res = measure_pressure(corr, phi, mu)
+        loop = 0.0
+        for (i, j), v, w in zip(corr.edges, res.pair, phi.values):
+            if v > 0.0:
+                loop += v * (w - math.log(v / mu[i]))
+        assert res.value == pytest.approx(loop, abs=1e-13)
+
+
 def test_measure_pressure_point_mass_on_a_loop():
     corr = FiniteCorrespondence(2, [(0, 0), (0, 1), (1, 0)])
     phi = Potential(corr, {(0, 0): 0.4, (0, 1): 5.0})
@@ -229,15 +243,11 @@ def test_abstract_entropy_dominates_the_kernel_entropy():
         res = measure_pressure(corr, Potential.zero(corr), mu)
         pair = pair_from_kernel(mu, res.kernel)
         h = entropy_rate(mu, res.kernel)
-        # descent approaches the infimum from above, so a short budget
-        # can only raise the reported value; boundary rays stop early
-        try:
-            ab = abstract_kernel_entropy(corr, pair,
-                                         SolverConfig(max_iterations=2500))
-        except ConvergenceFailure:
-            ab = abstract_kernel_entropy(corr, pair)
+        ab = abstract_kernel_entropy(corr, pair)
         assert not ab.minus_infinity
         assert ab.value >= h - 1e-4
+        # the closed form is the entropy rate of the pair itself
+        assert ab.value == pytest.approx(h, abs=1e-9)
 
 
 def test_unbalanced_pair_measures_have_no_entropy():
@@ -256,6 +266,10 @@ def test_point_mass_on_a_loop_edge_is_a_boundary_case():
     assert not res.minus_infinity
     assert res.value == pytest.approx(0.0, abs=1e-3)
     assert res.converged or res.boundary
+    # the certificate is log 1 on the loop and -inf on the missed edges
+    assert res.boundary
+    assert res.potential[0] == 0.0
+    assert np.all(res.potential[1:] == -np.inf)
 
 
 def test_abstract_entropy_input_validation():
@@ -266,12 +280,45 @@ def test_abstract_entropy_input_validation():
         abstract_kernel_entropy(corr, np.array([0.7, 0.5, -0.1, -0.1]))
 
 
-def test_normalized_descent_agrees():
+def test_golden_mean_gibbs_pair_has_entropy_log_golden():
     corr = golden_mean()
     eq = gibbs_equilibrium(corr, Potential.zero(corr))
-    plain = abstract_kernel_entropy(corr, eq.pair)
-    normed = abstract_kernel_entropy(corr, eq.pair, normalize_each_step=True)
-    assert plain.value == pytest.approx(normed.value, abs=1e-5)
+    res = abstract_kernel_entropy(corr, eq.pair)
+    assert res.value == pytest.approx(math.log(GOLDEN), abs=1e-12)
+    assert res.iterations == 0 and res.converged and not res.boundary
+
+
+def test_dual_certificate_attains_the_infimum():
+    corr = golden_mean()
+    eq = gibbs_equilibrium(corr, Potential(corr, {(0, 0): 0.3, (0, 1): -0.2}))
+    res = abstract_kernel_entropy(corr, eq.pair)
+    psi = Potential(corr, res.potential)
+    # P(psi*) = 0, so the objective at psi* is -<nu, psi*> = the value
+    assert spectral_pressure(corr, psi).pressure == pytest.approx(0.0, abs=1e-12)
+    assert -float(np.dot(eq.pair, res.potential)) \
+        == pytest.approx(res.value, abs=1e-12)
+
+
+def test_unbalanced_direction_is_a_coboundary_with_positive_pairing():
+    corr = full_shift(2)
+    nu = np.array([0.2, 0.5, 0.1, 0.2])
+    res = abstract_kernel_entropy(corr, nu)
+    # g = row - col = (0.4, -0.4); d(i, j) = g(i) - g(j)
+    assert np.allclose(res.potential, [0.0, 0.8, -0.8, 0.0], atol=1e-15)
+    assert res.residual == pytest.approx(0.8, abs=1e-15)
+    assert float(np.dot(nu, res.potential)) == pytest.approx(0.32, abs=1e-15)
+    base = spectral_pressure(corr, Potential.zero(corr)).pressure
+    along = spectral_pressure(corr, Potential(corr, 10.0 * res.potential))
+    assert along.pressure == pytest.approx(base, abs=1e-12)
+
+
+def test_balance_tolerance_comes_from_the_config():
+    corr = full_shift(2)
+    nu = np.array([0.25, 0.25 + 1e-7, 0.25 - 1e-7, 0.25])
+    assert abstract_kernel_entropy(corr, nu).minus_infinity
+    loose = abstract_kernel_entropy(corr, nu, SolverConfig(tolerance=1e-5))
+    assert not loose.minus_infinity
+    assert loose.value == pytest.approx(LOG2, abs=1e-6)
 
 
 def test_abstract_measure_pressure_matches_the_transport_value():
@@ -285,6 +332,7 @@ def test_abstract_measure_pressure_matches_the_transport_value():
         dual = abstract_measure_pressure(corr, phi, mu)
         assert dual.value >= direct.value - 1e-6
         assert dual.value == pytest.approx(direct.value, abs=1e-4)
+        assert dual.candidates == 1
 
 
 def test_equilibrium_check_confirms_the_gibbs_pair():
@@ -330,6 +378,21 @@ def test_tangent_set_structure():
     assert not ts.is_unique
     prim = tangent_functionals(full_shift(2), Potential.zero(full_shift(2)))
     assert len(prim.tangents) == 1 and prim.is_unique
+
+
+def test_unique_tangent_is_the_gibbs_pair():
+    rng = np.random.default_rng(72)
+    checked = 0
+    for _ in range(12):
+        corr = random_relation(rng, int(rng.integers(2, 8)))
+        phi = random_potential(rng, corr)
+        ts = tangent_functionals(corr, phi)
+        if not ts.is_unique:
+            continue
+        # both come from the same Gibbs-pair formula
+        assert np.array_equal(ts.tangents[0], gibbs_equilibrium(corr, phi).pair)
+        checked += 1
+    assert checked >= 6
 
 
 def test_tangents_support_the_pressure_from_below():
