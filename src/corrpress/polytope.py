@@ -4,7 +4,7 @@ A state measure mu is invariant when some pair measure on the edges
 has both marginals equal to mu; equivalently some kernel supported by
 the edges fixes mu, and equivalently mu(A) <= mu(preimage of A) for
 every subset A.  The set of such mu is a polytope whose extreme
-points come from vertices of the pair-measure polytope.
+points are among the state marginals of the simple-cycle measures.
 """
 
 from __future__ import annotations
@@ -25,23 +25,24 @@ from .errors import (
     TooLarge,
 )
 from .kernels import TransitionKernel, kernel_from_pair, validate_measure
+from .pressure import strongly_connected_components
 from .simplex import INFEASIBLE, OPTIMAL, gauss_solve, simplex
 
 SUBSET_STATE_CAP = 16
-EDGE_CAP = 24
 WITNESS_TOL = 1e-10
+CYCLE_CAP = 500
 
 
-def _marginal_system(corr, drop_last_column=True):
-    """Equality rows for: row sums = mu, column sums = mu (last dropped)."""
-    n, m = corr.n_states, corr.n_edges
+def _marginal_system(mu, edges):
+    """Equality system row sums = mu, column sums = mu (last dropped) over
+    (source, target, ...) edge tuples; returns the rows and right side."""
+    n = len(mu)
     rows = []
     for i in range(n):
-        rows.append([1 if e[0] == i else 0 for e in corr.edges])
-    upto = n - 1 if drop_last_column else n
-    for j in range(upto):
-        rows.append([1 if e[1] == j else 0 for e in corr.edges])
-    return rows
+        rows.append([1 if e[0] == i else 0 for e in edges])
+    for j in range(n - 1):
+        rows.append([1 if e[1] == j else 0 for e in edges])
+    return rows, list(mu) + list(mu[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +55,7 @@ class InvarianceCheck:
 
 
 def _invariant_lp(corr, mu, feas_tol):
-    a = _marginal_system(corr)
-    b = list(mu) + list(mu[:-1])
+    a, b = _marginal_system(mu, corr.edges)
     status, x, _ = simplex(a, [float(v) for v in b], [0.0] * corr.n_edges,
                            exact=False, feas_tol=feas_tol)
     if status != OPTIMAL:
@@ -80,9 +80,7 @@ def _invariant_subsets(corr, mu, slack):
         mass[m] = mass[rest] + float(mu[low])
         pre[m] = pre[rest] | pred_mask[low]
     for m in range(1, size):
-        pm = pre[m]
-        pmass = mass[pm] if pm != m else mass[m]
-        if mass[m] > pmass + slack:
+        if mass[m] > mass[pre[m]] + slack:
             return tuple(i for i in range(n) if m >> i & 1)
     return None
 
@@ -114,27 +112,51 @@ def is_invariant(corr, mu, mode="both", feas_tol=1e-9):
     return InvarianceCheck(bool(verdict), by_mode, pair, kernel, violating)
 
 
-def _exact_rank(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, len(rows)) if rows[i][col] != 0), -1)
-        if sel < 0:
+def _simple_cycles(corr):
+    """Simple cycles, as state tuples from their least state.
+
+    Johnson's algorithm (SIAM J. Comput. 4(1), 1975) without recursion:
+    a search lists the cycles through the least state s of a strong
+    component, keeping a state blocked until a cycle closes below it;
+    then the component without s is split again.  Time O((states +
+    edges)(cycles + 1)); TooLarge as soon as CYCLE_CAP is passed.
+    """
+    cycles, work = [], [list(range(corr.n_states))]
+    while work:
+        states = work.pop()
+        local = {v: k for k, v in enumerate(states)}
+        succ = [[local[w] for w in corr.successors(v) if w in local]
+                for v in states]
+        comps = strongly_connected_components(len(states), succ)
+        if len(comps) != 1:
+            work.extend([states[k] for k in c] for c in comps)
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][col]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
+        work.append(states[1:])    # one strong component; s = states[0]
+        blocked, waiting = {0}, [set() for _ in states]
+        stack = [(0, iter(succ[0]), len(cycles))]  # state, successors, count
+        while stack:
+            v, todo, before = stack[-1]
+            w = next(todo, None)
+            if w is None:
+                stack.pop()
+                if len(cycles) == before:
+                    for x in succ[v]:
+                        waiting[x].add(v)
+                    continue
+                release = {v}
+                while release:
+                    u = release.pop()
+                    blocked.discard(u)
+                    release |= waiting[u] & blocked
+                    waiting[u].clear()
+            elif w == 0:
+                cycles.append(tuple(states[f[0]] for f in stack))
+                if len(cycles) > CYCLE_CAP:
+                    raise TooLarge(f"more than {CYCLE_CAP} simple cycles")
+            elif w not in blocked:
+                blocked.add(w)
+                stack.append((w, iter(succ[w]), len(cycles)))
+    return cycles
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,54 +170,43 @@ class PolytopeExtremes:
 def invariant_polytope_extremes(corr):
     """Extreme points of the invariant-measure polytope, exactly.
 
-    Vertices of the pair polytope (balanced mass-one edge vectors) are
-    found by basic-feasible-solution search over the equality system,
-    in rational arithmetic since that system is integral.  Projections
-    that are convex combinations of the others are then removed by
-    exact feasibility tests.
+    The vertices of the pair polytope (balanced mass-one edge vectors)
+    are the uniform measures on simple cycles.  A state projection is
+    dropped when an exact LP writes it as a convex combination of the
+    others, which can only use those supported inside its support.
+    Raises TooLarge beyond CYCLE_CAP simple cycles.
     """
-    n, m = corr.n_states, corr.n_edges
-    if m > EDGE_CAP:
-        raise TooLarge(f"vertex enumeration limited to {EDGE_CAP} edges")
-    a = []
-    for i in range(n):
-        a.append([(1 if e[0] == i else 0) - (1 if e[1] == i else 0)
-                  for e in corr.edges])
-    a.append([1] * m)
-    rank = _exact_rank(a)
-    seen = {}
-    for cols in itertools.combinations(range(m), rank):
-        sub = [[row[c] for c in cols] for row in a]
-        b = [0] * n + [1]
-        kind, x = gauss_solve(sub, b, exact=True)
-        if kind != "unique" or any(v < 0 for v in x):
-            continue
-        full = [Fraction(0)] * m
-        for c, v in zip(cols, x):
-            full[c] = v
-        seen[tuple(full)] = True
-    vertices = sorted(seen)
-    projections = []
-    for v in vertices:
-        marg = [Fraction(0)] * n
-        for (i, _), w in zip(corr.edges, v):
-            marg[i] += w
-        projections.append(tuple(marg))
-    distinct = sorted(set(projections))
-    keep = []
-    for k, p in enumerate(distinct):
-        others = [q for t, q in enumerate(distinct) if t != k]
-        if not others:
-            keep.append(p)
-            continue
-        rows = [[q[i] for q in others] for i in range(n)]
-        rows.append([1] * len(others))
-        status, _, _ = simplex(rows, list(p) + [1], [0] * len(others), exact=True)
+    index = corr.edge_index()
+    zero = Fraction(0)   # one shared zero keeps tuple comparisons cheap
+    found = []
+    for cycle in _simple_cycles(corr):
+        vertex, marg = [zero] * corr.n_edges, [zero] * corr.n_states
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            vertex[index[(i, j)]] = marg[i] = Fraction(1, len(cycle))
+        found.append((tuple(vertex), tuple(marg), cycle))
+    found.sort()
+    # a projection is uniform on its support, so supports tell them apart
+    distinct = {sum(1 << i for i in c): (p, c) for _, p, c in found}
+    kept = []
+    # by growing support: a projection is a mixture of those inside its
+    # support exactly when it is a mixture of the extreme ones among them
+    for mask, (p, cycle) in sorted(distinct.items(), key=lambda d: len(d[1][1])):
+        others = [(sub, q) for sub, q in kept if sub & ~mask == 0]
+        # p is uniform on its support, so off it rows read 0 = 0 and on it
+        # one state per class of the partition the others cut keeps a row
+        classes = [mask]
+        for sub, _ in others:
+            classes = [c for part in classes for c in (part & sub, part & ~sub) if c]
+        rows = [[q[(c & -c).bit_length() - 1] for _, q in others] for c in classes]
+        status, _, _ = simplex(rows + [[1] * len(others)],
+                               [p[cycle[0]]] * len(rows) + [1],
+                               [0] * len(others), exact=True)
         if status == INFEASIBLE:
-            keep.append(p)
+            kept.append((mask, p))
+    keep = sorted(p for _, p in kept)
     return PolytopeExtremes(
-        tuple(vertices),
-        tuple(projections),
+        tuple(f[0] for f in found),
+        tuple(f[1] for f in found),
         tuple(keep),
         tuple(np.array([float(v) for v in p]) for p in keep),
     )
@@ -271,25 +282,18 @@ def hat_lift(corr, block, mu_block, variant="forward"):
         raise ShapeMismatch("block measure is not a probability vector")
     local = {s: k for k, s in enumerate(block)}
     n = corr.n_states
-    if variant == "forward":
-        fmap = {}
-        for y in block:
-            inside = [j for j in corr.successors(y) if j in bset]
-            if len(inside) != 1:
-                raise NotAFunctionOnBlock(y, inside)
-            fmap[y] = inside[0]
-    elif variant == "inverse":
-        missing = [j for j in range(n) if not corr.predecessors(j)]
-        if missing:
-            raise NotSurjective(missing)
-        fmap = {}
-        for y in block:
-            inside = [i for i in corr.predecessors(y) if i in bset]
-            if len(inside) != 1:
-                raise NotAFunctionOnBlock(y, inside)
-            fmap[y] = inside[0]
-    else:
+    if variant not in ("forward", "inverse"):
         raise ModeUnsupported(f"unknown variant {variant!r}")
+    missing = [j for j in range(n) if not corr.predecessors(j)]
+    if variant == "inverse" and missing:
+        raise NotSurjective(missing)
+    step = corr.successors if variant == "forward" else corr.predecessors
+    fmap = {}
+    for y in block:
+        inside = [x for x in step(y) if x in bset]
+        if len(inside) != 1:
+            raise NotAFunctionOnBlock(y, inside)
+        fmap[y] = inside[0]
     push = np.zeros(len(block))
     for y in block:
         push[local[fmap[y]]] += mu_block[local[y]]

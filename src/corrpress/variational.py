@@ -33,6 +33,7 @@ from .kernels import (
     stationary_gap,
     validate_measure,
 )
+from .polytope import _marginal_system
 from .pressure import TIE_TOL, SpectralCache, spectral_pressure
 from .simplex import OPTIMAL, simplex
 
@@ -208,7 +209,7 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=400000):
     face_restricted = False
     result = run(local_edges, detect_stall=True)
     if result is None:
-        face = _positive_face(local_edges, mu_s, n_loc)
+        face = _positive_face(local_edges, mu_s)
         if face is None:
             raise NotInvariant()
         face_restricted = True
@@ -231,15 +232,10 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=400000):
                                  iterations, face_restricted)
 
 
-def _positive_face(local_edges, mu_s, n_loc, eps=1e-12):
+def _positive_face(local_edges, mu_s, eps=1e-12):
     """Edges able to carry mass in the transport polytope, via small LPs."""
     m = len(local_edges)
-    rows = []
-    for i in range(n_loc):
-        rows.append([1.0 if e[0] == i else 0.0 for e in local_edges])
-    for j in range(n_loc - 1):
-        rows.append([1.0 if e[1] == j else 0.0 for e in local_edges])
-    b = list(mu_s) + list(mu_s[:-1])
+    rows, b = _marginal_system(mu_s, local_edges)
     keep = []
     for k in range(m):
         c = [0.0] * m

@@ -213,6 +213,16 @@ def test_extremes_with_decomposition(tmp_path, capsys):
     assert res["decomposition"]["residual"] <= 1e-9
 
 
+def test_extremes_past_the_cycle_cap_is_an_input_error(tmp_path, capsys):
+    # the full shift on 8 states has 16072 simple cycles
+    corr = write(tmp_path, "shift8.json",
+                 {"n_states": 8,
+                  "edges": [[i, j] for i in range(8) for j in range(8)]})
+    code, doc = run(capsys, ["extremes", "--input", corr])
+    assert code == 2
+    assert doc["error"]["type"] == "TooLarge"
+
+
 def test_derivative_at_a_primitive_relation(tmp_path, capsys):
     corr = golden_corr(tmp_path)
     direction = write(tmp_path, "dir.json",

@@ -8,12 +8,14 @@ from corrpress import (
     NotAFunctionOnBlock,
     NotInvariantOnBlock,
     NotSurjective,
+    TooLarge,
     extremal_decomposition,
     hat_lift,
     invariant_polytope_extremes,
     is_invariant,
     pushforward,
 )
+from corrpress.polytope import CYCLE_CAP
 
 
 def full_shift(m):
@@ -69,6 +71,30 @@ def test_full_shift_vertices_and_extremes():
     assert len(ext.extremes) == 2
     as_sets = {tuple(e) for e in np.round(np.array(ext.extremes), 12).tolist()}
     assert as_sets == {(1.0, 0.0), (0.0, 1.0)}
+
+
+def test_full_shift_on_five_states_past_the_old_edge_cap():
+    # 25 edges: the rank-and-basis search stopped at 24
+    corr = full_shift(5)
+    ext = invariant_polytope_extremes(corr)
+    assert len(ext.pair_vertices) == len(simple_cycles(corr)) == 89
+    assert ext.extremes_exact == tuple(
+        tuple(Fraction(int(i == k)) for i in range(5)) for k in reversed(range(5)))
+
+
+def test_one_long_cycle_needs_no_recursion():
+    n = 2000
+    corr = FiniteCorrespondence(n, [(i, (i + 1) % n) for i in range(n)])
+    ext = invariant_polytope_extremes(corr)
+    assert ext.pair_vertices == ((Fraction(1, n),) * n,)
+    assert ext.extremes_exact == ((Fraction(1, n),) * n,)
+
+
+def test_more_cycles_than_the_cap_is_too_large():
+    corr = full_shift(8)           # 16072 simple cycles
+    assert CYCLE_CAP < 16072
+    with pytest.raises(TooLarge):
+        invariant_polytope_extremes(corr)
 
 
 def test_pair_vertices_are_exactly_the_uniform_cycle_measures():

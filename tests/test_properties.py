@@ -1,10 +1,15 @@
-"""Property tests of the closed-form abstract entropy.
+"""Property tests of the closed-form abstract entropy and of the
+cycle description of the pair polytope.
 
 The abstract entropy of a pair measure nu is inf over psi of
-[P(psi) - <nu, psi>], with P the spectral pressure.  Hypothesis draws
-seeds; the instances come from the seeded generators in
-corrpress.verify, so a failing seed reproduces with those alone.
+[P(psi) - <nu, psi>], with P the spectral pressure.  The pair polytope
+(balanced, mass-one edge vectors) has the uniform simple-cycle
+measures as its vertices.  Hypothesis draws seeds; the instances come
+from the seeded generators in corrpress.verify, so a failing seed
+reproduces with those alone.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,13 +18,16 @@ from corrpress import (
     Potential,
     TransitionKernel,
     abstract_kernel_entropy,
+    invariant_polytope_extremes,
     pair_from_kernel,
     spectral_pressure,
     stationary_measures,
 )
+from corrpress.simplex import OPTIMAL, simplex
 from corrpress.verify import (
     random_kernel,
     random_primitive,
+    random_relation,
     random_unbalanced_pair,
 )
 
@@ -116,3 +124,39 @@ def test_relabeling_leaves_the_entropy_fixed(seed, thin):
     b = abstract_kernel_entropy(moved.corr, moved.values)
     assert a.boundary == b.boundary
     assert abs(a.value - b.value) <= 1e-12
+
+
+def balance_rows(corr):
+    """Out-flow minus in-flow at every state, then the mass row."""
+    rows = [[int(i == s) - int(j == s) for i, j in corr.edges]
+            for s in range(corr.n_states)]
+    return rows + [[1] * corr.n_edges]
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_pair_vertices_are_the_simple_cycle_measures(seed):
+    rng = np.random.default_rng(seed)
+    corr = random_relation(rng, 2, 7)
+    ext = invariant_polytope_extremes(corr)
+    rows = balance_rows(corr)
+    for v in ext.pair_vertices:
+        assert [sum(a * x for a, x in zip(r, v)) for r in rows] == \
+            [0] * corr.n_states + [1]
+        # one successor per visited state, and one orbit through them all
+        succ = {i: j for (i, j), x in zip(corr.edges, v) if x}
+        assert len(succ) == len(set(succ.values())) == \
+            sum(1 for x in v if x)
+        start = next(iter(succ))
+        state, seen = succ[start], 1
+        while state != start:
+            state, seen = succ[state], seen + 1
+        assert seen == len(succ)
+    # the vertex list is complete: every cost is minimised at one of them
+    for _ in range(4):
+        cost = [int(c) for c in rng.integers(-5, 6, corr.n_edges)]
+        status, _, value = simplex(rows, [0] * corr.n_states + [1], cost,
+                                   exact=True)
+        assert status == OPTIMAL
+        assert value == min(sum(Fraction(c) * x for c, x in zip(cost, v))
+                            for v in ext.pair_vertices)
