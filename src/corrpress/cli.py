@@ -636,8 +636,8 @@ def main(argv=None):
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a failed numerical process
         return _fail(args, SolverError(f"linear algebra failure: {exc}"), 3)
-    except (ValueError, KeyError, TypeError) as exc:
-        # malformed documents surface here when shapes are beyond parsing
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # malformed documents surface here, int(1e999) as an OverflowError
         return _fail(args, exc, 2)
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooLarge, NotStationary, IndexOutOfRange
-from .pressure import strongly_connected_components
+from .errors import ShapeMismatch, TooLarge, NotStationary
+from .pressure import SpectralCache
+from .relations import FiniteCorrespondence
 
 DENSE_PATH_LIMIT = 10 ** 7
 
@@ -24,7 +25,7 @@ def validate_measure(n_states, weights, tol=1e-9):
         raise ShapeMismatch(f"measure has shape {w.shape}, expected ({n_states},)")
     if np.any(w < -1e-12):
         raise ShapeMismatch("negative weight in measure")
-    if abs(float(np.sum(w)) - 1.0) > tol:
+    if not abs(float(np.sum(w)) - 1.0) <= tol:    # NaN fails here too
         raise ShapeMismatch(f"measure mass {float(np.sum(w))!r} is not 1")
     return np.where(w < 0.0, 0.0, w)
 
@@ -70,11 +71,9 @@ class TransitionKernel:
         return self.matrix[i]
 
     def relabel(self, theta):
-        relabeled = self.corr.relabel(theta)
+        relabeled = self.corr.relabel(theta)   # rejects a bad theta first
         m = np.zeros_like(self.matrix)
-        for i in range(self.corr.n_states):
-            for j in range(self.corr.n_states):
-                m[theta[i], theta[j]] = self.matrix[i, j]
+        m[np.ix_(theta, theta)] = self.matrix    # m[theta i, theta j] = Q(i, j)
         return TransitionKernel(relabeled, m)
 
 
@@ -225,35 +224,30 @@ def stationary_gap(mu, kernel):
 def stationary_measures(kernel, tol=1e-10):
     """Ergodic stationary measures, one per recurrent class of the support.
 
-    Returns a list of (class_states, measure) with full-length measure
-    vectors, ordered by the smallest state of the class.
+    A recurrent class is closed: no support edge leaves it, so the
+    kernel is stochastic on it, with Perron root 1 and the stationary
+    law as left Perron vector.  Returns a list of (class_states,
+    measure) with full-length measure vectors, ordered by the smallest
+    state of the class.
     """
-    n = kernel.corr.n_states
-    support_succ = [tuple(j for j in range(n) if kernel.matrix[i, j] > 0.0)
-                    for i in range(n)]
-    comps = strongly_connected_components(n, support_succ)
-    member = {}
-    for k, c in enumerate(comps):
-        for s in c:
-            member[s] = k
+    corr = kernel.corr
+    src, dst = corr.edge_arrays()
+    q = kernel.matrix[src, dst]
+    on = q > 0.0
+    src, dst, logq = src[on], dst[on], np.log(q[on])   # the support's edges, sorted
+    cache = SpectralCache(FiniteCorrespondence(corr.n_states, zip(src, dst)))
+    label = cache.class_of
+    leaving = set(label[src][label[src] != label[dst]].tolist())
     out = []
-    for k, c in enumerate(comps):
-        closed = all(member[j] == k for i in c for j in support_succ[i])
-        if not closed:
+    for c, states in enumerate(cache.components):
+        if c in leaving:
             continue
-        idx = list(c)
-        block = kernel.matrix[np.ix_(idx, idx)]
-        a = np.vstack([block.T - np.eye(len(idx)), np.ones(len(idx))])
-        b = np.zeros(len(idx) + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        pi = np.where(pi < 0.0, 0.0, pi)
-        pi = pi / float(np.sum(pi))
-        mu = np.zeros(n)
-        mu[idx] = pi
+        _, _, left, _ = cache.solve(c, logq)
+        mu = np.zeros(corr.n_states)
+        mu[list(states)] = left
         if stationary_gap(mu, kernel) > tol:
             raise NotStationary(stationary_gap(mu, kernel))
-        out.append((c, mu))
+        out.append((states, mu))
     out.sort(key=lambda pair: min(pair[0]))
     return out
 
@@ -292,7 +286,7 @@ def pair_from_kernel(mu, kernel):
     return np.asarray(mu, dtype=float)[src] * kernel.matrix[src, dst]
 
 
-def kernel_from_pair(corr, pair_values, fallback="lowest"):
+def kernel_from_pair(corr, pair_values):
     """Row-normalize a pair measure into a kernel.
 
     Negative entries count as zero.  Rows with no mass get the point
@@ -304,8 +298,6 @@ def kernel_from_pair(corr, pair_values, fallback="lowest"):
     w = np.maximum(np.asarray(pair_values, dtype=float), 0.0)
     rows = np.bincount(src, weights=w, minlength=n)
     empty = np.flatnonzero(rows <= 0.0)
-    if empty.size and fallback != "lowest":
-        raise IndexOutOfRange([], n)
     m = np.zeros((n, n))
     m[src, dst] = w / np.where(rows > 0.0, rows, 1.0)[src]
     # edges are sorted, so a state's first edge goes to its lowest successor

@@ -3,8 +3,9 @@
 A state measure mu is invariant when some pair measure on the edges
 has both marginals equal to mu; equivalently some kernel supported by
 the edges fixes mu, and equivalently mu(A) <= mu(preimage of A) for
-every subset A.  The set of such mu is a polytope whose extreme
-points are among the state marginals of the simple-cycle measures.
+every subset A.  The set of such mu is a polytope whose extreme points
+are the marginals of the simple cycles that are the only cycle cover
+of the relation on their states.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .errors import (
 )
 from .kernels import TransitionKernel, kernel_from_pair, validate_measure
 from .pressure import strongly_connected_components
-from .simplex import INFEASIBLE, OPTIMAL, gauss_solve, simplex
+from .simplex import OPTIMAL, gauss_solve, simplex
 
 SUBSET_STATE_CAP = 16
 WITNESS_TOL = 1e-10
-CYCLE_CAP = 500
+# bound on cycles x (states + edges): Johnson's time and the vertex table
+CYCLE_WORK_CAP = 10 ** 6
 
 
 def _marginal_system(mu, edges):
@@ -119,8 +121,10 @@ def _simple_cycles(corr):
     a search lists the cycles through the least state s of a strong
     component, keeping a state blocked until a cycle closes below it;
     then the component without s is split again.  Time O((states +
-    edges)(cycles + 1)); TooLarge as soon as CYCLE_CAP is passed.
+    edges)(cycles + 1)); TooLarge as soon as cycles x (states + edges)
+    passes CYCLE_WORK_CAP.
     """
+    size = corr.n_states + corr.n_edges
     cycles, work = [], [list(range(corr.n_states))]
     while work:
         states = work.pop()
@@ -151,12 +155,28 @@ def _simple_cycles(corr):
                     waiting[u].clear()
             elif w == 0:
                 cycles.append(tuple(states[f[0]] for f in stack))
-                if len(cycles) > CYCLE_CAP:
-                    raise TooLarge(f"more than {CYCLE_CAP} simple cycles")
+                if len(cycles) * size > CYCLE_WORK_CAP:
+                    raise TooLarge(f"{len(cycles)} cycles x {size} > {CYCLE_WORK_CAP}")
             elif w not in blocked:
                 blocked.add(w)
                 stack.append((w, iter(succ[w]), len(cycles)))
     return cycles
+
+
+def _sole_cycle_cover(corr, cycle):
+    """Whether the cycle is the only cycle cover of the relation on its states.
+
+    That is, the perfect matching i -> next(i) has no alternating cycle:
+    the arcs i -> pred(j), one per edge (i, j) inside the states and off
+    the cycle, close none.  pred(j) = i makes (i, j) a cycle edge, so no
+    arc is a self-arc and acyclic means all strong components are single.
+    """
+    pos = {v: k for k, v in enumerate(cycle)}
+    m = len(cycle)
+    arcs = [[(pos[j] - 1) % m for j in corr.successors(v)
+             if j in pos and pos[j] != (k + 1) % m]
+            for k, v in enumerate(cycle)]
+    return len(strongly_connected_components(m, arcs)) == m
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +191,13 @@ def invariant_polytope_extremes(corr):
     """Extreme points of the invariant-measure polytope, exactly.
 
     The vertices of the pair polytope (balanced mass-one edge vectors)
-    are the uniform measures on simple cycles.  A state projection is
-    dropped when an exact LP writes it as a convex combination of the
-    others, which can only use those supported inside its support.
-    Raises TooLarge beyond CYCLE_CAP simple cycles.
+    are the uniform measures on simple cycles.  The marginal of a cycle
+    C on states S is extreme exactly when C is the only cycle cover of
+    the relation on S: the pair measures with that marginal mix those
+    covers (Birkhoff-von Neumann), and a second cover has an edge off C
+    closing a shorter cycle inside S.  So a state set carried by two
+    cycles is dropped for both.  Raises TooLarge when cycles x (states
+    + edges) passes CYCLE_WORK_CAP.
     """
     index = corr.edge_index()
     zero = Fraction(0)   # one shared zero keeps tuple comparisons cheap
@@ -185,25 +208,7 @@ def invariant_polytope_extremes(corr):
             vertex[index[(i, j)]] = marg[i] = Fraction(1, len(cycle))
         found.append((tuple(vertex), tuple(marg), cycle))
     found.sort()
-    # a projection is uniform on its support, so supports tell them apart
-    distinct = {sum(1 << i for i in c): (p, c) for _, p, c in found}
-    kept = []
-    # by growing support: a projection is a mixture of those inside its
-    # support exactly when it is a mixture of the extreme ones among them
-    for mask, (p, cycle) in sorted(distinct.items(), key=lambda d: len(d[1][1])):
-        others = [(sub, q) for sub, q in kept if sub & ~mask == 0]
-        # p is uniform on its support, so off it rows read 0 = 0 and on it
-        # one state per class of the partition the others cut keeps a row
-        classes = [mask]
-        for sub, _ in others:
-            classes = [c for part in classes for c in (part & sub, part & ~sub) if c]
-        rows = [[q[(c & -c).bit_length() - 1] for _, q in others] for c in classes]
-        status, _, _ = simplex(rows + [[1] * len(others)],
-                               [p[cycle[0]]] * len(rows) + [1],
-                               [0] * len(others), exact=True)
-        if status == INFEASIBLE:
-            kept.append((mask, p))
-    keep = sorted(p for _, p in kept)
+    keep = sorted(p for _, p, c in found if _sole_cycle_cover(corr, c))
     return PolytopeExtremes(
         tuple(f[0] for f in found),
         tuple(f[1] for f in found),

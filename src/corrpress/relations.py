@@ -18,6 +18,7 @@ from .errors import (
     InvalidPath,
     NotBijective,
     NotSurjective,
+    ShapeMismatch,
 )
 
 
@@ -58,7 +59,7 @@ class FiniteCorrespondence:
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n_states:
-                raise IndexOutOfRange([], n_states)
+                raise ShapeMismatch(f"{len(labels)} labels for {n_states} states")
         self.labels = labels
 
     def successors(self, i):

@@ -123,6 +123,30 @@ def test_unnormalized_measure_is_an_input_error(tmp_path, capsys):
     assert doc["error"]["type"] == "ShapeMismatch"
 
 
+@pytest.mark.parametrize("text", [
+    '{"n_states": 1e999, "edges": [[0, 0]]}',
+    '{"n_states": 2, "edges": [[0, 1e999], [1, 0]]}',
+])
+def test_non_finite_number_is_an_input_error(tmp_path, capsys, text):
+    # JSON reads 1e999 as infinity, which no state index converts from
+    path = tmp_path / "inf.json"
+    path.write_text(text)
+    code, doc = run(capsys, ["pressure", "--input", str(path)])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "OverflowError"
+
+
+def test_wrong_label_count_names_both_counts(tmp_path, capsys):
+    corr = write(tmp_path, "labels.json",
+                 {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0]],
+                  "labels": ["a", "b", "c"]})
+    code, doc = run(capsys, ["pressure", "--input", corr])
+    assert code == 2
+    assert doc["error"]["type"] == "ShapeMismatch"
+    assert doc["error"]["message"] == "3 labels for 2 states"
+
+
 def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys, monkeypatch):
     # the Perron solver behind every pressure call gives up
     def exhausted(self, c, values, vectors=True):

@@ -63,6 +63,12 @@ def test_measure_validation():
     assert np.allclose(uniform_measure(4), 0.25)
 
 
+def test_nan_weights_are_rejected():
+    # every comparison with NaN is false, so no bound check alone catches it
+    with pytest.raises(ShapeMismatch, match="mass nan"):
+        validate_measure(2, [float("nan"), 1.0])
+
+
 def test_kernel_support_and_row_sums():
     corr = golden_mean()
     with pytest.raises(ShapeMismatch):

@@ -15,7 +15,7 @@ from corrpress import (
     is_invariant,
     pushforward,
 )
-from corrpress.polytope import CYCLE_CAP
+from corrpress.polytope import CYCLE_WORK_CAP
 
 
 def full_shift(m):
@@ -91,10 +91,42 @@ def test_one_long_cycle_needs_no_recursion():
 
 
 def test_more_cycles_than_the_cap_is_too_large():
-    corr = full_shift(8)           # 16072 simple cycles
-    assert CYCLE_CAP < 16072
+    corr = full_shift(8)           # 16072 simple cycles, 8 states, 64 edges
+    assert CYCLE_WORK_CAP < 16072 * (8 + 64)
     with pytest.raises(TooLarge):
         invariant_polytope_extremes(corr)
+
+
+def test_full_shift_on_seven_states_is_within_the_cap():
+    corr = full_shift(7)           # 2372 simple cycles, 7 states, 49 edges
+    assert 2372 * (7 + 49) <= CYCLE_WORK_CAP
+    ext = invariant_polytope_extremes(corr)
+    assert len(ext.pair_vertices) == 2372
+    # only the loops: every longer cycle shares its states with others
+    assert ext.extremes_exact == tuple(
+        tuple(Fraction(int(i == k)) for i in range(7)) for k in reversed(range(7)))
+
+
+def test_loopless_complete_relation_on_three_states():
+    corr = FiniteCorrespondence(3, [(i, j) for i in range(3) for j in range(3)
+                                    if i != j])
+    ext = invariant_polytope_extremes(corr)
+    # two 3-cycles share the uniform marginal, the mean of the 2-cycle ones
+    uniform = (Fraction(1, 3),) * 3
+    assert ext.projections.count(uniform) == 2
+    assert uniform not in ext.extremes_exact
+    half, zero = Fraction(1, 2), Fraction(0)
+    assert ext.extremes_exact == ((zero, half, half), (half, zero, half),
+                                  (half, half, zero))
+
+
+def test_a_chord_keeps_the_uniform_measure_of_its_cycle_extreme():
+    # the 3-cycle 0 -> 1 -> 2 -> 0 with the chord 0 -> 2; the chord closes
+    # the 2-cycle 0 -> 2 -> 0, but no other cover of all three states
+    corr = FiniteCorrespondence(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+    ext = invariant_polytope_extremes(corr)
+    third, half, zero = Fraction(1, 3), Fraction(1, 2), Fraction(0)
+    assert ext.extremes_exact == ((third, third, third), (half, zero, half))
 
 
 def test_pair_vertices_are_exactly_the_uniform_cycle_measures():

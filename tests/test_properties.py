@@ -1,20 +1,29 @@
-"""Property tests of the closed-form abstract entropy and of the
-cycle description of the pair polytope.
+"""Property tests of the pressure, the closed-form abstract entropy,
+the cycle description of the invariant polytope, and the command
+line's exit-code contract.
 
 The abstract entropy of a pair measure nu is inf over psi of
 [P(psi) - <nu, psi>], with P the spectral pressure.  The pair polytope
 (balanced, mass-one edge vectors) has the uniform simple-cycle
 measures as its vertices.  Hypothesis draws seeds; the instances come
 from the seeded generators in corrpress.verify, so a failing seed
-reproduces with those alone.
+reproduces with those alone.  The document fuzz draws the documents
+themselves.
 """
 
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from corrpress import (
+    FiniteCorrespondence,
     Potential,
     TransitionKernel,
     abstract_kernel_entropy,
@@ -23,7 +32,9 @@ from corrpress import (
     spectral_pressure,
     stationary_measures,
 )
-from corrpress.simplex import OPTIMAL, simplex
+from corrpress.cli import main
+from corrpress.pressure import DENSE_MAX, SpectralCache
+from corrpress.simplex import INFEASIBLE, OPTIMAL, simplex
 from corrpress.verify import (
     random_kernel,
     random_primitive,
@@ -160,3 +171,164 @@ def test_pair_vertices_are_the_simple_cycle_measures(seed):
         assert status == OPTIMAL
         assert value == min(sum(Fraction(c) * x for c, x in zip(cost, v))
                             for v in ext.pair_vertices)
+
+
+def lp_extremes(ext):
+    """Distinct projections that no exact LP writes as a mixture of the
+    other distinct projections, sorted."""
+    distinct = sorted(set(ext.projections))
+    keep = []
+    for p in distinct:
+        others = [q for q in distinct if q != p]
+        if not others:
+            keep.append(p)
+            continue
+        rows = [[q[i] for q in others] for i in range(len(p))]
+        status, _, _ = simplex(rows + [[1] * len(others)], list(p) + [1],
+                               [0] * len(others), exact=True)
+        if status == INFEASIBLE:
+            keep.append(p)
+    return keep
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_extremes_are_the_projections_no_lp_can_mix(seed):
+    rng = np.random.default_rng(seed)
+    corr = random_relation(rng, 2, 7)
+    ext = invariant_polytope_extremes(corr)
+    assert list(ext.extremes_exact) == lp_extremes(ext)
+    for exact, approx in zip(ext.extremes_exact, ext.extremes):
+        assert approx.tolist() == [float(v) for v in exact]
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_pressure_shifts_by_constants_and_ignores_coboundaries(seed):
+    rng = np.random.default_rng(seed)
+    corr = random_relation(rng, 2, 10)
+    phi = rng.uniform(-2.0, 2.0, corr.n_edges)
+    base = spectral_pressure(corr, Potential(corr, phi)).pressure
+    c = float(rng.uniform(-3.0, 3.0))
+    shifted = spectral_pressure(corr, Potential(corr, phi + c)).pressure
+    assert abs(shifted - (base + c)) <= 1e-9
+    cob = Potential.from_state_difference(
+        corr, rng.uniform(-2.0, 2.0, corr.n_states)).values
+    moved = spectral_pressure(corr, Potential(corr, phi + cob)).pressure
+    assert abs(moved - base) <= 1e-9
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_relabeling_leaves_the_pressure_fixed(seed):
+    rng = np.random.default_rng(seed)
+    corr = random_relation(rng, 2, 10)
+    phi = Potential(corr, rng.uniform(-2.0, 2.0, corr.n_edges))
+    theta = [int(t) for t in rng.permutation(corr.n_states)]
+    moved = phi.relabel(theta)
+    a = spectral_pressure(corr, phi).pressure
+    b = spectral_pressure(moved.corr, moved).pressure
+    assert abs(a - b) <= 1e-12
+
+
+def large_class(rng, period):
+    """One strong class above DENSE_MAX states with the given period:
+    every edge steps from residue r to r + 1 mod period, a ring through
+    all states included, two more successors each; a loop when the
+    period is one."""
+    n = period * int(rng.integers(DENSE_MAX // period + 1, 120 // period + 1))
+    edges = {(k, (k + 1) % n) for k in range(n)}
+    for i in range(n):
+        targets = np.arange((i + 1) % period, n, period)
+        for j in rng.choice(targets, size=2, replace=False):
+            edges.add((i, int(j)))
+    if period == 1:
+        edges.add((0, 0))
+    return FiniteCorrespondence(n, sorted(edges))
+
+
+@PROPERTY
+@given(seed=SEEDS, period=st.integers(min_value=1, max_value=3))
+def test_power_bracket_holds_the_dense_log_radius(seed, period):
+    rng = np.random.default_rng(seed)
+    corr = large_class(rng, period)
+    values = rng.uniform(-1.0, 1.0, corr.n_edges)
+    cache = SpectralCache(corr)
+    assert len(cache.components) == 1 and corr.n_states > DENSE_MAX
+    logrho, _, _, (lo, hi) = cache.solve(0, values, vectors=False)
+    m = np.zeros((corr.n_states, corr.n_states))
+    src, dst = corr.edge_arrays()
+    m[src, dst] = np.exp(values)
+    dense = math.log(float(np.max(np.abs(np.linalg.eigvals(m)))))
+    assert lo <= logrho <= hi
+    # the dense eigensolve rounds too: up to 5e-15 past the bracket seen
+    assert lo - 1e-13 <= dense <= hi + 1e-13
+
+
+# Small magnitudes only: a correspondence allocates per state before it
+# can reject a document, so a state count near 10**9 is not fuzzed here.
+SMALL = st.integers(min_value=-1, max_value=3)
+ODD = st.one_of(
+    st.none(), st.booleans(), st.floats(min_value=-6.0, max_value=6.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, "1", "a", ""]),
+    st.lists(SMALL, max_size=2))
+ENTRY = st.one_of(SMALL, SMALL, SMALL, ODD)
+PAIR = st.lists(SMALL, min_size=2, max_size=2)
+ANY_JSON = st.recursive(
+    ODD, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n_states", "edges", "weights", "labels"]),
+                      inner, max_size=3),
+    max_leaves=8)
+CORR_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"n_states": ENTRY,
+         "edges": st.one_of(st.lists(PAIR, max_size=8),
+                            st.lists(st.one_of(PAIR, st.lists(ENTRY, max_size=3)),
+                                     max_size=8))},
+        optional={"labels": st.one_of(st.lists(st.text(max_size=2), max_size=4),
+                                      ODD)}),
+    ANY_JSON)
+MU_DOCS = st.one_of(
+    st.fixed_dictionaries({"weights": st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), ENTRY), max_size=4)}),
+    ANY_JSON)
+GOLDEN = {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
+
+
+def run_documents(argv, docs, overflow):
+    """Run the command line on documents written to a scratch directory;
+    returns the exit code, the report on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            text = json.dumps(doc)
+            if overflow:        # the literal 1e999 reads as infinity
+                text = text.replace("Infinity", "1e999")
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a) if a in docs else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, json.loads(out.getvalue()), err.getvalue()
+
+
+def assert_contract(code, report, err):
+    assert code in (0, 2)
+    assert report["status"] == ("ok" if code == 0 else "error")
+    assert "Traceback" not in err
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=CORR_DOCS, overflow=st.booleans(),
+       command=st.sampled_from(["pressure", "extremes"]))
+def test_malformed_correspondence_documents_exit_cleanly(doc, overflow, command):
+    assert_contract(*run_documents([command, "--input", "c.json"],
+                                   {"c.json": doc}, overflow))
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=MU_DOCS, overflow=st.booleans(),
+       command=st.sampled_from(["invariant", "extremes"]))
+def test_malformed_measure_documents_exit_cleanly(doc, overflow, command):
+    assert_contract(*run_documents([command, "--input", "c.json", "--mu", "m.json"],
+                                   {"c.json": GOLDEN, "m.json": doc}, overflow))

@@ -10,6 +10,7 @@ from corrpress import (
     InvalidPath,
     NotSurjective,
     Potential,
+    ShapeMismatch,
     birkhoff_sum,
     from_map,
     inverse_correspondence,
@@ -24,6 +25,12 @@ def random_relation(rng, n):
         for j in rng.choice(n, size=k, replace=False):
             edges.add((i, int(j)))
     return FiniteCorrespondence(n, sorted(edges))
+
+
+def test_label_count_must_match_the_state_count():
+    with pytest.raises(ShapeMismatch, match="1 labels for 2 states"):
+        FiniteCorrespondence(2, [(0, 1), (1, 0)], labels=["a"])
+    assert FiniteCorrespondence(2, [(0, 1), (1, 0)], labels="ab").labels == ("a", "b")
 
 
 def test_edges_sorted_and_deduplicated_input_rejected():
