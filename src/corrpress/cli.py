@@ -300,9 +300,8 @@ def cmd_mpressure(args):
     phi = _potential_from(corr, inputs.load("phi", args.phi))
     mu = _measure_from(corr, inputs.load("mu", args.mu))
     cfg = _config_from(inputs.load("config", args.config))
-    res = measure_pressure(corr, phi, mu,
-                           tol=min(cfg.tolerance, 1e-10),
-                           max_iter=max(cfg.max_iterations, 400000))
+    res = measure_pressure(corr, phi, mu, tol=min(cfg.tolerance, 1e-10),
+                           max_iter=cfg.max_iterations)
     results = {
         "value": _f(res.value),
         "iterations": res.iterations,

@@ -19,9 +19,16 @@ class SolverError(CorrpressError):
 
 
 class EmptySuccessor(InputError):
-    def __init__(self, states):
-        self.states = list(states)
-        super().__init__(f"states with no successor: {self.states}")
+    """States with no successor: the first LISTED of them and their count."""
+
+    LISTED = 20
+
+    def __init__(self, states, count):
+        self.states = list(states)[:self.LISTED]
+        self.count = count
+        more = count - len(self.states)
+        super().__init__(f"states with no successor: {self.states}"
+                         + (f" and {more} more" if more > 0 else ""))
 
 
 class DuplicateEdge(InputError):

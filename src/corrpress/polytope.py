@@ -35,18 +35,6 @@ WITNESS_TOL = 1e-10
 CYCLE_WORK_CAP = 10 ** 6
 
 
-def _marginal_system(mu, edges):
-    """Equality system row sums = mu, column sums = mu (last dropped) over
-    (source, target, ...) edge tuples; returns the rows and right side."""
-    n = len(mu)
-    rows = []
-    for i in range(n):
-        rows.append([1 if e[0] == i else 0 for e in edges])
-    for j in range(n - 1):
-        rows.append([1 if e[1] == j else 0 for e in edges])
-    return rows, list(mu) + list(mu[:-1])
-
-
 @dataclass(frozen=True, eq=False)
 class InvarianceCheck:
     invariant: bool
@@ -57,9 +45,14 @@ class InvarianceCheck:
 
 
 def _invariant_lp(corr, mu, feas_tol):
-    a, b = _marginal_system(mu, corr.edges)
-    status, x, _ = simplex(a, [float(v) for v in b], [0.0] * corr.n_edges,
-                           exact=False, feas_tol=feas_tol)
+    """A pair measure with both marginals mu, or None when there is none.
+
+    Rows: sums over the edges out of each state, then into each state
+    but the last (that one follows from the total mass)."""
+    a = [[1 if e[0] == i else 0 for e in corr.edges] for i in range(corr.n_states)]
+    a += [[1 if e[1] == j else 0 for e in corr.edges] for j in range(corr.n_states - 1)]
+    b = [float(v) for v in mu] + [float(v) for v in mu[:-1]]
+    status, x, _ = simplex(a, b, [0.0] * corr.n_edges, exact=False, feas_tol=feas_tol)
     if status != OPTIMAL:
         return None
     return np.array([float(v) for v in x])

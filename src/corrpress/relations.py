@@ -7,6 +7,7 @@ and a potential assigns a real weight to every edge.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ class FiniteCorrespondence:
             seen.add(e)
         if dups:
             raise DuplicateEdge(sorted(set(dups)))
+        sources = {i for i, _ in seen}
+        if len(sources) < n_states:
+            # checked before any per-state allocation: n_states may be huge
+            first = itertools.islice((i for i in range(n_states) if i not in sources),
+                                     EmptySuccessor.LISTED)
+            raise EmptySuccessor(list(first), n_states - len(sources))
         self.n_states = int(n_states)
         self.edges = tuple(sorted(seen))
         self._edge_set = seen
@@ -51,9 +58,6 @@ class FiniteCorrespondence:
         for i, j in self.edges:
             succ[i].append(j)
             pred[j].append(i)
-        empty = [i for i in range(n_states) if not succ[i]]
-        if empty:
-            raise EmptySuccessor(empty)
         self._succ = tuple(tuple(s) for s in succ)
         self._pred = tuple(tuple(p) for p in pred)
         if labels is not None:
@@ -61,6 +65,7 @@ class FiniteCorrespondence:
             if len(labels) != n_states:
                 raise ShapeMismatch(f"{len(labels)} labels for {n_states} states")
         self.labels = labels
+        self._arrays = None
 
     def successors(self, i):
         return self._succ[i]
@@ -76,10 +81,13 @@ class FiniteCorrespondence:
         return len(self.edges)
 
     def edge_arrays(self):
-        """Source and target index arrays, aligned with self.edges."""
-        src = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=self.n_edges)
-        dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.n_edges)
-        return src, dst
+        """Read-only source and target index arrays, aligned with
+        self.edges; built once per relation."""
+        if self._arrays is None:
+            arrays = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
+            arrays.flags.writeable = False
+            self._arrays = (arrays[0], arrays[1])
+        return self._arrays
 
     def edge_index(self):
         return {e: k for k, e in enumerate(self.edges)}

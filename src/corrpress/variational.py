@@ -33,21 +33,21 @@ from .kernels import (
     stationary_gap,
     validate_measure,
 )
-from .polytope import _marginal_system
+from .polytope import _invariant_lp
 from .pressure import TIE_TOL, SpectralCache, spectral_pressure
-from .simplex import OPTIMAL, simplex
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver options read from a --config document.
 
-    The mpressure command turns both into measure_pressure's scaling
-    budget and tolerance.  abstract_kernel_entropy reads tolerance
-    only, as the largest marginal imbalance it counts as balanced.
+    The mpressure command passes max_iterations as measure_pressure's
+    Newton step budget and tolerance, at most 1e-10, as its marginal
+    tolerance.  abstract_kernel_entropy reads tolerance only, as the
+    largest marginal imbalance it counts as balanced.
     """
 
-    max_iterations: int = 10000
+    max_iterations: int = 100
     tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -126,126 +126,93 @@ class MeasurePressureResult:
     face_restricted: bool
 
 
-def _scaling_loop(mu_s, edges, n_loc, max_iter, tol, detect_stall=True):
-    """Log-domain alternate scaling on the restricted support.
-
-    edges is (src, dst, weight) local arrays.  Returns (f, g, err,
-    iterations) or None when the error stalls or the budget runs out.
-    Stall detection exists to trigger face identification; once the
-    support is the right face the error decays geometrically, so the
-    re-run grinds to the budget instead.
-    """
-    src, dst, w = edges
-    log_mu = np.log(mu_s)
-    f = np.zeros(n_loc)
-    g = np.zeros(n_loc)
-    err = np.inf
-    check = 200
-    history = []
-    it = 0
-    while it < max_iter:
-        for _ in range(check):
-            f = log_mu - _row_lse(w + g[dst], src, n_loc)
-            g = log_mu - _row_lse(w + f[src], dst, n_loc)
-            it += 2
-        nu = np.exp(f[src] + w + g[dst])
-        row = np.zeros(n_loc)
-        col = np.zeros(n_loc)
-        np.add.at(row, src, nu)
-        np.add.at(col, dst, nu)
-        err = float(np.sum(np.abs(row - mu_s)) + np.sum(np.abs(col - mu_s)))
-        if err <= tol:
-            return f, g, err, it
-        if detect_stall:
-            history.append(err)
-            if len(history) >= 10 and history[-1] > 0.5 * history[-10]:
-                return None
-    return None
-
-
-def _row_lse(vals, idx, size):
-    hi = np.full(size, -np.inf)
-    np.maximum.at(hi, idx, vals)
-    acc = np.zeros(size)
-    np.add.at(acc, idx, np.exp(vals - hi[idx]))
-    with np.errstate(divide="ignore"):
-        return hi + np.log(acc)
-
-
-def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=400000):
+def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterations):
     """Pressure of a fixed invariant measure, P_mu = sup over K_mu of
     h + integral of phi.
 
-    Solved as an entropic transport problem by alternate matrix
-    scaling of exp(phi) restricted to the edges between mu-positive
-    states.  When the optimal coupling lives on a face of the
-    transport polytope the scalings diverge while the value still
-    converges; in that case the face is identified by per-edge mass
-    maximization and the scaling is re-run on it.
+    An entropic transport problem over the edges between mu-positive
+    states, solved by damped Newton on its dual
+    D(f, g) = sum_e exp(f_i + phi_e + g_j) - <mu, f> - <mu, g>, whose
+    gradient is the marginal error of the coupling exp(f_i + phi_e + g_j)
+    (Brauer, Clason, Lorenz & Wirth 2017, arXiv:1710.06635).  Every step
+    first sets f so that the row sums are mu, then solves the Schur
+    complement of the Hessian [[diag mu, N], [N^T, diag col]], shifted
+    by 1e-3 times the l1 marginal error (Levenberg-Marquardt) so that
+    no direction of small curvature is lost.  The step is taken in full
+    when it halves that error, else backtracked by Armijo on D.  On a
+    face of the transport polytope the coupling vanishes off the face
+    at a geometric rate, and at most tol of mass stays there.
+    iterations counts the steps and face_restricted says some edge
+    carries mass below tol.  A spent budget ends in the invariance LP:
+    NotInvariant when it is infeasible, ScalingDiverged otherwise.
     """
     mu = validate_measure(corr.n_states, mu)
-    support = [i for i in range(corr.n_states) if mu[i] > 0.0]
-    loc = {s: k for k, s in enumerate(support)}
-    local_edges = [(loc[i], loc[j], k) for k, (i, j) in enumerate(corr.edges)
-                   if i in loc and j in loc]
-    if not local_edges:
+    support = np.flatnonzero(mu > 0.0)
+    n = len(support)
+    loc = np.full(corr.n_states, -1)
+    loc[support] = np.arange(n)
+    src, dst = corr.edge_arrays()
+    keep = np.flatnonzero((loc[src] >= 0) & (loc[dst] >= 0))
+    rows, cols, w = loc[src[keep]], loc[dst[keep]], phi.values[keep]
+    # a state of positive mass must send and receive it inside the support
+    if not (np.all(np.bincount(rows, minlength=n))
+            and np.all(np.bincount(cols, minlength=n))):
         raise NotInvariant()
-    mu_s = np.array([mu[s] for s in support])
-    n_loc = len(support)
+    mu_s = mu[support]
+    log_mu = np.log(mu_s)
 
-    def run(edge_subset, detect_stall):
-        src = np.array([e[0] for e in edge_subset], dtype=np.int64)
-        dst = np.array([e[1] for e in edge_subset], dtype=np.int64)
-        w = np.array([phi.values[e[2]] for e in edge_subset])
-        out_deg = np.zeros(n_loc)
-        in_deg = np.zeros(n_loc)
-        np.add.at(out_deg, src, 1.0)
-        np.add.at(in_deg, dst, 1.0)
-        if np.any(out_deg == 0.0) or np.any(in_deg == 0.0):
-            return None
-        return _scaling_loop(mu_s, (src, dst, w), n_loc, max_iter, tol,
-                             detect_stall=detect_stall)
+    def dual(f, g):
+        nu = np.exp(f[rows] + w + g[cols])
+        return nu, float(np.sum(nu) - np.dot(mu_s, f + g))
 
-    face_restricted = False
-    result = run(local_edges, detect_stall=True)
-    if result is None:
-        face = _positive_face(local_edges, mu_s)
-        if face is None:
-            raise NotInvariant()
-        face_restricted = True
-        local_edges = face
-        result = run(local_edges, detect_stall=False)
-        if result is None:
-            raise ScalingDiverged("marginal error above tolerance after the "
-                                  "face re-run budget")
-    f, g, err, iterations = result
-    src = np.array([e[0] for e in local_edges], dtype=np.int64)
-    dst = np.array([e[1] for e in local_edges], dtype=np.int64)
-    w = np.array([phi.values[e[2]] for e in local_edges])
-    nu_loc = np.exp(f[src] + w + g[dst])
+    def residuals(nu):
+        """Column marginal minus mu, and the l1 error of both marginals."""
+        a = np.bincount(rows, weights=nu, minlength=n) - mu_s
+        b = np.bincount(cols, weights=nu, minlength=n) - mu_s
+        return b, float(np.sum(np.abs(a)) + np.sum(np.abs(b)))
+
+    def row_half_step(g):
+        """The f that makes the row sums of the coupling mu."""
+        vals = w + g[cols]
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, rows, vals)
+        return log_mu - top - np.log(
+            np.bincount(rows, weights=np.exp(vals - top[rows]), minlength=n))
+
+    g, steps = np.zeros(n), 0
+    # a trial step may overflow; its inf or nan value fails the line search
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            f = row_half_step(g)
+            nu, d = dual(f, g)
+            b, err = residuals(nu)
+            if err <= tol:
+                break
+            if steps == max_iter:
+                if _invariant_lp(corr, mu, 1e-9) is None:
+                    raise NotInvariant()
+                raise ScalingDiverged(f"marginal error {err:.3e} after {steps} steps")
+            steps += 1
+            coupling = np.zeros((n, n))
+            coupling[rows, cols] = nu
+            scaled = coupling / mu_s[:, None]
+            dg = np.linalg.solve(
+                np.diag(b + mu_s + 1e-3 * err) - coupling.T @ scaled, -b)
+            df = -(scaled @ dg)
+            slope = float(np.dot(b, dg))
+            for t in 0.5 ** np.arange(40):
+                nu_t, d_t = dual(f + t * df, g + t * dg)
+                if (t == 1.0 and residuals(nu_t)[1] <= 0.5 * err
+                        or d_t <= d + 1e-4 * t * slope):
+                    g = g + t * dg
+                    break
     pair = np.zeros(corr.n_edges)
-    pair[[e[2] for e in local_edges]] = nu_loc
-    pos = nu_loc > 0.0
-    value = np.sum(nu_loc[pos] * (w[pos] - np.log(nu_loc[pos] / mu_s[src[pos]])))
+    pair[keep] = nu
+    pos = nu > 0.0
+    value = np.sum(nu[pos] * (w[pos] - np.log(nu[pos] / mu_s[rows[pos]])))
     kernel = kernel_from_pair(corr, pair)
-    return MeasurePressureResult(float(value), pair, kernel, err,
-                                 iterations, face_restricted)
-
-
-def _positive_face(local_edges, mu_s, eps=1e-12):
-    """Edges able to carry mass in the transport polytope, via small LPs."""
-    m = len(local_edges)
-    rows, b = _marginal_system(mu_s, local_edges)
-    keep = []
-    for k in range(m):
-        c = [0.0] * m
-        c[k] = -1.0
-        status, x, value = simplex(rows, b, c, exact=False, feas_tol=1e-9)
-        if status != OPTIMAL:
-            return None
-        if -value > eps:
-            keep.append(local_edges[k])
-    return keep or None
+    return MeasurePressureResult(float(value), pair, kernel, err, steps,
+                                 bool(np.any(nu < tol)))
 
 
 @dataclass(frozen=True, eq=False)

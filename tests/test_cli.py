@@ -137,6 +137,18 @@ def test_non_finite_number_is_an_input_error(tmp_path, capsys, text):
     assert doc["error"]["type"] == "OverflowError"
 
 
+def test_huge_state_count_is_refused_before_allocation(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n_states": 1000000, "edges": [[0, 0]]}')
+    code = main(["pressure", "--input", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out.encode()) < 2048
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "EmptySuccessor"
+    assert "and 999979 more" in doc["error"]["message"]
+
+
 def test_wrong_label_count_names_both_counts(tmp_path, capsys):
     corr = write(tmp_path, "labels.json",
                  {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0]],
@@ -158,6 +170,18 @@ def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert doc["status"] == "error"
     assert doc["error"]["type"] == "ConvergenceFailure"
+
+
+def test_mpressure_newton_budget_exhaustion_is_exit_three(tmp_path, capsys):
+    # the uniform measure on the golden mean shift lives on the face
+    # without the loop, which one Newton step cannot reach
+    mu = write(tmp_path, "mu.json", {"weights": [0.5, 0.5]})
+    cfg = write(tmp_path, "cfg.json", {"max_iterations": 1})
+    code, doc = run(capsys, ["mpressure", "--input", golden_corr(tmp_path),
+                             "--mu", mu, "--config", cfg])
+    assert code == 3
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "ScalingDiverged"
 
 
 def test_skewed_pair_entropy_ignores_the_iteration_budget(tmp_path, capsys):

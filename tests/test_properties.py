@@ -265,9 +265,11 @@ def test_power_bracket_holds_the_dense_log_radius(seed, period):
     assert lo - 1e-13 <= dense <= hi + 1e-13
 
 
-# Small magnitudes only: a correspondence allocates per state before it
-# can reject a document, so a state count near 10**9 is not fuzzed here.
+# Small indices, so that edges often land inside the state range; state
+# counts also range up to 10**12, which a correspondence must refuse
+# before it allocates anything per state.
 SMALL = st.integers(min_value=-1, max_value=3)
+COUNT = st.one_of(SMALL, st.integers(min_value=4, max_value=10 ** 12))
 ODD = st.one_of(
     st.none(), st.booleans(), st.floats(min_value=-6.0, max_value=6.0),
     st.sampled_from([math.inf, -math.inf, math.nan, "1", "a", ""]),
@@ -281,7 +283,7 @@ ANY_JSON = st.recursive(
     max_leaves=8)
 CORR_DOCS = st.one_of(
     st.fixed_dictionaries(
-        {"n_states": ENTRY,
+        {"n_states": st.one_of(COUNT, ENTRY),
          "edges": st.one_of(st.lists(PAIR, max_size=8),
                             st.lists(st.one_of(PAIR, st.lists(ENTRY, max_size=3)),
                                      max_size=8))},

@@ -170,9 +170,10 @@ def test_measure_pressure_rejects_non_invariant_measures():
 def test_measure_pressure_face_restriction_converges():
     """A measure sitting on a face of the coupling polytope.
 
-    The full-support scaling stalls with 1/k error decay; after the
-    face is identified the re-run converges geometrically, if slowly.
-    This instance used to trip the stall detector on the re-run.
+    No coupling with these marginals charges every edge, so the
+    entropic optimum lies on a face: the potentials drift apart and the
+    mass off the face decays geometrically, with no face identified.
+    Alternate scaling decays here only as 1/k.
     """
     corr = FiniteCorrespondence(5, ((0, 1), (0, 3), (0, 4), (1, 0), (1, 2),
                                     (1, 3), (2, 1), (3, 0), (3, 2), (3, 3),
@@ -189,6 +190,39 @@ def test_measure_pressure_face_restriction_converges():
     assert res.face_restricted
     assert res.marginal_error <= 1e-10
     assert res.value <= spectral_pressure(corr, phi).pressure + 1e-8
+
+
+def test_measure_pressure_converges_where_the_scaling_diverged():
+    """Three states of mass 2.1e-4 among seven; alternate scaling on the
+    face this measure needs still had a marginal error of 4e-8 after a
+    million steps and gave up with ScalingDiverged."""
+    corr = FiniteCorrespondence(8, (
+        (0, 3), (0, 4), (1, 1), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+        (2, 7), (3, 1), (3, 2), (3, 6), (4, 6), (4, 7), (5, 0), (5, 2),
+        (5, 7), (6, 0), (6, 7), (7, 1), (7, 2), (7, 3), (7, 4)))
+    phi = Potential(corr, [
+        0.9184185456891518, 0.503926243149831, 0.08171327388990246,
+        -0.4309182497763495, 0.7939935975459904, -0.529805766238681,
+        -0.3493145389666459, 0.818129628845897, 0.05908411057014473,
+        0.48463589883595337, 0.18148958832753226, 0.3068784180189903,
+        -0.40123341697034887, -0.5172558767466742, -0.3550153056626695,
+        -0.6891168718331551, 0.7486287305816148, -0.43350613349977185,
+        0.12297878882876923, 0.5839488502827481, 0.5676482187514271,
+        -0.12322748283161422, -0.04748538282654868])
+    mu = [0.028081575034278845, 0.45766619281399756, 0.00021144463458421946,
+          0.48553632321369217, 0.0, 0.00021144463458421946,
+          0.028081575034278845, 0.00021144463458421946]
+    res = measure_pressure(corr, phi, mu)
+    assert res.value == pytest.approx(0.16237625078, abs=1e-9)
+    assert res.marginal_error <= 1e-10
+
+
+def test_measure_pressure_rejects_a_hall_violation_after_the_budget():
+    # every state has a local edge in and out, but {1, 2} sends its mass
+    # 2/3 into {0}, which holds 1/3: only the LP check can tell
+    corr = FiniteCorrespondence(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+    with pytest.raises(NotInvariant):
+        measure_pressure(corr, Potential.zero(corr), [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_extreme_points_attain_the_pressure_for_map_relations():
