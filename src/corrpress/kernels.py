@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooLarge, NotStationary
+from .errors import IndexOutOfRange, NotStationary, ShapeMismatch, TooLarge
 from .pressure import SpectralCache
-from .relations import FiniteCorrespondence
+from .relations import FiniteCorrespondence, Potential
 
 DENSE_PATH_LIMIT = 10 ** 7
 
@@ -35,56 +35,79 @@ def uniform_measure(n_states):
 
 
 class TransitionKernel:
-    """Row-stochastic matrix whose support lies inside the edge set."""
+    """Probabilities on the edges of a correspondence, one vector aligned
+    with corr.edges, summing to one over the edges out of each state."""
 
-    def __init__(self, corr, matrix, tol=1e-12):
-        m = np.asarray(matrix, dtype=float)
+    def __init__(self, corr, probs, tol=1e-12):
+        p = np.asarray(probs, dtype=float)
         n = corr.n_states
-        if m.shape != (n, n):
-            raise ShapeMismatch(f"kernel has shape {m.shape}, expected ({n}, {n})")
-        if np.any(m < -tol):
-            raise ShapeMismatch("negative kernel entry")
-        m = np.where(m < 0.0, 0.0, m)
-        off = m > 0.0
-        off[corr.edge_arrays()] = False
-        if np.any(off):
-            bad = [tuple(map(int, e)) for e in np.argwhere(off)[:8]]
-            raise ShapeMismatch(f"kernel mass outside the edge set: {bad}")
-        rows = np.sum(m, axis=1)
-        if np.any(np.abs(rows - 1.0) > tol):
+        src, dst = corr.edge_arrays()
+        if p.shape not in ((corr.n_edges,), (n, n)):
+            raise ShapeMismatch(f"kernel has shape {p.shape}, expected "
+                                f"({corr.n_edges},) or ({n}, {n})")
+        if not np.all(p >= -tol):    # NaN fails here too
+            raise ShapeMismatch("negative or NaN kernel entry")
+        if p.ndim == 2:
+            # a dense matrix is read at the edges and not kept
+            off = p > 0.0
+            off[src, dst] = False
+            if np.any(off):
+                bad = [tuple(map(int, e)) for e in np.argwhere(off)[:8]]
+                raise ShapeMismatch(f"kernel mass outside the edge set: {bad}")
+            p = p[src, dst]
+        p = np.where(p < 0.0, 0.0, p)
+        rows = np.bincount(src, weights=p, minlength=n)
+        if not np.all(np.abs(rows - 1.0) <= tol):    # inf fails here too
             worst = int(np.argmax(np.abs(rows - 1.0)))
-            raise ShapeMismatch(
-                f"row {worst} sums to {rows[worst]!r}")
+            raise ShapeMismatch(f"row {worst} sums to {rows[worst]!r}")
+        p.flags.writeable = False
         self.corr = corr
-        self.matrix = m
+        self.probs = p
+        self.tol = tol
 
     @classmethod
     def from_rows(cls, corr, rows, tol=1e-12):
         """Build from per-state lists of (successor, probability)."""
-        m = np.zeros((corr.n_states, corr.n_states))
+        n, index = corr.n_states, corr.edge_index()
+        if len(rows) != n:
+            raise ShapeMismatch("kernel rows do not match the state count")
+        p = np.zeros(corr.n_edges)
         for i, row in enumerate(rows):
-            for j, p in row:
-                m[int(i), int(j)] += float(p)
-        return cls(corr, m, tol)
+            for j, q in row:
+                e, q = (i, int(j)), float(q)
+                if not 0 <= e[1] < n:
+                    raise IndexOutOfRange([e], n)
+                if e in index:
+                    p[index[e]] += q
+                elif not -tol <= q <= 0.0:    # NaN fails here too
+                    raise ShapeMismatch(f"kernel mass outside the edge set: {[e]}")
+        return cls(corr, p, tol)
 
-    def row(self, i):
-        return self.matrix[i]
+    @property
+    def matrix(self):
+        """Dense n x n copy, built on each call, for tests only."""
+        m = np.zeros((self.corr.n_states, self.corr.n_states))
+        m[self.corr.edge_arrays()] = self.probs
+        return m
 
     def relabel(self, theta):
-        relabeled = self.corr.relabel(theta)   # rejects a bad theta first
-        m = np.zeros_like(self.matrix)
-        m[np.ix_(theta, theta)] = self.matrix    # m[theta i, theta j] = Q(i, j)
-        return TransitionKernel(relabeled, m)
+        # the same rows, so the tolerance they passed still applies
+        moved = Potential(self.corr, self.probs).relabel(theta)
+        return TransitionKernel(moved.corr, moved.values, self.tol)
 
 
 def pushforward(mu, kernel):
     """Distribution after one step: (mu Q)(j) = sum_i mu(i) Q(i, j)."""
-    return np.asarray(mu, dtype=float) @ kernel.matrix
+    src, dst = kernel.corr.edge_arrays()
+    return np.bincount(dst, weights=np.asarray(mu, dtype=float)[src] * kernel.probs,
+                       minlength=kernel.corr.n_states)
 
 
 def pullback(kernel, f):
     """Conditional expectation of an observable: (Q f)(i) = sum_j Q(i, j) f(j)."""
-    return kernel.matrix @ np.asarray(f, dtype=float)
+    src, dst = kernel.corr.edge_arrays()
+    return np.bincount(src, weights=kernel.probs * np.asarray(f, dtype=float)[dst],
+                       minlength=kernel.corr.n_states)
 
 
 class Partition:
@@ -134,14 +157,15 @@ class PathDistribution:
         if n ** self.length > DENSE_PATH_LIMIT:
             raise TooLarge(f"{n}^{self.length} paths exceed the dense limit")
         out = {}
+        q = self.kernel.probs
+        starts = np.searchsorted(self.corr.edge_arrays()[0], np.arange(n + 1))
         frontier = [((x,), float(self.start[x]))
                     for x in range(n) if self.start[x] > 0.0]
         for _ in range(self.length - 1):
             nxt = []
             for path, w in frontier:
                 x = path[-1]
-                for y in self.corr.successors(x):
-                    p = self.kernel.matrix[x, y]
+                for y, p in zip(self.corr.successors(x), q[starts[x]:starts[x + 1]]):
                     if p > 0.0:
                         nxt.append((path + (y,), w * p))
             frontier = nxt
@@ -161,7 +185,7 @@ class PathDistribution:
             raise ShapeMismatch(f"block ({t}, {k}) outside length {self.length}")
         mu = np.asarray(self.start, dtype=float)
         for _ in range(t):
-            mu = mu @ self.kernel.matrix
+            mu = pushforward(mu, self.kernel)
         return PathDistribution(mu, self.kernel, k)
 
 
@@ -196,7 +220,7 @@ def partition_entropy(dist, partition, n_coords=None):
         if depth == dist.length:
             total -= mass * math.log(mass)
             continue
-        nxt = vec @ dist.kernel.matrix
+        nxt = pushforward(vec, dist.kernel)
         for m in masks:
             stack.append((depth + 1, nxt * m))
     return total
@@ -210,11 +234,9 @@ def measure_entropy(mu):
 
 def entropy_rate(mu, kernel):
     """h = -sum_i mu(i) sum_j Q(i,j) log Q(i,j), summed over the edges."""
-    src, dst = kernel.corr.edge_arrays()
-    q = kernel.matrix[src, dst]
+    q = kernel.probs
     pos = q > 0.0
-    mu = np.asarray(mu, dtype=float)[src[pos]]
-    return float(-np.sum(mu * q[pos] * np.log(q[pos])))
+    return float(-np.sum(pair_from_kernel(mu, kernel)[pos] * np.log(q[pos])))
 
 
 def stationary_gap(mu, kernel):
@@ -232,7 +254,7 @@ def stationary_measures(kernel, tol=1e-10):
     """
     corr = kernel.corr
     src, dst = corr.edge_arrays()
-    q = kernel.matrix[src, dst]
+    q = kernel.probs
     on = q > 0.0
     src, dst, logq = src[on], dst[on], np.log(q[on])   # the support's edges, sorted
     cache = SpectralCache(FiniteCorrespondence(corr.n_states, zip(src, dst)))
@@ -282,8 +304,8 @@ def kernel_entropy(mu, kernel, n_max, partition=None):
 
 def pair_from_kernel(mu, kernel):
     """Edge vector of the pair law mu(i) Q(i, j), aligned with corr.edges."""
-    src, dst = kernel.corr.edge_arrays()
-    return np.asarray(mu, dtype=float)[src] * kernel.matrix[src, dst]
+    src, _ = kernel.corr.edge_arrays()
+    return np.asarray(mu, dtype=float)[src] * kernel.probs
 
 
 def kernel_from_pair(corr, pair_values):
@@ -293,13 +315,10 @@ def kernel_from_pair(corr, pair_values):
     mass at their lowest-index successor, so the result is always a
     valid kernel.
     """
-    n = corr.n_states
-    src, dst = corr.edge_arrays()
+    src, _ = corr.edge_arrays()
     w = np.maximum(np.asarray(pair_values, dtype=float), 0.0)
-    rows = np.bincount(src, weights=w, minlength=n)
-    empty = np.flatnonzero(rows <= 0.0)
-    m = np.zeros((n, n))
-    m[src, dst] = w / np.where(rows > 0.0, rows, 1.0)[src]
+    rows = np.bincount(src, weights=w, minlength=corr.n_states)
+    q = w / np.where(rows > 0.0, rows, 1.0)[src]
     # edges are sorted, so a state's first edge goes to its lowest successor
-    m[empty, dst[np.searchsorted(src, empty)]] = 1.0
-    return TransitionKernel(corr, m)
+    q[np.searchsorted(src, np.flatnonzero(rows <= 0.0))] = 1.0
+    return TransitionKernel(corr, q)

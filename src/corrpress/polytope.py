@@ -301,21 +301,17 @@ def hat_lift(corr, block, mu_block, variant="forward"):
     mu_hat = np.zeros(n)
     for y in block:
         mu_hat[y] = mu_block[local[y]]
-    q = np.zeros((n, n))
-    if variant == "forward":
-        for y in block:
-            q[y, fmap[y]] = 1.0
-        for x in range(n):
-            if x not in bset:
-                q[x, corr.successors(x)[0]] = 1.0
-    else:
-        for x in range(n):
-            if x in bset and mu_hat[x] > 0.0:
-                for y in block:
-                    if fmap[y] == x:
-                        q[x, y] = mu_hat[y] / mu_hat[x]
-                # rounding headroom: renormalize the row exactly
-                q[x] /= np.sum(q[x])
-            else:
-                q[x, corr.successors(x)[0]] = 1.0
+    index = corr.edge_index()
+    q = np.zeros(corr.n_edges)
+    for x in range(n):
+        if variant == "forward" and x in bset:
+            q[index[(x, fmap[x])]] = 1.0
+        elif variant == "inverse" and x in bset and mu_hat[x] > 0.0:
+            ys = [y for y in block if fmap[y] == x]
+            row = [index[(x, y)] for y in ys]
+            q[row] = mu_hat[ys] / mu_hat[x]
+            # rounding headroom: renormalize the row exactly
+            q[row] /= np.sum(q[row])
+        else:
+            q[index[(x, corr.successors(x)[0])]] = 1.0
     return HatLift(mu_hat, TransitionKernel(corr, q), fmap)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     NonUniqueDominantClass,
     NotInvariant,
     NotStationary,
@@ -59,17 +60,25 @@ def _gibbs_on_class(cache, c, values):
     """Gibbs kernel and Parry measure of one spectral class.
 
     With Perron data (rho, r, l) of class c the kernel is
-    Q_ij = M_ij r_j / (rho r_i) over the class edges, in the order of
-    cache.class_edges[c], and the measure is l_i r_i / <l, r> over the
-    class states.  The pair weights mu_i Q_ij are the gradient of
-    log rho with respect to the potential entries.
+    Q_ij = M_ij r_j / (rho r_i) over the class edges, and the measure
+    is l_i r_i / <l, r> on the class states and zero elsewhere.  Rows
+    outside the class get the point mass at their lowest successor;
+    the measure vanishes there, so those rows are a convention only.
+    The pair weights mu_i Q_ij are the gradient of log rho with respect
+    to the potential entries.  The Perron vectors of a class are
+    positive, so a right vector that underflows to zero on some state
+    leaves Q undefined there: ConvergenceFailure.
     """
     logrho, right, left, _ = cache.solve(c, values)
+    if not np.all(right > 0.0):
+        raise ConvergenceFailure(0)
     rows, cols, eidx = cache.class_edges[c]
-    q_in = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
-    q_in /= np.bincount(rows, weights=q_in, minlength=len(right))[rows]
+    weights = np.zeros(cache.corr.n_edges)
+    weights[eidx] = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
     parry = left * right
-    return logrho, q_in, parry / float(np.sum(parry))
+    mu = np.zeros(cache.corr.n_states)
+    mu[list(cache.components[c])] = parry / float(np.sum(parry))
+    return logrho, kernel_from_pair(cache.corr, weights), mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,32 +97,18 @@ def gibbs_equilibrium(corr, phi, tie_tol=TIE_TOL):
 
     Requires a unique dominant class.  With Perron data (rho, r, l) of
     that class the kernel is Q_ij = M_ij r_j / (rho r_i) and the
-    measure is the Parry measure l_i r_i / <l, r>.  Rows outside the
-    class get the point mass at their lowest successor; the measure
-    vanishes there, so those rows are a convention only.
+    measure is the Parry measure l_i r_i / <l, r>; see _gibbs_on_class.
     """
     cache = SpectralCache(corr)
     _, dom, _ = cache.dominant(phi.values, tie_tol)
     if len(dom) != 1:
         raise NonUniqueDominantClass([cache.components[c] for c in dom])
-    c = dom[0]
-    comp = cache.components[c]
-    logrho, q_in, mu_loc = _gibbs_on_class(cache, c, phi.values)
-    eidx = cache.class_edges[c][2]
-    src, dst = corr.edge_arrays()
-    n = corr.n_states
-    q = np.zeros((n, n))
-    q[src[eidx], dst[eidx]] = q_in
-    # edges are sorted, so a state's first edge goes to its lowest successor
-    outside = np.flatnonzero(cache.class_of != c)
-    q[outside, dst[np.searchsorted(src, outside)]] = 1.0
-    kernel = TransitionKernel(corr, q)
-    mu = np.zeros(n)
-    mu[list(comp)] = mu_loc
+    logrho, kernel, mu = _gibbs_on_class(cache, dom[0], phi.values)
     pair = pair_from_kernel(mu, kernel)
     h = entropy_rate(mu, kernel)
     integral = float(np.dot(pair, phi.values))
-    return EquilibriumPair(float(logrho), kernel, mu, pair, h, integral, comp)
+    return EquilibriumPair(float(logrho), kernel, mu, pair, h, integral,
+                           cache.components[dom[0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,11 +304,8 @@ def tangent_functionals(corr, phi, tie_tol=TIE_TOL):
     top, dom, _ = cache.dominant(phi.values, tie_tol)
     tangents = []
     for c in dom:
-        _, q_in, mu_loc = _gibbs_on_class(cache, c, phi.values)
-        rows, _, eidx = cache.class_edges[c]
-        pair = np.zeros(corr.n_edges)
-        pair[eidx] = mu_loc[rows] * q_in
-        tangents.append(pair)
+        _, kernel, mu = _gibbs_on_class(cache, c, phi.values)
+        tangents.append(pair_from_kernel(mu, kernel))
     return TangentSet(float(top), tuple(tangents),
                       tuple(cache.components[c] for c in dom),
                       len(tangents) == 1)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ModeUnsupported
 from .intervals import example_report
-from .kernels import (TransitionKernel, entropy_rate, kernel_entropy,
-                      pair_from_kernel, stationary_measures)
+from .kernels import (entropy_rate, kernel_entropy, kernel_from_pair,
+                      pair_from_kernel, stationary_gap, stationary_measures)
 from .polytope import invariant_polytope_extremes, is_invariant
 from .pressure import (decomposition_pressure, path_pressure_sequence,
                        spectral_pressure)
@@ -161,10 +161,7 @@ def random_block_relation(rng, max_blocks=4, block_max=4):
 
 
 def random_kernel(rng, corr):
-    m = np.zeros((corr.n_states, corr.n_states))
-    for i, j in corr.edges:
-        m[i, j] = rng.uniform(0.1, 1.0)
-    return TransitionKernel(corr, m / m.sum(axis=1, keepdims=True))
+    return kernel_from_pair(corr, rng.uniform(0.1, 1.0, corr.n_edges))
 
 
 def random_unbalanced_pair(rng, corr):
@@ -264,8 +261,7 @@ def battery_characterizations(seed=20130, count=200):
             agree += 1
         if chk.invariant:
             positives += 1
-            push = np.asarray(mu, dtype=float) @ chk.witness_kernel.matrix
-            worst = max(worst, float(np.abs(push - mu).sum()))
+            worst = max(worst, stationary_gap(mu, chk.witness_kernel))
     return [
         CheckResult("modes-agree", agree == count, float(count - agree),
                     "%d of %d, %d invariant" % (agree, count, positives)),

@@ -159,6 +159,19 @@ def test_wrong_label_count_names_both_counts(tmp_path, capsys):
     assert doc["error"]["message"] == "3 labels for 2 states"
 
 
+@pytest.mark.parametrize("successor", [-1, 5])
+def test_kernel_successor_out_of_range_is_an_input_error(tmp_path, capsys,
+                                                         successor):
+    # -1 must not wrap around to state 1, where (0, 1) is an edge
+    kernel = write(tmp_path, "k.json", {"rows": [[[successor, 1.0]], [[0, 1.0]]]})
+    mu = write(tmp_path, "mu.json", {"weights": [0.5, 0.5]})
+    code, doc = run(capsys, ["kentropy", "--input", golden_corr(tmp_path),
+                             "--kernel", kernel, "--mu", mu])
+    assert code == 2
+    assert doc["error"]["type"] == "IndexOutOfRange"
+    assert f"(0, {successor})" in doc["error"]["message"]
+
+
 def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys, monkeypatch):
     # the Perron solver behind every pressure call gives up
     def exhausted(self, c, values, vectors=True):
@@ -323,6 +336,19 @@ def test_relabel_preserves_pressure(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["spectral"]["pressure"] \
         == pytest.approx(LOG_GOLDEN, abs=1e-11)
+
+
+def test_relabel_keeps_the_tolerance_a_kernel_document_passed(tmp_path, capsys):
+    # reports round probabilities to 12 digits, so a row of a kernel
+    # document may sum to 1 + 1e-12
+    kernel = write(tmp_path, "k.json",
+                   {"rows": [[[0, 0.5], [1, 0.500000000001]], [[0, 1.0]]]})
+    theta = write(tmp_path, "theta.json", {"theta": [1, 0]})
+    code, doc = run(capsys, ["relabel", "--input", golden_corr(tmp_path),
+                             "--kernel", kernel, "--config", theta])
+    assert code == 0
+    assert doc["results"]["kernel"]["rows"] == [[[1, 1.0]],
+                                                [[0, 0.500000000001], [1, 0.5]]]
 
 
 def test_relabel_rejects_a_bad_permutation(tmp_path, capsys):

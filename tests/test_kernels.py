@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from corrpress import (
     FiniteCorrespondence,
     NotStationary,
     Partition,
+    Potential,
     ShapeMismatch,
     TooLarge,
     TransitionKernel,
     chain_distribution,
     entropy_rate,
+    gibbs_equilibrium,
     kernel_entropy,
     kernel_from_pair,
     pair_from_kernel,
@@ -21,6 +24,7 @@ from corrpress import (
     uniform_measure,
     validate_measure,
 )
+from corrpress.intervals import example_branches, grid_discretize
 from corrpress.kernels import measure_entropy, stationary_gap, stationary_measures
 
 
@@ -69,6 +73,17 @@ def test_nan_weights_are_rejected():
         validate_measure(2, [float("nan"), 1.0])
 
 
+def test_nan_and_inf_kernel_entries_are_rejected():
+    corr = golden_mean()
+    nan, inf = float("nan"), float("inf")
+    for bad in ([[nan, nan], [1.0, 0.0]], [[inf, 0.0], [1.0, 0.0]],
+                [0.5, nan, 1.0], [inf, -inf, 1.0]):
+        with pytest.raises(ShapeMismatch):
+            TransitionKernel(corr, bad)
+    with pytest.raises(ShapeMismatch):
+        TransitionKernel.from_rows(corr, [[(0, nan), (1, nan)], [(0, 1.0)]])
+
+
 def test_kernel_support_and_row_sums():
     corr = golden_mean()
     with pytest.raises(ShapeMismatch):
@@ -78,6 +93,8 @@ def test_kernel_support_and_row_sums():
         TransitionKernel(corr, np.array([[0.5, 0.4], [1.0, 0.0]]))
     ker = TransitionKernel.from_rows(corr, [[(0, 0.5), (1, 0.5)], [(0, 1.0)]])
     assert ker.matrix[1, 0] == 1.0
+    with pytest.raises(ShapeMismatch, match=r"edge set: \[\(1, 1\)\]"):
+        TransitionKernel.from_rows(corr, [[(0, 1.0)], [(0, 0.5), (1, 0.5)]])
 
 
 def test_pushforward_pullback_duality():
@@ -256,3 +273,37 @@ def test_edge_formulas_match_the_dense_loops():
                 loop[i, corr.successors(i)[0]] = 1.0
         assert np.allclose(kernel_from_pair(corr, pair).matrix, loop,
                            rtol=1e-14, atol=0.0)
+        # one step, summed over at most n terms of size at most 1
+        f = rng.uniform(-1.0, 1.0, n)
+        assert np.allclose(pushforward(mu, ker), mu @ m, rtol=1e-14, atol=0.0)
+        assert np.allclose(pullback(ker, f), m @ f, rtol=0.0, atol=1e-14)
+        theta = rng.permutation(n)
+        assert np.array_equal(ker.relabel(theta).matrix[np.ix_(theta, theta)], m)
+        rows = [[(j, m[i, j]) for j in corr.successors(i)] for i in range(n)]
+        assert np.array_equal(TransitionKernel.from_rows(corr, rows).matrix, m)
+        dist = chain_distribution(mu, ker, 2)
+        assert np.allclose(dist.shifted_block(2, 1).start, mu @ m @ m,
+                           rtol=1e-13, atol=0.0)
+        walks = {(a, b, c): mu[a] * m[a, b] * m[b, c]
+                 for a in range(n) for b in range(n) for c in range(n)
+                 if mu[a] * m[a, b] * m[b, c] > 0.0}
+        assert dist.dense() == walks
+        part = Partition(n, [range(0, n, 2), range(1, n, 2)])
+        by_cells = {}
+        for walk, w in walks.items():
+            key = tuple(x % 2 for x in walk)
+            by_cells[key] = by_cells.get(key, 0.0) + w
+        direct = -sum(w * math.log(w) for w in by_cells.values())
+        assert partition_entropy(dist, part) == pytest.approx(direct, rel=1e-13)
+
+
+def test_gibbs_kernel_on_the_4096_cell_grid_holds_no_dense_matrix():
+    # a dense 4096 x 4096 kernel alone would take 134 MB
+    corr = grid_discretize(example_branches(), 4096).corr
+    tracemalloc.start()
+    try:
+        gibbs_equilibrium(corr, Potential.zero(corr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -294,6 +294,16 @@ MU_DOCS = st.one_of(
     st.fixed_dictionaries({"weights": st.lists(
         st.one_of(st.sampled_from([0.0, 0.5, 1.0]), ENTRY), max_size=4)}),
     ANY_JSON)
+# Kernel documents for the two-state GOLDEN relation: mostly two rows of
+# (successor, probability) pairs, so that the row checks are reached.
+PAIR_ENTRY = st.tuples(SMALL, st.one_of(st.sampled_from([0.0, 0.5, 1.0]), ENTRY))
+KERNEL_ROW = st.one_of(st.lists(st.one_of(PAIR_ENTRY.map(list), ODD), max_size=3),
+                       st.lists(PAIR_ENTRY.map(list), min_size=1, max_size=2))
+KERNEL_DOCS = st.one_of(
+    st.fixed_dictionaries({"rows": st.one_of(
+        st.lists(KERNEL_ROW, min_size=2, max_size=2),
+        st.lists(st.one_of(KERNEL_ROW, ODD), max_size=3))}),
+    ANY_JSON)
 GOLDEN = {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
 
 
@@ -334,3 +344,12 @@ def test_malformed_correspondence_documents_exit_cleanly(doc, overflow, command)
 def test_malformed_measure_documents_exit_cleanly(doc, overflow, command):
     assert_contract(*run_documents([command, "--input", "c.json", "--mu", "m.json"],
                                    {"c.json": GOLDEN, "m.json": doc}, overflow))
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=KERNEL_DOCS, overflow=st.booleans())
+def test_malformed_kernel_documents_exit_cleanly(doc, overflow):
+    assert_contract(*run_documents(
+        ["kentropy", "--input", "c.json", "--kernel", "k.json", "--mu", "m.json"],
+        {"c.json": GOLDEN, "k.json": doc, "m.json": {"weights": [0.5, 0.5]}},
+        overflow))

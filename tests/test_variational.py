@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrpress import (
+    ConvergenceFailure,
     FiniteCorrespondence,
     NonUniqueDominantClass,
     NotInvariant,
@@ -215,6 +216,24 @@ def test_measure_pressure_converges_where_the_scaling_diverged():
     res = measure_pressure(corr, phi, mu)
     assert res.value == pytest.approx(0.16237625078, abs=1e-9)
     assert res.marginal_error <= 1e-10
+
+
+def test_underflowed_perron_vector_is_a_convergence_failure():
+    """Under this potential the right Perron vector of the one class
+    underflows to an exact zero on state 1, so its Gibbs kernel would
+    be 0/0 there."""
+    corr = FiniteCorrespondence(5, (
+        (0, 0), (0, 1), (0, 3), (0, 4), (1, 0), (1, 4), (2, 1), (2, 2),
+        (2, 3), (3, 2), (3, 4), (4, 3)))
+    phi = Potential(corr, [
+        19.857858260471374, 6.906757237208216, -7.261008909493549,
+        -3.656326876361069, -3.7672714077015, -0.5220534466369475,
+        4.642174139220039, 32.12247607263693, -38.567606505367834,
+        8.890923668990256, -33.9586088661039, -32.94485530215226])
+    with pytest.raises(ConvergenceFailure):
+        gibbs_equilibrium(corr, phi)
+    with pytest.raises(ConvergenceFailure):
+        tangent_functionals(corr, phi)
 
 
 def test_measure_pressure_rejects_a_hall_violation_after_the_budget():
