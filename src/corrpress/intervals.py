@@ -1,9 +1,10 @@
 """Interval systems discretized onto dyadic grids.
 
-All geometry here is exact: breakpoints, slopes and cell bounds are
-Fractions, so two runs of a discretization agree bit for bit.  The
-built-in example is a two-branch system on [0, 1] whose entropy,
-log 2, is recovered three independent ways.
+All geometry here is exact: breakpoints, slopes and intercepts are
+Fractions, and the grid build works per affine piece in integers over
+one common denominator, so two runs of a discretization agree bit for
+bit.  The built-in example is a two-branch system on [0, 1] whose
+entropy, log 2, is recovered three independent ways.
 """
 
 from __future__ import annotations
@@ -115,20 +116,6 @@ class GridRelation:
         return Fraction(k, n), Fraction(k + 1, n), k == n - 1
 
 
-def _cell_image(pmap, lo, hi):
-    """Exact image of one grid cell under one branch.
-
-    The cell is half open (closed when it ends at the domain top), and
-    breakpoints are grid-aligned, so a single affine piece covers it.
-    Returns (lo, hi) of the image with the slope sign, hi included
-    exactly when the cell end is.
-    """
-    s, t = pmap.pieces[pmap.piece_at(lo)]
-    va = s * lo + t
-    vb = s * hi + t
-    return (va, vb) if s >= 0 else (vb, va), s
-
-
 def grid_discretize(system, resolution):
     """Transition relation of the branches at a dyadic resolution.
 
@@ -137,36 +124,40 @@ def grid_discretize(system, resolution):
     a single point (flat piece) contributes the cell containing that
     point.  Half-open cells keep the identity map's relation equal to
     the identity.
+
+    Breakpoints are grid-aligned, so each affine piece (s, t) on
+    [x0, x1) covers the cells k in [n x0, n x1).  In cell units the
+    image of cell k is [s k + n t, s (k + 1) + n t]; over the common
+    denominator D of s and n t its ends are integers lo <= hi, and it
+    meets the interiors of the cells floor(lo / D) <= j < ceil(hi / D),
+    all inside 0..n-1 because the branch maps [0, 1] into itself.
     """
     n = resolution
     if n < GRID_MIN or n > GRID_MAX or n & (n - 1):
         raise ShapeMismatch(
             f"resolution must be a power of two in [{GRID_MIN}, {GRID_MAX}]")
-    branches = system.branches if isinstance(system, IntervalCorrespondence) else tuple(system)
+    if not isinstance(system, IntervalCorrespondence):
+        system = IntervalCorrespondence(system)
     bad = []
-    for b in branches:
+    for b in system.branches:
         for p in b.breakpoints:
             if (p * n).denominator != 1:
                 bad.append(p)
     if bad:
         raise MisalignedBreakpoints(bad, n)
     edges = set()
-    for b in branches:
-        for k in range(n):
-            lo = Fraction(k, n)
-            hi = Fraction(k + 1, n)
-            (ilo, ihi), slope = _cell_image(b, lo, hi)
-            if slope == 0:
-                j = min(int(ilo * n), n - 1)
-                edges.add((k, j))
-                continue
-            j_lo = max(int(math.floor(ilo * n)), 0)
-            j_hi = min(int(math.floor(ihi * n)) + 1, n - 1)
-            for j in range(j_lo, j_hi + 1):
-                c_lo = Fraction(j, n)
-                c_hi = Fraction(j + 1, n)
-                if max(ilo, c_lo) < min(ihi, c_hi):
-                    edges.add((k, j))
+    for b in system.branches:
+        bp = b.breakpoints
+        for (x0, x1), (s, t) in zip(zip(bp, bp[1:]), b.pieces):
+            d = math.lcm(s.denominator, (n * t).denominator)
+            a, c = int(s * d), int(n * t * d)
+            for k in range(int(x0 * n), int(x1 * n)):
+                lo = a * k + c
+                if a == 0:
+                    edges.add((k, min(lo // d, n - 1)))
+                    continue
+                lo, hi = min(lo, lo + a), max(lo, lo + a)
+                edges.update((k, j) for j in range(lo // d, -(-hi // d)))
     return GridRelation(n, FiniteCorrespondence(n, sorted(edges)))
 
 
@@ -197,23 +188,18 @@ def markov_model(pmap, cells):
         cuts.append(b)
     if cuts[-1] != hi:
         raise NotMarkov("cells do not cover the domain")
-    cut_set = set(cuts)
-    images = []
-    for a, b in order:
+    pos = {cut: j for j, cut in enumerate(cuts)}
+    edges = []
+    for i, (a, b) in enumerate(order):
         if any(a < p < b for p in pmap.breakpoints):
             raise NotMarkov(f"cell [{a}, {b}] straddles a breakpoint")
         s, t = pmap.pieces[pmap.piece_at(a)]
         va, vb = s * a + t, s * b + t
         ilo, ihi = min(va, vb), max(va, vb)
-        if ilo not in cut_set or ihi not in cut_set:
+        if ilo not in pos or ihi not in pos:
             raise NotMarkov(
                 f"image [{ilo}, {ihi}] of cell [{a}, {b}] is not a union of cells")
-        images.append((ilo, ihi))
-    edges = []
-    for i, (ilo, ihi) in enumerate(images):
-        for j, (a, b) in enumerate(order):
-            if ilo <= a and b <= ihi:
-                edges.append((i, j))
+        edges += [(i, j) for j in range(pos[ilo], pos[ihi])]
     return MarkovModel(pmap, order, FiniteCorrespondence(len(order), edges))
 
 

@@ -218,7 +218,10 @@ def extremal_decomposition(corr, mu, extremes=None):
 
     Among all feasible combinations the one with the fewest atoms is
     returned, ties resolved by lexicographic order of the index set.
-    Exact arithmetic is used when mu is given in rationals.
+    Only extremes supported inside supp mu can carry weight, since
+    {nu : supp nu in supp mu} is a face, so the search runs on those;
+    the returned indices refer to the full returned pool.  Exact
+    arithmetic is used when mu is given in rationals.
     """
     exact = all(isinstance(v, (int, Fraction)) for v in mu)
     if extremes is None:
@@ -226,30 +229,30 @@ def extremal_decomposition(corr, mu, extremes=None):
     pool = extremes.extremes_exact if exact else [tuple(map(float, p))
                                                  for p in extremes.extremes_exact]
     n = corr.n_states
+    face = [k for k, p in enumerate(pool)
+            if all(mu[i] > 0 for i in range(n) if p[i] != 0)]
     target = list(mu) + [1 if exact else 1.0]
-    rows_full = [[p[i] for p in pool] for i in range(n)]
-    rows_full.append([1] * len(pool) if exact else [1.0] * len(pool))
-    status, lam_any, _ = simplex(rows_full, target, [0] * len(pool), exact=exact)
+    rows_full = [[pool[k][i] for k in face] for i in range(n)]
+    rows_full.append([1] * len(face) if exact else [1.0] * len(face))
+    status, _, _ = simplex(rows_full, target, [0] * len(face), exact=exact)
     if status != OPTIMAL:
         raise NotInvariant()
     tol = 0 if exact else 1e-9
     tried = 0
-    for s in range(1, len(pool) + 1):
-        for combo in itertools.combinations(range(len(pool)), s):
+    for s in range(1, len(face) + 1):
+        for combo in itertools.combinations(range(len(face)), s):
             tried += 1
             if tried > DECOMP_SUBSET_CAP:
                 raise TooLarge("atom-minimal search budget exhausted")
             sub = [[rows_full[r][c] for c in combo] for r in range(n + 1)]
             kind, lam = gauss_solve(sub, target, exact=exact)
-            if kind == "none":
+            # a feasible dependent subset has a basic solution on a
+            # smaller independent one (Caratheodory), tried before it
+            if kind != "unique":
                 continue
-            if kind == "many":
-                st, lam, _ = simplex(sub, target, [0] * s, exact=exact)
-                if st != OPTIMAL:
-                    continue
             if all(v >= -tol for v in lam):
                 weights = [max(v, 0) for v in lam]
-                return list(combo), weights, pool
+                return [face[c] for c in combo], weights, pool
     raise NotInvariant()
 
 

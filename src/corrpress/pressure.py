@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidDecomposition
+from .errors import ConvergenceFailure, InvalidDecomposition, SolverError
 from .relations import Decomposition, decomposition_validate
 
 # Spectral classes whose log radius lies within this distance of the
@@ -248,10 +248,19 @@ class SpectralCache:
                     return logrho, _unit(right[1]), _unit(left_vec), bracket
             self.slow.add(c)
         shift = float(np.max(w))
+        scaled = np.exp(w - shift)
+        # a finite weight that underflows would drop an edge from the
+        # class; -inf weights are absent edges and stay so
+        lost = np.isfinite(w) & (scaled == 0.0)
+        if np.any(lost):
+            span = shift - float(np.min(w[lost]))
+            raise SolverError(
+                f"weights on a {k}-state class span {span:.4g}, "
+                "past the range of the dense eigensolve")
         m = np.zeros((k, k))
-        m[rows, cols] = np.exp(w - shift)
+        m[rows, cols] = scaled
         if not vectors:
-            # entries can underflow to an exact zero matrix
+            # absent (-inf) edges can leave the class matrix nilpotent
             rho = float(np.max(np.abs(np.linalg.eigvals(m))))
             logrho = shift + math.log(rho) if rho > 0.0 else -np.inf
             return logrho, None, None, None

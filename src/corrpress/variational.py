@@ -66,16 +66,18 @@ def _gibbs_on_class(cache, c, values):
     the measure vanishes there, so those rows are a convention only.
     The pair weights mu_i Q_ij are the gradient of log rho with respect
     to the potential entries.  The Perron vectors of a class are
-    positive, so a right vector that underflows to zero on some state
-    leaves Q undefined there: ConvergenceFailure.
+    positive, so l_i r_i = 0 on a class state is an underflow: where
+    r_i = 0 the kernel Q is undefined on row i, and in any case the
+    measure misses part of its class, where it is not invariant.
+    Either is a ConvergenceFailure.
     """
     logrho, right, left, _ = cache.solve(c, values)
-    if not np.all(right > 0.0):
+    parry = left * right
+    if not np.all(parry > 0.0):
         raise ConvergenceFailure(0)
     rows, cols, eidx = cache.class_edges[c]
     weights = np.zeros(cache.corr.n_edges)
     weights[eidx] = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
-    parry = left * right
     mu = np.zeros(cache.corr.n_states)
     mu[list(cache.components[c])] = parry / float(np.sum(parry))
     return logrho, kernel_from_pair(cache.corr, weights), mu

@@ -251,6 +251,17 @@ def test_eigensolver_failure_is_exit_three(tmp_path, capsys, monkeypatch):
     assert doc["error"]["type"] == "SolverError"
 
 
+@pytest.mark.parametrize("a", [400, 1000])
+def test_underflowing_class_weights_are_exit_three(tmp_path, capsys, a):
+    corr = write(tmp_path, "corr.json",
+                 {"n_states": 2, "edges": [[0, 1], [1, 0], [1, 1]]})
+    phi = write(tmp_path, "phi.json",
+                {"edges": [[0, 1, a], [1, 0, -a], [1, 1, 0]]})
+    code, doc = run(capsys, ["pressure", "--input", corr, "--phi", phi])
+    assert code == 3
+    assert doc["error"]["type"] == "SolverError"
+
+
 def test_unbalanced_pair_reports_minus_infinity(tmp_path, capsys):
     corr = write(tmp_path, "full.json",
                  {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]})

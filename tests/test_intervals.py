@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrpress import (
     FiniteCorrespondence,
@@ -110,6 +111,13 @@ def test_markov_model_of_the_inner_maps():
     assert model2.corr.edges == ((0, 0), (0, 1), (1, 0), (1, 1))
     p = spectral_pressure(model2.corr, Potential.zero(model2.corr)).pressure
     assert p == pytest.approx(LOG2, abs=1e-12)
+    # the tent on four quarter cells: each cell covers one half
+    model4 = markov_model(tent(), [("0", "1/4"), ("1/4", "1/2"),
+                                   ("1/2", "3/4"), ("3/4", "1")])
+    assert model4.corr.edges == ((0, 0), (0, 1), (1, 2), (1, 3),
+                                 (2, 2), (2, 3), (3, 0), (3, 1))
+    p = spectral_pressure(model4.corr, Potential.zero(model4.corr)).pressure
+    assert p == pytest.approx(LOG2, abs=1e-12)
 
 
 def test_markov_model_rejects_non_markov_partitions():
@@ -153,3 +161,73 @@ def test_example_blocks_split_the_interval():
     # no edge returns from the right half to the left half
     for i, j in grid.corr.edges:
         assert not (i in right and j in left)
+
+
+def _cell_image(pmap, lo, hi):
+    s, t = pmap.pieces[pmap.piece_at(lo)]
+    va = s * lo + t
+    vb = s * hi + t
+    return (va, vb) if s >= 0 else (vb, va), s
+
+
+def reference_grid_edges(branches, n):
+    """The grid relation by one Fraction overlap test per candidate cell."""
+    edges = set()
+    for b in branches:
+        for k in range(n):
+            lo = Fraction(k, n)
+            hi = Fraction(k + 1, n)
+            (ilo, ihi), slope = _cell_image(b, lo, hi)
+            if slope == 0:
+                j = min(int(ilo * n), n - 1)
+                edges.add((k, j))
+                continue
+            j_lo = max(int(math.floor(ilo * n)), 0)
+            j_hi = min(int(math.floor(ihi * n)) + 1, n - 1)
+            for j in range(j_lo, j_hi + 1):
+                c_lo = Fraction(j, n)
+                c_hi = Fraction(j + 1, n)
+                if max(ilo, c_lo) < min(ihi, c_hi):
+                    edges.add((k, j))
+    return tuple(sorted(edges))
+
+
+VALUES = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12)
+
+
+@st.composite
+def pl_systems(draw):
+    """A grid and 1-3 continuous piecewise-linear self-maps of [0, 1]
+    with 2-8 pieces aligned to it; a piece is flat when its end value
+    repeats its start value."""
+    n = 2 ** draw(st.integers(2, 8))
+    branches = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(2, min(8, n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1),
+                                   min_size=p - 1, max_size=p - 1)))
+        xs = [F(0)] + [F(c, n) for c in cuts] + [F(1)]
+        ys = [draw(VALUES)]
+        for _ in range(p):
+            ys.append(draw(st.one_of(st.just(ys[-1]), VALUES)))
+        pieces = []
+        for k in range(p):
+            s = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+            pieces.append((s, ys[k] - s * xs[k]))
+        branches.append(PiecewiseLinearMap(xs, pieces))
+    return IntervalCorrespondence(branches), n
+
+
+@settings(deadline=None, max_examples=100)
+@given(pl_systems())
+def test_grid_build_matches_the_fraction_reference(case):
+    system, n = case
+    assert grid_discretize(system, n).corr.edges \
+        == reference_grid_edges(system.branches, n)
+
+
+def test_example_grid_matches_the_fraction_reference():
+    system = example_branches()
+    for n in (256, 1024, 4096):
+        assert grid_discretize(system, n).corr.edges \
+            == reference_grid_edges(system.branches, n)

@@ -168,6 +168,17 @@ def test_extremes_cannot_be_decomposed_further():
         assert big == [k]
 
 
+def test_decomposition_searches_only_the_face_of_mu():
+    # 40 point masses; the 5 on states 0-4 sort last, at indices 35-39
+    corr = FiniteCorrespondence(40, [(i, i) for i in range(40)])
+    ext = invariant_polytope_extremes(corr)
+    for fifth in (0.2, Fraction(1, 5)):
+        mu = [fifth] * 5 + [0] * 35
+        idxs, weights, _ = extremal_decomposition(corr, mu, ext)
+        assert idxs == [35, 36, 37, 38, 39]
+        assert weights == [fifth] * 5
+
+
 def test_hat_lift_forward_extends_by_zero():
     # block {0, 1} carries the swap map; state 2 is outside
     corr = FiniteCorrespondence(3, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)])

@@ -8,6 +8,7 @@ from corrpress import (
     FiniteCorrespondence,
     InvalidDecomposition,
     Potential,
+    SolverError,
     decomposition_pressure,
     inverse_correspondence,
     path_pressure_sequence,
@@ -172,6 +173,22 @@ def test_coboundary_leaves_pressure_fixed():
         cob = Potential.from_state_difference(corr, psi)
         assert spectral_pressure(corr, phi + cob).pressure \
             == pytest.approx(spectral_pressure(corr, phi).pressure, abs=1e-9)
+
+
+def test_coboundary_past_the_dense_range_is_a_solver_error():
+    """phi = (a, -a, 0) is a coboundary, so the pressure is log golden
+    for every a.  Past a weight span of about 745 the dense route's
+    smallest weight underflows to zero, which would drop an edge."""
+    corr = FiniteCorrespondence(2, [(0, 1), (1, 0), (1, 1)])
+    phi = Potential(corr, [300.0, -300.0, 0.0])
+    assert spectral_pressure(corr, phi).pressure == pytest.approx(LOG_GOLDEN, abs=1e-12)
+    for a in (400.0, 1000.0):
+        values = np.array([a, -a, 0.0])
+        with pytest.raises(SolverError, match="2-state class"):
+            spectral_pressure(corr, Potential(corr, values))
+        for vectors in (False, True):
+            with pytest.raises(SolverError):
+                SpectralCache(corr).solve(0, values, vectors)
 
 
 def test_reversal_preserves_pressure():

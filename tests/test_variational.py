@@ -25,6 +25,7 @@ from corrpress import (
     tangent_functionals,
     uniform_measure,
 )
+from corrpress import verify
 from corrpress.kernels import stationary_gap
 from corrpress.verify import random_invariant_measure as cycle_mixture
 
@@ -234,6 +235,19 @@ def test_underflowed_perron_vector_is_a_convergence_failure():
         gibbs_equilibrium(corr, phi)
     with pytest.raises(ConvergenceFailure):
         tangent_functionals(corr, phi)
+
+
+def test_underflowed_parry_measure_is_a_convergence_failure():
+    """On the 15th draw the product l * r of the Perron vectors
+    underflows to zero on states 1 and 8, so the Parry measure would
+    miss part of its class and not be invariant."""
+    rng = np.random.default_rng(9)
+    for _ in range(15):
+        corr = verify.random_primitive(rng)
+        phi = verify.random_potential(rng, corr).scale(20)
+    assert (corr.n_states, corr.n_edges) == (10, 33)
+    with pytest.raises(ConvergenceFailure):
+        gibbs_equilibrium(corr, phi)
 
 
 def test_measure_pressure_rejects_a_hall_violation_after_the_budget():
