@@ -8,10 +8,13 @@ non-convergence.
 """
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -215,13 +218,87 @@ def _potential_doc(corr, values):
 
 # ---------------------------------------------------------------- reports
 
+INDENT = "  "
+_NONFINITE = frozenset({"nan", "inf", "-inf"})
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    if text in _NONFINITE:
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(x))
+    return text
+
+
+def _scalar_text(x):
+    """A JSON scalar as json.dumps writes it, or None for a container."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    return None
+
+
+def _int_rows(items, inner):
+    """The joined item texts of a list of equal-length int lists, from
+    one %d template, or None when items is not such a list."""
+    if set(map(type, items)) - {list, tuple}:
+        return None
+    lengths = set(map(len, items))
+    # bool is not int here: json writes it as true or false
+    if (len(lengths) != 1
+            or set(map(type, itertools.chain.from_iterable(items))) != {int}):
+        return None
+    deeper = inner + INDENT
+    row = "[" + deeper + ("," + deeper).join(["%d"] * lengths.pop()) + inner + "]"
+    return (("," + inner + row) * len(items))[len(inner) + 1:] % tuple(
+        itertools.chain.from_iterable(items))
+
+
+def _json_text(obj, inner="\n"):
+    """obj as json.dumps(obj, indent=2, allow_nan=False) writes it.
+
+    inner is the newline and indentation of obj's own line.  Each
+    container is one join of its item texts; scalars go through the
+    C-level encoders json itself uses on them.
+    """
+    text = _scalar_text(obj)
+    if text is not None:
+        return text
+    deeper = inner + INDENT
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # report keys are strings; _quote raises TypeError on any other
+        body = ("," + deeper).join([_quote(k) + ": " + _json_text(v, deeper)
+                                    for k, v in obj.items()])
+        return "{" + deeper + body + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _int_rows(obj, deeper)
+        if body is None:
+            body = ("," + deeper).join([_json_text(v, deeper) for v in obj])
+        return "[" + deeper + body + inner + "]"
+    raise TypeError(f"Object of type {obj.__class__.__name__} "
+                    "is not JSON serializable")
+
+
 def _emit(command, inputs, results, output, status="ok", error=None):
     doc = {"command": command,
            "inputs": inputs.record if isinstance(inputs, Inputs) else inputs,
            "results": results,
            "status": status,
            "error": error}
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    text = _json_text(doc) + "\n"
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -526,6 +603,7 @@ def cmd_decompose(args):
 
 # ---------------------------------------------------------------- parser
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="corrpress",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NotStationary, ShapeMismatch, TooLarge
-from .pressure import SpectralCache
 from .relations import FiniteCorrespondence, Potential
 
 DENSE_PATH_LIMIT = 10 ** 7
@@ -257,7 +256,7 @@ def stationary_measures(kernel, tol=1e-10):
     q = kernel.probs
     on = q > 0.0
     src, dst, logq = src[on], dst[on], np.log(q[on])   # the support's edges, sorted
-    cache = SpectralCache(FiniteCorrespondence(corr.n_states, zip(src, dst)))
+    cache = FiniteCorrespondence(corr.n_states, zip(src, dst)).spectral_cache()
     label = cache.class_of
     leaving = set(label[src][label[src] != label[dst]].tolist())
     out = []

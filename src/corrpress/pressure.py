@@ -166,9 +166,11 @@ def _perron_from(w, vecs, rho):
 def _class_edges(corr, components):
     """Index the edges inside each class in one vectorized pass.
 
-    Returns the state -> class label array and, per class, the local
-    source and target indices of its internal edges with their global
-    edge indices, in edge order.
+    Returns the state -> class label array, the local source and target
+    indices of the internal edges with their global edge indices, each
+    as one array grouped by class and in edge order within a class, and
+    the offsets of the classes' groups: class c owns the entries
+    offsets[c]:offsets[c + 1].
     """
     sizes = np.fromiter(map(len, components), dtype=np.int64,
                         count=len(components))
@@ -182,34 +184,39 @@ def _class_edges(corr, components):
     src, dst = corr.edge_arrays()
     inside = np.flatnonzero(label[src] == label[dst])
     inside = inside[np.argsort(label[src[inside]], kind="stable")]
-    cuts = np.cumsum(np.bincount(label[src[inside]],
-                                 minlength=len(components)))[:-1]
-    return label, list(zip(np.split(local[src[inside]], cuts),
-                           np.split(local[dst[inside]], cuts),
-                           np.split(inside, cuts)))
+    counts = np.bincount(label[src[inside]], minlength=len(components))
+    offsets = [0] + np.cumsum(counts).tolist()
+    return label, local[src[inside]], local[dst[inside]], inside, offsets
 
 
 class SpectralCache:
     """Perron data of the spectral classes of a fixed edge graph.
 
     The classes (strongly connected components) and the edges inside
-    them depend only on the support, so they are indexed once; every
-    quantity for a given potential then comes from solve(), the one
-    Perron routine.  Classes of up to DENSE_MAX states take a dense
-    eigensolve, larger ones a sparse power iteration.
+    them depend only on the support, so they are indexed once per
+    relation (FiniteCorrespondence.spectral_cache); every quantity for
+    a given potential then comes from solve(), the one Perron routine.
+    Classes of up to DENSE_MAX states take a dense eigensolve, larger
+    ones a sparse power iteration.  The cache keeps no reference to the
+    relation, so the relation it is memoised on is freed by reference
+    counting alone.
     """
 
     def __init__(self, corr):
-        self.corr = corr
         self.components = strongly_connected_components(corr.n_states, corr._succ)
-        # class_edges[c] = (local sources, local targets, edge indices)
-        self.class_of, self.class_edges = _class_edges(corr, self.components)
+        (self.class_of, self._rows, self._cols, self._eidx,
+         self._offsets) = _class_edges(corr, self.components)
         self.periods = {c: component_period(comp, corr._succ)
                         for c, comp in enumerate(self.components)
                         if len(comp) > DENSE_MAX}
         # classes whose power iteration once ran out of budget; the
         # dense route is exact, so keeping them on it costs speed only
         self.slow = set()
+
+    def class_edges(self, c):
+        """(local sources, local targets, edge indices) inside class c."""
+        lo, hi = self._offsets[c], self._offsets[c + 1]
+        return self._rows[lo:hi], self._cols[lo:hi], self._eidx[lo:hi]
 
     def solve(self, c, values, vectors=True):
         """(log rho, right, left, bracket) of the weight matrix on class c.
@@ -220,20 +227,24 @@ class SpectralCache:
         one-state classes and None on the dense route, which also takes
         large classes the power iteration cannot settle within its step
         budget; such a class skips the power iteration in every later
-        call on this cache.  A class with no internal edge has
-        log rho = -inf and no Perron vectors.
+        call on this cache.  A class with no internal edge, or whose
+        internal weights are all -inf, has log rho = -inf and no Perron
+        vectors.
         """
-        rows, cols, eidx = self.class_edges[c]
-        k = len(self.components[c])
-        if eidx.size == 0:
+        lo, hi = self._offsets[c], self._offsets[c + 1]
+        w = values[self._eidx[lo:hi]]
+        # most classes of a grid model are one loop: skip the reduction
+        shift = float(w[0]) if hi - lo == 1 else float(w.max(initial=-np.inf))
+        if shift == -np.inf:
+            # -inf weights are absent edges: the class matrix is zero
             if vectors:
                 raise ConvergenceFailure(0)
             return -np.inf, None, None, (-np.inf, -np.inf)
-        w = values[eidx]
+        k = len(self.components[c])
         if k == 1:
-            logrho = float(w[0])
             one = np.ones(1) if vectors else None
-            return logrho, one, one, (logrho, logrho)
+            return shift, one, one, (shift, shift)
+        rows, cols, eidx = self.class_edges(c)
         if k > DENSE_MAX and c not in self.slow:
             # past about k^3 / edges steps a dense eigensolve is cheaper,
             # so a class that mixes too slowly falls through to it
@@ -247,7 +258,6 @@ class SpectralCache:
                 if right is not None:
                     return logrho, _unit(right[1]), _unit(left_vec), bracket
             self.slow.add(c)
-        shift = float(np.max(w))
         scaled = np.exp(w - shift)
         # a finite weight that underflows would drop an edge from the
         # class; -inf weights are absent edges and stay so
@@ -307,7 +317,7 @@ def spectral_pressure(corr, phi, tie_tol=TIE_TOL):
     dominates.  Every state has a successor, so some cycle exists and
     the pressure is finite.
     """
-    cache = SpectralCache(corr)
+    cache = corr.spectral_cache()
     top, dom, radii = cache.dominant(phi.values, tie_tol)
     return SpectralResult(float(top), tuple(cache.components), tuple(radii),
                           tuple(dom))

@@ -66,6 +66,7 @@ class FiniteCorrespondence:
                 raise ShapeMismatch(f"{len(labels)} labels for {n_states} states")
         self.labels = labels
         self._arrays = None
+        self._spectral = None
 
     def successors(self, i):
         return self._succ[i]
@@ -88,6 +89,14 @@ class FiniteCorrespondence:
             arrays.flags.writeable = False
             self._arrays = (arrays[0], arrays[1])
         return self._arrays
+
+    def spectral_cache(self):
+        """The spectral class index (pressure.SpectralCache) of this
+        relation; built once per relation and shared by every solver."""
+        if self._spectral is None:
+            from .pressure import SpectralCache
+            self._spectral = SpectralCache(self)
+        return self._spectral
 
     def edge_index(self):
         return {e: k for k, e in enumerate(self.edges)}

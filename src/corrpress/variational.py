@@ -35,7 +35,7 @@ from .kernels import (
     validate_measure,
 )
 from .polytope import _invariant_lp
-from .pressure import TIE_TOL, SpectralCache, spectral_pressure
+from .pressure import TIE_TOL, spectral_pressure
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class SolverConfig:
             raise ShapeMismatch("bad solver configuration")
 
 
-def _gibbs_on_class(cache, c, values):
+def _gibbs_on_class(corr, c, values):
     """Gibbs kernel and Parry measure of one spectral class.
 
     With Perron data (rho, r, l) of class c the kernel is
@@ -71,16 +71,17 @@ def _gibbs_on_class(cache, c, values):
     measure misses part of its class, where it is not invariant.
     Either is a ConvergenceFailure.
     """
+    cache = corr.spectral_cache()
     logrho, right, left, _ = cache.solve(c, values)
     parry = left * right
     if not np.all(parry > 0.0):
         raise ConvergenceFailure(0)
-    rows, cols, eidx = cache.class_edges[c]
-    weights = np.zeros(cache.corr.n_edges)
+    rows, cols, eidx = cache.class_edges(c)
+    weights = np.zeros(corr.n_edges)
     weights[eidx] = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
-    mu = np.zeros(cache.corr.n_states)
+    mu = np.zeros(corr.n_states)
     mu[list(cache.components[c])] = parry / float(np.sum(parry))
-    return logrho, kernel_from_pair(cache.corr, weights), mu
+    return logrho, kernel_from_pair(corr, weights), mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +102,15 @@ def gibbs_equilibrium(corr, phi, tie_tol=TIE_TOL):
     that class the kernel is Q_ij = M_ij r_j / (rho r_i) and the
     measure is the Parry measure l_i r_i / <l, r>; see _gibbs_on_class.
     """
-    cache = SpectralCache(corr)
+    cache = corr.spectral_cache()
     _, dom, _ = cache.dominant(phi.values, tie_tol)
     if len(dom) != 1:
         raise NonUniqueDominantClass([cache.components[c] for c in dom])
-    logrho, kernel, mu = _gibbs_on_class(cache, dom[0], phi.values)
+    logrho, kernel, mu = _gibbs_on_class(corr, dom[0], phi.values)
     pair = pair_from_kernel(mu, kernel)
     h = entropy_rate(mu, kernel)
-    integral = float(np.dot(pair, phi.values))
+    # an edge the pair does not carry adds nothing, even where phi = -inf
+    integral = float(np.dot(pair, np.where(pair > 0.0, phi.values, 0.0)))
     return EquilibriumPair(float(logrho), kernel, mu, pair, h, integral,
                            cache.components[dom[0]])
 
@@ -302,11 +304,11 @@ def tangent_functionals(corr, phi, tie_tol=TIE_TOL):
     One Gibbs pair measure per dominant spectral class; the pressure
     is differentiable at phi exactly when the tangent is unique.
     """
-    cache = SpectralCache(corr)
+    cache = corr.spectral_cache()
     top, dom, _ = cache.dominant(phi.values, tie_tol)
     tangents = []
     for c in dom:
-        _, kernel, mu = _gibbs_on_class(cache, c, phi.values)
+        _, kernel, mu = _gibbs_on_class(corr, c, phi.values)
         tangents.append(pair_from_kernel(mu, kernel))
     return TangentSet(float(top), tuple(tangents),
                       tuple(cache.components[c] for c in dom),
@@ -345,7 +347,7 @@ def directional_derivative(corr, phi, psi, side="both", tie_tol=TIE_TOL):
         raise ShapeMismatch(f"unknown side {side!r}")
     tset = tangent_functionals(corr, phi, tie_tol)
     pairings = [float(np.dot(t, psi.values)) for t in tset.tangents]
-    cache = SpectralCache(corr)
+    cache = corr.spectral_cache()
     plus = minus = plus_fd = minus_fd = None
     if side in ("plus", "both"):
         plus = max(pairings)

@@ -262,6 +262,17 @@ def test_underflowing_class_weights_are_exit_three(tmp_path, capsys, a):
     assert doc["error"]["type"] == "SolverError"
 
 
+def test_class_of_minus_infinity_weights_is_no_solver_error(tmp_path, capsys):
+    corr = write(tmp_path, "corr.json",
+                 {"n_states": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 2]]})
+    phi = write(tmp_path, "phi.json", {"edges": [
+        [0, 1, -math.inf], [1, 0, -math.inf], [1, 2, 0.0], [2, 2, 0.0]]})
+    code, doc = run(capsys, ["pressure", "--input", corr, "--phi", phi])
+    assert code == 0
+    assert doc["results"]["spectral"]["pressure"] == 0.0
+    assert doc["results"]["spectral"]["log_radii"] == [0.0, None]
+
+
 def test_unbalanced_pair_reports_minus_infinity(tmp_path, capsys):
     corr = write(tmp_path, "full.json",
                  {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]})

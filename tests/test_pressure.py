@@ -1,15 +1,20 @@
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from corrpress import (
+    ConvergenceFailure,
     Decomposition,
     FiniteCorrespondence,
     InvalidDecomposition,
     Potential,
     SolverError,
     decomposition_pressure,
+    gibbs_equilibrium,
     inverse_correspondence,
     path_pressure_sequence,
     spectral_pressure,
@@ -274,6 +279,49 @@ def test_class_edges_match_a_per_class_loop():
             pos = {s: k for k, s in enumerate(comp)}
             loop = [(pos[i], pos[j], k) for k, (i, j) in enumerate(corr.edges)
                     if i in pos and j in pos]
-            rows, cols, eidx = cache.class_edges[c]
+            rows, cols, eidx = cache.class_edges(c)
             assert list(zip(rows, cols, eidx)) == loop
             assert all(cache.class_of[s] == c for s in comp)
+
+
+def test_the_class_index_is_built_once_per_relation():
+    corr = golden_mean()
+    cache = corr.spectral_cache()
+    assert corr.spectral_cache() is cache
+    spectral_pressure(corr, Potential.zero(corr))
+    gibbs_equilibrium(corr, Potential.zero(corr))
+    assert corr.spectral_cache() is cache
+
+
+def test_a_solved_relation_is_freed_by_reference_counting():
+    """The memoised class index holds no reference back to its
+    relation, so no cycle keeps a solved relation alive until the
+    cycle collector runs."""
+    rng = np.random.default_rng(113)
+    corr = random_relation(rng, 6)
+    phi = random_potential(rng, corr)
+    ref = weakref.ref(corr)
+    spectral_pressure(corr, phi)
+    gibbs_equilibrium(corr, phi)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del corr, phi
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_class_of_minus_infinity_weights_has_radius_minus_infinity():
+    # {0, 1} is a class whose two edges weigh -inf; {2} carries 0
+    corr = FiniteCorrespondence(3, [(0, 1), (1, 0), (1, 2), (2, 2)])
+    phi = Potential(corr, [-np.inf, -np.inf, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = spectral_pressure(corr, phi)
+    assert spec.pressure == 0.0
+    assert spec.components == ((2,), (0, 1))
+    assert spec.log_radii == (0.0, -np.inf)
+    with pytest.raises(ConvergenceFailure):
+        SpectralCache(corr).solve(1, phi.values)

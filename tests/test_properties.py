@@ -1,6 +1,6 @@
 """Property tests of the pressure, the closed-form abstract entropy,
-the cycle description of the invariant polytope, and the command
-line's exit-code contract.
+the cycle description of the invariant polytope, the command line's
+exit-code contract, and its report writer against json.dumps.
 
 The abstract entropy of a pair measure nu is inf over psi of
 [P(psi) - <nu, psi>], with P the spectral pressure.  The pair polytope
@@ -20,6 +20,7 @@ import tempfile
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrpress import (
@@ -32,7 +33,7 @@ from corrpress import (
     spectral_pressure,
     stationary_measures,
 )
-from corrpress.cli import main
+from corrpress.cli import _emit, main
 from corrpress.pressure import DENSE_MAX, SpectralCache
 from corrpress.simplex import INFEASIBLE, OPTIMAL, simplex
 from corrpress.verify import (
@@ -353,3 +354,46 @@ def test_malformed_kernel_documents_exit_cleanly(doc, overflow):
         ["kentropy", "--input", "c.json", "--kernel", "k.json", "--mu", "m.json"],
         {"c.json": GOLDEN, "k.json": doc, "m.json": {"weights": [0.5, 0.5]}},
         overflow))
+
+
+# ------------------------------------------------------------ report writer
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, -0.0, 1e16, 1e-7, -1e300, 5e-324])
+                | st.text())
+INT_ROWS = (st.lists(st.lists(st.integers(), max_size=4), min_size=1)
+            | st.integers(0, 4).flatmap(lambda k: st.lists(
+                st.lists(st.integers(), min_size=k, max_size=k), min_size=1))
+            | st.lists(st.lists(st.integers() | st.booleans(), min_size=2,
+                                max_size=2), min_size=1))
+JSON_TREES = st.recursive(
+    JSON_SCALARS | INT_ROWS,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.text(), kids, max_size=5),
+    max_leaves=40)
+
+
+def emitted(results):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit("probe", {}, results, "-")
+    return out.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(results=JSON_TREES)
+def test_report_writer_matches_the_stdlib_encoder(results):
+    doc = {"command": "probe", "inputs": {}, "results": results,
+           "status": "ok", "error": None}
+    assert emitted(results) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_writer_refuses_non_finite_floats(bad):
+    for results in (bad, [1.0, bad], {"a": [[0, 1], {"b": bad}]}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emitted(results)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json.dumps(results, indent=2, allow_nan=False)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from corrpress import (
     tangent_functionals,
     uniform_measure,
 )
-from corrpress import verify
+from corrpress import pressure, verify
 from corrpress.kernels import stationary_gap
 from corrpress.verify import random_invariant_measure as cycle_mixture
 
@@ -106,6 +107,18 @@ def test_gibbs_pair_attains_the_pressure():
             left[i] += w
             right[j] += w
         assert np.abs(left - right).sum() <= 1e-10
+
+
+def test_equilibrium_beside_a_class_of_minus_infinity_weights():
+    corr = FiniteCorrespondence(3, [(0, 1), (1, 0), (1, 2), (2, 2)])
+    phi = Potential(corr, [-np.inf, -np.inf, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eq = gibbs_equilibrium(corr, phi)
+    assert eq.pressure == 0.0
+    assert np.array_equal(eq.measure, [0.0, 0.0, 1.0])
+    assert eq.dominant_class == (2,)
+    assert eq.integral == 0.0
 
 
 def test_tied_classes_refuse_a_single_equilibrium():
@@ -426,6 +439,22 @@ def test_derivative_matches_finite_differences():
         assert der.plus == pytest.approx(der.plus_fd, abs=1e-4)
         assert der.minus == pytest.approx(der.minus_fd, abs=1e-4)
         assert der.minus <= der.plus + 1e-12
+
+
+def test_derivative_builds_one_class_index(monkeypatch):
+    built = []
+    original = pressure._class_edges
+
+    def counting(*args):
+        built.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(pressure, "_class_edges", counting)
+    rng = np.random.default_rng(70)
+    corr = random_relation(rng, 6)
+    directional_derivative(corr, random_potential(rng, corr),
+                           random_potential(rng, corr))
+    assert built == [corr]
 
 
 def test_two_loop_fixture_has_one_sided_derivatives():
