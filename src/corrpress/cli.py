@@ -556,8 +556,6 @@ def cmd_relabel(args):
     if cfg is None or "theta" not in cfg:
         raise ShapeMismatch("relabel needs --config with a theta array")
     theta = [int(t) for t in cfg["theta"]]
-    if sorted(theta) != list(range(corr.n_states)):
-        raise ShapeMismatch("theta is not a permutation of the states")
     relabeled = corr.relabel(theta)
     results = {"theta": theta, "correspondence": _corr_doc(relabeled)}
     phi_doc = inputs.load("phi", args.phi)

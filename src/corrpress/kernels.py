@@ -18,13 +18,15 @@ from .relations import FiniteCorrespondence, Potential
 DENSE_PATH_LIMIT = 10 ** 7
 
 
-def validate_measure(n_states, weights, tol=1e-9):
+def validate_measure(n_states, weights):
+    """The one probability-vector check, for state, block and pair
+    measures (a pair measure's n_states is the edge count)."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (n_states,):
         raise ShapeMismatch(f"measure has shape {w.shape}, expected ({n_states},)")
     if np.any(w < -1e-12):
         raise ShapeMismatch("negative weight in measure")
-    if not abs(float(np.sum(w)) - 1.0) <= tol:    # NaN fails here too
+    if not abs(float(np.sum(w)) - 1.0) <= 1e-9:    # NaN fails here too
         raise ShapeMismatch(f"measure mass {float(np.sum(w))!r} is not 1")
     return np.where(w < 0.0, 0.0, w)
 
@@ -242,7 +244,7 @@ def stationary_gap(mu, kernel):
     return float(np.sum(np.abs(pushforward(mu, kernel) - np.asarray(mu, dtype=float))))
 
 
-def stationary_measures(kernel, tol=1e-10):
+def stationary_measures(kernel):
     """Ergodic stationary measures, one per recurrent class of the support.
 
     A recurrent class is closed: no support edge leaves it, so the
@@ -266,7 +268,7 @@ def stationary_measures(kernel, tol=1e-10):
         _, _, left, _ = cache.solve(c, logq)
         mu = np.zeros(corr.n_states)
         mu[list(states)] = left
-        if stationary_gap(mu, kernel) > tol:
+        if stationary_gap(mu, kernel) > 1e-10:
             raise NotStationary(stationary_gap(mu, kernel))
         out.append((states, mu))
     out.sort(key=lambda pair: min(pair[0]))

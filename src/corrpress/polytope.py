@@ -22,7 +22,6 @@ from .errors import (
     NotInvariant,
     NotInvariantOnBlock,
     NotSurjective,
-    ShapeMismatch,
     TooLarge,
 )
 from .kernels import TransitionKernel, kernel_from_pair, validate_measure
@@ -31,6 +30,8 @@ from .simplex import OPTIMAL, gauss_solve, simplex
 
 SUBSET_STATE_CAP = 16
 WITNESS_TOL = 1e-10
+# the mass a coupling may miss, and a subset may exceed its preimage by
+FEAS_TOL = 1e-9
 # bound on cycles x (states + edges): Johnson's time and the vertex table
 CYCLE_WORK_CAP = 10 ** 6
 
@@ -44,7 +45,7 @@ class InvarianceCheck:
     violating_subset: tuple | None
 
 
-def _invariant_lp(corr, mu, feas_tol):
+def _invariant_lp(corr, mu):
     """A pair measure with both marginals mu, or None when there is none.
 
     Rows: sums over the edges out of each state, then into each state
@@ -52,13 +53,13 @@ def _invariant_lp(corr, mu, feas_tol):
     a = [[1 if e[0] == i else 0 for e in corr.edges] for i in range(corr.n_states)]
     a += [[1 if e[1] == j else 0 for e in corr.edges] for j in range(corr.n_states - 1)]
     b = [float(v) for v in mu] + [float(v) for v in mu[:-1]]
-    status, x, _ = simplex(a, b, [0.0] * corr.n_edges, exact=False, feas_tol=feas_tol)
+    status, x, _ = simplex(a, b, [0.0] * corr.n_edges, exact=False, feas_tol=FEAS_TOL)
     if status != OPTIMAL:
         return None
     return np.array([float(v) for v in x])
 
 
-def _invariant_subsets(corr, mu, slack):
+def _invariant_subsets(corr, mu):
     """Hall-type check over all target subsets, bitmask dynamic programs."""
     n = corr.n_states
     if n > SUBSET_STATE_CAP:
@@ -75,12 +76,12 @@ def _invariant_subsets(corr, mu, slack):
         mass[m] = mass[rest] + float(mu[low])
         pre[m] = pre[rest] | pred_mask[low]
     for m in range(1, size):
-        if mass[m] > mass[pre[m]] + slack:
+        if mass[m] > mass[pre[m]] + FEAS_TOL:
             return tuple(i for i in range(n) if m >> i & 1)
     return None
 
 
-def is_invariant(corr, mu, mode="both", feas_tol=1e-9):
+def is_invariant(corr, mu, mode="both"):
     """Decide invariance of a state measure, with a witness either way.
 
     mode "lp" solves the coupling feasibility problem and returns a
@@ -95,10 +96,10 @@ def is_invariant(corr, mu, mode="both", feas_tol=1e-9):
     pair = None
     violating = None
     if mode in ("lp", "both"):
-        pair = _invariant_lp(corr, mu, feas_tol)
+        pair = _invariant_lp(corr, mu)
         by_mode["lp"] = pair is not None
     if mode in ("subsets", "both"):
-        violating = _invariant_subsets(corr, mu, feas_tol)
+        violating = _invariant_subsets(corr, mu)
         by_mode["subsets"] = violating is None
     verdict = by_mode.get("lp", by_mode.get("subsets"))
     kernel = None
@@ -276,11 +277,7 @@ def hat_lift(corr, block, mu_block, variant="forward"):
     """
     block = sorted(set(block))
     bset = set(block)
-    mu_block = np.asarray(mu_block, dtype=float)
-    if mu_block.shape != (len(block),):
-        raise ShapeMismatch("block measure length mismatch")
-    if abs(float(np.sum(mu_block)) - 1.0) > 1e-9 or np.any(mu_block < -1e-12):
-        raise ShapeMismatch("block measure is not a probability vector")
+    mu_block = validate_measure(len(block), mu_block)
     local = {s: k for k, s in enumerate(block)}
     n = corr.n_states
     if variant not in ("forward", "inverse"):

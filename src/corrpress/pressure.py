@@ -21,7 +21,7 @@ from .errors import ConvergenceFailure, InvalidDecomposition, SolverError
 from .relations import Decomposition, decomposition_validate
 
 # Spectral classes whose log radius lies within this distance of the
-# maximum count as dominant.  Shared with the variational layer.
+# maximum count as dominant (SpectralCache.dominant).
 TIE_TOL = 1e-9
 
 # Classes of up to DENSE_MAX states take the dense eigensolver, larger
@@ -289,10 +289,10 @@ class SpectralCache:
     def pressure(self, values):
         return max(self.log_radii(values))
 
-    def dominant(self, values, tie_tol=TIE_TOL):
+    def dominant(self, values):
         radii = self.log_radii(values)
         top = max(radii)
-        dom = [c for c, r in enumerate(radii) if top - r <= tie_tol]
+        dom = [c for c, r in enumerate(radii) if top - r <= TIE_TOL]
         dom.sort(key=lambda c: min(self.components[c]))
         return top, dom, radii
 
@@ -309,7 +309,7 @@ class SpectralResult:
         return tuple(self.components[k] for k in self.dominant)
 
 
-def spectral_pressure(corr, phi, tie_tol=TIE_TOL):
+def spectral_pressure(corr, phi):
     """Pressure as log spectral radius, with the list of dominant classes.
 
     Classes are strongly connected components of the edge graph; a
@@ -318,7 +318,7 @@ def spectral_pressure(corr, phi, tie_tol=TIE_TOL):
     the pressure is finite.
     """
     cache = corr.spectral_cache()
-    top, dom, radii = cache.dominant(phi.values, tie_tol)
+    top, dom, radii = cache.dominant(phi.values)
     return SpectralResult(float(top), tuple(cache.components), tuple(radii),
                           tuple(dom))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,7 +53,6 @@ class FiniteCorrespondence:
             raise EmptySuccessor(list(first), n_states - len(sources))
         self.n_states = int(n_states)
         self.edges = tuple(sorted(seen))
-        self._edge_set = seen
         succ = [[] for _ in range(n_states)]
         pred = [[] for _ in range(n_states)]
         for i, j in self.edges:
@@ -67,6 +67,7 @@ class FiniteCorrespondence:
         self.labels = labels
         self._arrays = None
         self._spectral = None
+        self._index = None
 
     def successors(self, i):
         return self._succ[i]
@@ -75,7 +76,7 @@ class FiniteCorrespondence:
         return self._pred[j]
 
     def has_edge(self, i, j):
-        return (i, j) in self._edge_set
+        return (i, j) in self.edge_index()
 
     @property
     def n_edges(self):
@@ -99,7 +100,11 @@ class FiniteCorrespondence:
         return self._spectral
 
     def edge_index(self):
-        return {e: k for k, e in enumerate(self.edges)}
+        """Read-only map from each edge to its position in self.edges;
+        built once per relation."""
+        if self._index is None:
+            self._index = MappingProxyType({e: k for k, e in enumerate(self.edges)})
+        return self._index
 
     def restrict(self, states):
         """Sub-relation induced on the given states.
@@ -182,7 +187,8 @@ class Potential:
     """Real weight per edge of a correspondence.
 
     Values are kept as a vector aligned with corr.edges; edges not
-    mentioned at construction get weight zero.
+    mentioned at construction get weight zero.  A weight is finite or
+    -inf, which marks an absent edge.
     """
 
     def __init__(self, corr, values=None):
@@ -202,6 +208,12 @@ class Potential:
             if values.shape != (corr.n_edges,):
                 raise IndexOutOfRange([], corr.n_states)
             vec = values.copy()
+        # -inf marks an absent edge; NaN and +inf have no meaning
+        bad = np.flatnonzero(np.isnan(vec) | (vec == np.inf))
+        if bad.size:
+            k = int(bad[0])
+            raise ShapeMismatch(
+                f"potential weight {float(vec[k])!r} on edge {corr.edges[k]}")
         self.values = vec
 
     @classmethod

@@ -14,6 +14,8 @@ direction along which the objective has no lower bound.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ from .kernels import (
     validate_measure,
 )
 from .polytope import _invariant_lp
-from .pressure import TIE_TOL, spectral_pressure
+from .pressure import spectral_pressure
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,27 @@ class SolverConfig:
     The mpressure command passes max_iterations as measure_pressure's
     Newton step budget and tolerance, at most 1e-10, as its marginal
     tolerance.  abstract_kernel_entropy reads tolerance only, as the
-    largest marginal imbalance it counts as balanced.
+    largest marginal imbalance it counts as balanced.  max_iterations
+    is an integer of at least 1 (a whole float such as 1e3 counts) and
+    tolerance a finite number above 0; booleans are neither.
     """
 
     max_iterations: int = 100
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.max_iterations < 1:
-            raise ShapeMismatch("bad solver configuration")
+        steps, tol = self.max_iterations, self.tolerance
+        if isinstance(steps, float) and steps.is_integer():    # not NaN or inf
+            steps = int(steps)
+        if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
+                or steps < 1):
+            raise ShapeMismatch(
+                f"max_iterations must be an integer >= 1, not {steps!r}")
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0 < tol < math.inf):    # NaN fails here too
+            raise ShapeMismatch(f"tolerance must be finite and > 0, not {tol!r}")
+        object.__setattr__(self, "max_iterations", int(steps))
+        object.__setattr__(self, "tolerance", float(tol))
 
 
 def _gibbs_on_class(corr, c, values):
@@ -95,7 +109,7 @@ class EquilibriumPair:
     dominant_class: tuple
 
 
-def gibbs_equilibrium(corr, phi, tie_tol=TIE_TOL):
+def gibbs_equilibrium(corr, phi):
     """Equilibrium state from the dominant spectral class.
 
     Requires a unique dominant class.  With Perron data (rho, r, l) of
@@ -103,7 +117,7 @@ def gibbs_equilibrium(corr, phi, tie_tol=TIE_TOL):
     measure is the Parry measure l_i r_i / <l, r>; see _gibbs_on_class.
     """
     cache = corr.spectral_cache()
-    _, dom, _ = cache.dominant(phi.values, tie_tol)
+    _, dom, _ = cache.dominant(phi.values)
     if len(dom) != 1:
         raise NonUniqueDominantClass([cache.components[c] for c in dom])
     logrho, kernel, mu = _gibbs_on_class(corr, dom[0], phi.values)
@@ -187,8 +201,8 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
             b, err = residuals(nu)
             if err <= tol:
                 break
-            if steps == max_iter:
-                if _invariant_lp(corr, mu, 1e-9) is None:
+            if steps >= max_iter:
+                if _invariant_lp(corr, mu) is None:
                     raise NotInvariant()
                 raise ScalingDiverged(f"marginal error {err:.3e} after {steps} steps")
             steps += 1
@@ -246,13 +260,8 @@ def abstract_kernel_entropy(corr, nu, config=None):
     residual is |g|_1.  Nothing is iterated: iterations is 0 and
     converged is always true.
     """
-    nu = np.asarray(nu, dtype=float)
-    if nu.shape != (corr.n_edges,):
-        raise ShapeMismatch("pair measure must be an edge vector")
-    if abs(float(np.sum(nu)) - 1.0) > 1e-9 or np.any(nu < -1e-12):
-        raise ShapeMismatch("pair measure must be a probability on edges")
+    nu = validate_measure(corr.n_edges, nu)
     cfg = config or SolverConfig()
-    nu = np.maximum(nu, 0.0)
     src, dst = corr.edge_arrays()
     row = np.bincount(src, weights=nu, minlength=corr.n_states)
     g = row - np.bincount(dst, weights=nu, minlength=corr.n_states)
@@ -298,14 +307,14 @@ class TangentSet:
     is_unique: bool
 
 
-def tangent_functionals(corr, phi, tie_tol=TIE_TOL):
+def tangent_functionals(corr, phi):
     """Extreme tangent functionals of the pressure at phi.
 
     One Gibbs pair measure per dominant spectral class; the pressure
     is differentiable at phi exactly when the tangent is unique.
     """
     cache = corr.spectral_cache()
-    top, dom, _ = cache.dominant(phi.values, tie_tol)
+    top, dom, _ = cache.dominant(phi.values)
     tangents = []
     for c in dom:
         _, kernel, mu = _gibbs_on_class(corr, c, phi.values)
@@ -336,7 +345,7 @@ def _one_sided_fd(cache, values, direction, sign):
     return (t1 * fds[2] - t2 * fds[1]) / (t1 - t2)
 
 
-def directional_derivative(corr, phi, psi, side="both", tie_tol=TIE_TOL):
+def directional_derivative(corr, phi, psi, side="both"):
     """One-sided derivatives of the pressure along psi.
 
     The tangent route takes max (plus side) or min (minus side) of
@@ -345,7 +354,10 @@ def directional_derivative(corr, phi, psi, side="both", tie_tol=TIE_TOL):
     """
     if side not in ("plus", "minus", "both"):
         raise ShapeMismatch(f"unknown side {side!r}")
-    tset = tangent_functionals(corr, phi, tie_tol)
+    if np.any(psi.values == -np.inf):    # Potential refuses NaN and +inf
+        raise ShapeMismatch("direction weight -inf on edge "
+                            f"{corr.edges[int(np.argmin(psi.values))]}")
+    tset = tangent_functionals(corr, phi)
     pairings = [float(np.dot(t, psi.values)) for t in tset.tangents]
     cache = corr.spectral_cache()
     plus = minus = plus_fd = minus_fd = None

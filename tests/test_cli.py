@@ -224,6 +224,90 @@ def test_removed_solver_options_are_input_errors(tmp_path, capsys):
     assert doc["error"]["type"] == "ShapeMismatch"
 
 
+THREE = {"n_states": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 2]]}
+# row marginal (0.5, 0.3, 0.2) against column marginal (0.1, 0.5, 0.4)
+UNBALANCED = {"edges": [[0, 1, 0.5], [1, 0, 0.1], [1, 2, 0.2], [2, 2, 0.2]]}
+
+
+def refused(doc, *fragments):
+    """The report of an input error whose message names the given text."""
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "ShapeMismatch"
+    for text in fragments:
+        assert text in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("options, named", [
+    ({"max_iterations": 2.5}, "2.5"),     # once compared equal to no step count
+    ({"max_iterations": math.nan}, "nan"),
+    ({"max_iterations": math.inf}, "inf"),
+    ({"max_iterations": True}, "True"),
+    ({"max_iterations": 0}, "0"),
+    ({"tolerance": math.nan}, "nan"),     # once a singular Newton system
+    ({"tolerance": -math.inf}, "-inf"),
+    ({"tolerance": False}, "False"),
+    ({"tolerance": "1e-8"}, "1e-8"),
+])
+def test_mpressure_refuses_bad_solver_options(tmp_path, capsys, options, named):
+    cfg = write(tmp_path, "cfg.json", options)
+    for weights in ([0.11, 0.89], PARRY):
+        mu = write(tmp_path, "mu.json", {"weights": weights})
+        code, doc = run(capsys, ["mpressure", "--input", golden_corr(tmp_path),
+                                 "--mu", mu, "--config", cfg])
+        assert code == 2
+        refused(doc, named)
+
+
+def test_whole_float_step_budget_counts_as_an_integer(tmp_path, capsys):
+    mu = parry_mu(tmp_path)
+    reports = []
+    for budget in (1000, 1e3):
+        cfg = write(tmp_path, "cfg.json", {"max_iterations": budget})
+        code, doc = run(capsys, ["mpressure", "--input", golden_corr(tmp_path),
+                                 "--mu", mu, "--config", cfg])
+        assert code == 0
+        reports.append(doc["results"])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-3, True])
+def test_aentropy_refuses_a_bad_tolerance(tmp_path, capsys, tolerance):
+    # a NaN tolerance once let this unbalanced pair pass as balanced
+    corr = write(tmp_path, "three.json", THREE)
+    nu = write(tmp_path, "nu.json", UNBALANCED)
+    cfg = write(tmp_path, "cfg.json", {"tolerance": tolerance})
+    code, doc = run(capsys, ["aentropy", "--input", corr, "--nu", nu,
+                             "--config", cfg])
+    assert code == 2
+    refused(doc, "tolerance", repr(tolerance))
+    code, doc = run(capsys, ["aentropy", "--input", corr, "--nu", nu])
+    assert code == 0 and doc["results"]["minus_infinity"] is True
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_nan_and_infinite_weights_are_input_errors(tmp_path, capsys, weight):
+    phi = write(tmp_path, "phi.json", {"edges": [[0, 1, weight]]})
+    code, doc = run(capsys, ["pressure", "--input", golden_corr(tmp_path),
+                             "--phi", phi])
+    assert code == 2
+    refused(doc, repr(weight), "(0, 1)")
+
+
+@pytest.mark.parametrize("direction", [
+    [-math.inf, -math.inf, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0],
+    [math.inf, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("same_phi", [False, True])
+def test_derivative_refuses_a_direction_that_is_not_finite(tmp_path, capsys,
+                                                           direction, same_phi):
+    corr = write(tmp_path, "three.json", THREE)
+    nu = write(tmp_path, "dir.json", {"edges": [
+        e + [v] for e, v in zip(THREE["edges"], direction)]})
+    argv = ["derivative", "--input", corr, "--nu", nu]
+    code, doc = run(capsys, argv + (["--phi", nu] if same_phi else []))
+    assert code == 2
+    refused(doc, repr(direction[0]), "(0, 1)")
+
+
 def test_point_mass_pair_reports_null_certificate_entries(tmp_path, capsys):
     corr = golden_corr(tmp_path)
     nu = write(tmp_path, "loop.json",
@@ -378,6 +462,7 @@ def test_relabel_rejects_a_bad_permutation(tmp_path, capsys):
     theta = write(tmp_path, "theta.json", {"theta": [0, 0]})
     code, doc = run(capsys, ["relabel", "--input", corr, "--config", theta])
     assert code == 2
+    assert doc["error"]["type"] == "NotBijective"
 
 
 def test_decompose_reports_block_maximum(tmp_path, capsys):

@@ -8,6 +8,7 @@ from corrpress import (
     NotAFunctionOnBlock,
     NotInvariantOnBlock,
     NotSurjective,
+    ShapeMismatch,
     TooLarge,
     extremal_decomposition,
     hat_lift,
@@ -208,3 +209,6 @@ def test_hat_lift_error_cases():
     no_preimage = FiniteCorrespondence(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
     with pytest.raises(NotSurjective):
         hat_lift(no_preimage, [1], [1.0], variant="inverse")
+    # [nan, 1] once came back as the measure [nan, 1, 0]
+    with pytest.raises(ShapeMismatch):
+        hat_lift(swap, [0, 1], [np.nan, 1.0])

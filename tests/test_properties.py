@@ -356,6 +356,53 @@ def test_malformed_kernel_documents_exit_cleanly(doc, overflow):
         overflow))
 
 
+# Solver options of every JSON type: whole numbers as ints and floats,
+# with small budgets, fractions, non-finite values, booleans, strings.
+OPTION = st.one_of(
+    st.integers(min_value=-2, max_value=6),
+    st.integers(min_value=-2, max_value=6).map(float),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([2.5, 1e-12, 1e-8, math.nan, math.inf, -math.inf,
+                     True, False, "3", "1e-8", None]))
+CONFIG_DOCS = st.one_of(
+    st.fixed_dictionaries({}, optional={"max_iterations": OPTION,
+                                        "tolerance": OPTION}),
+    ANY_JSON)
+THREE = {"n_states": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 2]]}
+PAIRS = st.sampled_from([
+    {"edges": [[0, 1, 0.5], [1, 0, 0.1], [1, 2, 0.2], [2, 2, 0.2]]},
+    {"edges": [[0, 1, 0.25], [1, 0, 0.25], [2, 2, 0.5]]}])
+# on GOLDEN: a point mass on the loop, and a measure that is not invariant
+MEASURES = st.sampled_from([{"weights": [1.0, 0.0]}, {"weights": [0.11, 0.89]}])
+WEIGHT = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
+POTENTIAL_DOCS = st.fixed_dictionaries({"edges": st.lists(
+    st.tuples(st.sampled_from(THREE["edges"]), WEIGHT).map(
+        lambda ew: ew[0] + [ew[1]]), max_size=4)})
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=CONFIG_DOCS, mu=MEASURES, nu=PAIRS, overflow=st.booleans())
+def test_solver_option_documents_exit_cleanly(doc, mu, nu, overflow):
+    assert_contract(*run_documents(
+        ["mpressure", "--input", "c.json", "--mu", "m.json", "--config", "o.json"],
+        {"c.json": GOLDEN, "m.json": mu, "o.json": doc}, overflow))
+    assert_contract(*run_documents(
+        ["aentropy", "--input", "c.json", "--nu", "n.json", "--config", "o.json"],
+        {"c.json": THREE, "n.json": nu, "o.json": doc}, overflow))
+
+
+@settings(deadline=None, max_examples=150)
+@given(phi=POTENTIAL_DOCS, psi=POTENTIAL_DOCS, overflow=st.booleans())
+def test_potential_and_direction_documents_exit_cleanly(phi, psi, overflow):
+    assert_contract(*run_documents(
+        ["pressure", "--input", "c.json", "--phi", "p.json"],
+        {"c.json": THREE, "p.json": phi}, overflow))
+    assert_contract(*run_documents(
+        ["derivative", "--input", "c.json", "--phi", "p.json", "--nu", "d.json"],
+        {"c.json": THREE, "p.json": phi, "d.json": psi}, overflow))
+
+
 # ------------------------------------------------------------ report writer
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers()

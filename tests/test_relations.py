@@ -116,6 +116,29 @@ def test_potential_forms_agree():
         Potential(corr, {(1, 1): 1.0})
 
 
+def test_edge_index_is_built_once_and_read_only():
+    corr = FiniteCorrespondence(2, [(0, 1), (1, 0), (1, 1)])
+    idx = corr.edge_index()
+    assert corr.edge_index() is idx
+    assert dict(idx) == {(0, 1): 0, (1, 0): 1, (1, 1): 2}
+    with pytest.raises(TypeError):
+        idx[(0, 0)] = 3
+    assert not corr.has_edge(0, 0)
+
+
+def test_potential_weights_are_finite_or_minus_infinity():
+    corr = FiniteCorrespondence(2, [(0, 1), (1, 0), (1, 1)])
+    absent = Potential(corr, {(1, 1): -np.inf})
+    assert absent[(1, 1)] == -np.inf
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeMismatch, match=r"\(1, 0\)"):
+            Potential(corr, {(1, 0): bad})
+        with pytest.raises(ShapeMismatch, match=repr(bad)):
+            Potential(corr, [0.0, bad, 0.0])
+    with pytest.raises(ShapeMismatch):
+        absent.scale(-1.0)       # -inf turns into +inf
+
+
 def test_potential_algebra():
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0), (1, 1)])
     phi = Potential(corr, np.array([1.0, 2.0, 3.0]))

@@ -358,6 +358,9 @@ def test_abstract_entropy_input_validation():
         abstract_kernel_entropy(corr, np.array([0.5, 0.5]))
     with pytest.raises(ShapeMismatch):
         abstract_kernel_entropy(corr, np.array([0.7, 0.5, -0.1, -0.1]))
+    # NaN once passed, as a finite entropy where -inf is due
+    with pytest.raises(ShapeMismatch):
+        abstract_kernel_entropy(corr, np.array([np.nan, 0.5, 0.25, 0.25]))
 
 
 def test_golden_mean_gibbs_pair_has_entropy_log_golden():
@@ -399,6 +402,32 @@ def test_balance_tolerance_comes_from_the_config():
     loose = abstract_kernel_entropy(corr, nu, SolverConfig(tolerance=1e-5))
     assert not loose.minus_infinity
     assert loose.value == pytest.approx(LOG2, abs=1e-6)
+
+
+@pytest.mark.parametrize("options", [
+    {"max_iterations": 2.5}, {"max_iterations": np.nan},
+    {"max_iterations": -np.inf}, {"max_iterations": True},
+    {"max_iterations": 0}, {"max_iterations": "7"},
+    {"tolerance": np.nan}, {"tolerance": np.inf}, {"tolerance": 0.0},
+    {"tolerance": -1e-8}, {"tolerance": True}, {"tolerance": None}])
+def test_solver_config_refuses_options_no_solver_can_use(options):
+    with pytest.raises(ShapeMismatch):
+        SolverConfig(**options)
+
+
+def test_solver_config_reads_whole_floats_as_step_counts():
+    cfg = SolverConfig(max_iterations=1e3, tolerance=1)
+    assert cfg.max_iterations == 1000 and type(cfg.max_iterations) is int
+    assert cfg.tolerance == 1.0 and type(cfg.tolerance) is float
+
+
+def test_directional_derivative_refuses_a_direction_that_is_not_finite():
+    corr = FiniteCorrespondence(3, [(0, 1), (1, 0), (1, 2), (2, 2)])
+    phi = Potential(corr, [-np.inf, -np.inf, 0.0, 0.0])
+    with pytest.raises(ShapeMismatch, match="-inf"):
+        directional_derivative(corr, Potential.zero(corr), phi)
+    with pytest.raises(ShapeMismatch, match="-inf"):
+        directional_derivative(corr, phi, phi)
 
 
 def test_abstract_measure_pressure_matches_the_transport_value():
