@@ -15,6 +15,7 @@ from .errors import (
     InputError,
     InvalidDecomposition,
     InvalidPath,
+    MinusInfinitePressure,
     MisalignedBreakpoints,
     ModeUnsupported,
     NonUniqueDominantClass,

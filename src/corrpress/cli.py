@@ -73,6 +73,11 @@ def _f(x):
     return float(f"{float(x):.12g}")
 
 
+def _f_finite(x):
+    """_f, with -inf as None: JSON has no -inf."""
+    return None if x == -np.inf else _f(x)
+
+
 def _flist(xs):
     return [_f(x) for x in xs]
 
@@ -313,20 +318,25 @@ def cmd_pressure(args):
     corr = _corr_from(inputs.load("input", args.input))
     phi = _potential_from(corr, inputs.load("phi", args.phi))
     results = {"method": args.method}
+    # a pressure of -inf is null in JSON, flagged by minus_infinity
     if args.method in ("spectral", "both"):
         spec = spectral_pressure(corr, phi)
         results["spectral"] = {
-            "pressure": _f(spec.pressure),
+            "pressure": _f_finite(spec.pressure),
             "components": [list(c) for c in spec.components],
-            "log_radii": [None if r == -np.inf else _f(r) for r in spec.log_radii],
+            "log_radii": [_f_finite(r) for r in spec.log_radii],
             "dominant": list(spec.dominant),
         }
+        if spec.pressure == -np.inf:
+            results["spectral"]["minus_infinity"] = True
     if args.method in ("paths", "both"):
-        seq = path_pressure_sequence(corr, phi, args.n)
-        results["paths"] = {"n": args.n, "value": _f(seq[-1])}
+        value = path_pressure_sequence(corr, phi, args.n)[-1]
+        results["paths"] = {"n": args.n, "value": _f_finite(value)}
+        if value == -np.inf:
+            results["paths"]["minus_infinity"] = True
     if args.method == "both":
-        results["gap"] = _f(abs(results["spectral"]["pressure"]
-                                - results["paths"]["value"]))
+        a, b = results["spectral"]["pressure"], results["paths"]["value"]
+        results["gap"] = None if None in (a, b) else _f(abs(a - b))
     _emit("pressure", inputs, results, args.output)
     return 0
 
@@ -403,7 +413,7 @@ def cmd_aentropy(args):
         "converged": bool(res.converged),
         "boundary_flag": bool(res.boundary),
         # the dual certificate is -inf on edges nu misses: null in JSON
-        "potential": [None if v == -np.inf else _f(v) for v in res.potential],
+        "potential": [_f_finite(v) for v in res.potential],
     }
     _emit("aentropy", inputs, results, args.output)
     return 0
@@ -413,10 +423,9 @@ def cmd_invariant(args):
     inputs = Inputs()
     corr = _corr_from(inputs.load("input", args.input))
     mu = _measure_from(corr, inputs.load("mu", args.mu))
-    chk = is_invariant(corr, mu, mode=args.method)
+    chk = is_invariant(corr, mu)
     results = {
         "invariant": bool(chk.invariant),
-        "modes": {k: bool(v) for k, v in sorted(chk.by_mode.items())},
         "witness_pair": None,
         "witness_kernel": None,
         "violating_subset": None,
@@ -649,8 +658,6 @@ def _build_parser():
     add("invariant", cmd_invariant, "invariance check with witness", [
         corr_flag,
         ("--mu", {"required": True, "help": "measure document"}),
-        ("--method", {"choices": ["lp", "subsets", "both"],
-                      "default": "both"}),
     ])
     add("extremes", cmd_extremes, "invariant polytope extreme points", [
         corr_flag,

@@ -140,6 +140,15 @@ class ScalingDiverged(SolverError):
     pass
 
 
+class MinusInfinitePressure(InputError):
+    """The pressure is -inf, so it has no equilibrium state or tangent."""
+
+    def __init__(self):
+        super().__init__("the pressure is -inf: every cycle has an edge of "
+                         "weight -inf, so there is no equilibrium state and "
+                         "no tangent functional")
+
+
 class NonUniqueDominantClass(CorrpressError):
     def __init__(self, classes):
         self.classes = [tuple(c) for c in classes]

@@ -314,8 +314,9 @@ def spectral_pressure(corr, phi):
 
     Classes are strongly connected components of the edge graph; a
     single state with no self-loop has radius zero and never
-    dominates.  Every state has a successor, so some cycle exists and
-    the pressure is finite.
+    dominates.  Every state has a successor, so some cycle exists, and
+    the pressure is finite unless every cycle has an edge of weight
+    -inf: then it is -inf and no class dominates.
     """
     cache = corr.spectral_cache()
     top, dom, radii = cache.dominant(phi.values)
@@ -327,7 +328,9 @@ def path_pressure_sequence(corr, phi, n_max):
     """The sequence a_n for n = 1..n_max via the log-domain recursion.
 
     a_n converges to the pressure; for a primitive relation the gap
-    |a_n - P| is of order 1/n.
+    |a_n - P| is of order 1/n.  It is -inf from the first n at which
+    every walk has an edge of weight -inf, as it is from n = n_states on
+    when the pressure is -inf.
     """
     src, dst = corr.edge_arrays()
     w = phi.values
@@ -336,6 +339,10 @@ def path_pressure_sequence(corr, phi, n_max):
     for n in range(1, n_max + 1):
         v = _log_matvec(v, src, dst, w, corr.n_states)
         m = float(np.max(v))
+        if m == -np.inf:
+            # every walk of n steps weighs -inf, and so does every longer one
+            out[n - 1:] = -np.inf
+            break
         out[n - 1] = (m + math.log(float(np.sum(np.exp(v - m))))) / n
     return out
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    MinusInfinitePressure,
     NonUniqueDominantClass,
     NotInvariant,
     NotStationary,
@@ -36,7 +37,7 @@ from .kernels import (
     stationary_gap,
     validate_measure,
 )
-from .polytope import _invariant_lp
+from .polytope import is_invariant
 from .pressure import spectral_pressure
 
 
@@ -109,6 +110,16 @@ class EquilibriumPair:
     dominant_class: tuple
 
 
+def _dominant(corr, phi):
+    """The pressure and the dominant classes of phi.  A pressure of -inf
+    (every cycle has an edge of weight -inf) has neither an equilibrium
+    state nor a tangent: MinusInfinitePressure."""
+    top, dom, _ = corr.spectral_cache().dominant(phi.values)
+    if top == -np.inf:
+        raise MinusInfinitePressure()
+    return top, dom
+
+
 def gibbs_equilibrium(corr, phi):
     """Equilibrium state from the dominant spectral class.
 
@@ -116,8 +127,8 @@ def gibbs_equilibrium(corr, phi):
     that class the kernel is Q_ij = M_ij r_j / (rho r_i) and the
     measure is the Parry measure l_i r_i / <l, r>; see _gibbs_on_class.
     """
+    _, dom = _dominant(corr, phi)
     cache = corr.spectral_cache()
-    _, dom, _ = cache.dominant(phi.values)
     if len(dom) != 1:
         raise NonUniqueDominantClass([cache.components[c] for c in dom])
     logrho, kernel, mu = _gibbs_on_class(corr, dom[0], phi.values)
@@ -156,8 +167,9 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     face of the transport polytope the coupling vanishes off the face
     at a geometric rate, and at most tol of mass stays there.
     iterations counts the steps and face_restricted says some edge
-    carries mass below tol.  A spent budget ends in the invariance LP:
-    NotInvariant when it is infeasible, ScalingDiverged otherwise.
+    carries mass below tol.  A spent budget ends in the invariance flow:
+    NotInvariant, with its violating subset, when mu is not invariant,
+    ScalingDiverged otherwise.
     """
     mu = validate_measure(corr.n_states, mu)
     support = np.flatnonzero(mu > 0.0)
@@ -202,8 +214,9 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
             if err <= tol:
                 break
             if steps >= max_iter:
-                if _invariant_lp(corr, mu) is None:
-                    raise NotInvariant()
+                chk = is_invariant(corr, mu)
+                if not chk.invariant:
+                    raise NotInvariant(chk.violating_subset)
                 raise ScalingDiverged(f"marginal error {err:.3e} after {steps} steps")
             steps += 1
             coupling = np.zeros((n, n))
@@ -313,8 +326,8 @@ def tangent_functionals(corr, phi):
     One Gibbs pair measure per dominant spectral class; the pressure
     is differentiable at phi exactly when the tangent is unique.
     """
+    top, dom = _dominant(corr, phi)
     cache = corr.spectral_cache()
-    top, dom, _ = cache.dominant(phi.values)
     tangents = []
     for c in dom:
         _, kernel, mu = _gibbs_on_class(corr, c, phi.values)

@@ -1,14 +1,15 @@
-"""Dense two-phase simplex and exact linear solves.
+"""Test-side references for the invariance flow and the cycle polytope.
 
-Instances in this package are tiny (tens of variables), so the solver
-favors determinism over speed: Bland's rule everywhere, plain row
-operations on Python lists.  With Fraction entries the arithmetic is
-exact and the tolerance is zero.
+A dense two-phase simplex on Python lists (Bland's rule, exact with
+Fraction entries), the coupling LP built on it, and the bitmask Hall
+program over all 2^n target subsets.  They are slow and capped by
+nothing but patience, so they serve the tests only, as independent
+references for corrpress.polytope.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
+
+from corrpress.polytope import FEAS_TOL
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -120,55 +121,36 @@ def simplex(A, b, c, exact=False, feas_tol=None):
     return OPTIMAL, x, -cost[-1]
 
 
-def gauss_solve(A, b, exact=True):
-    """Solve A x = b by Gaussian elimination.
+def lp_pair(corr, mu, exact=False):
+    """A pair measure with both marginals mu, or None when the LP has none.
 
-    Returns (kind, x) with kind one of "none", "unique", "many"; for
-    "many" x is one particular solution with free variables at zero.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if exact:
-        conv = Fraction
-        def nonzero(v):
-            return v != 0
-    else:
-        conv = float
-        def nonzero(v):
-            return abs(v) > 1e-11
-    rows = [[conv(v) for v in A[i]] + [conv(b[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = -1
-        if exact:
-            for i in range(r, m):
-                if nonzero(rows[i][col]):
-                    sel = i
-                    break
-        else:
-            best = 0.0
-            for i in range(r, m):
-                if abs(rows[i][col]) > max(best, 1e-11):
-                    best = abs(rows[i][col])
-                    sel = i
-        if sel < 0:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][col]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(m):
-            if i != r and nonzero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [a - f * bv for a, bv in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if nonzero(rows[i][-1]):
-            return "none", None
-    x = [conv(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][-1]
-    return ("unique" if r == n else "many"), x
+    Rows: sums over the edges out of each state, then into each state
+    but the last (that one follows from the total mass)."""
+    a = [[1 if e[0] == i else 0 for e in corr.edges] for i in range(corr.n_states)]
+    a += [[1 if e[1] == j else 0 for e in corr.edges]
+          for j in range(corr.n_states - 1)]
+    b = list(mu) + list(mu[:-1])
+    status, x, _ = simplex(a, b, [0] * corr.n_edges, exact=exact,
+                           feas_tol=None if exact else FEAS_TOL)
+    return x if status == OPTIMAL else None
+
+
+def hall_subset(corr, mu, tol=FEAS_TOL):
+    """The first target subset A, in bitmask order, with
+    mu(A) > mu(pre A) + tol, or None; exact on Fraction weights."""
+    n = corr.n_states
+    pred_mask = [0] * n
+    for i, j in corr.edges:
+        pred_mask[j] |= 1 << i
+    size = 1 << n
+    mass = [0] * size
+    pre = [0] * size
+    for m in range(1, size):
+        low = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        mass[m] = mass[rest] + mu[low]
+        pre[m] = pre[rest] | pred_mask[low]
+    for m in range(1, size):
+        if mass[m] > mass[pre[m]] + tol:
+            return tuple(i for i in range(n) if m >> i & 1)
+    return None

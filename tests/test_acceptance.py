@@ -7,7 +7,9 @@ per criterion is printed and repeated at the end of the pytest run.
 """
 
 from conftest import record_acceptance
+from references import hall_subset, lp_pair
 
+from corrpress import is_invariant
 from corrpress.verify import (
     battery_basic,
     battery_characterizations,
@@ -17,6 +19,7 @@ from corrpress.verify import (
     battery_example,
     battery_type_one,
     battery_type_two,
+    characterization_pairs,
 )
 
 
@@ -63,10 +66,17 @@ def test_criterion_2_pressure_oracles_and_properties():
 def test_criterion_3_invariance_characterizations():
     checks = battery_characterizations(count=200)
     named = by_name(checks)
-    assert named["modes-agree"].gap == 0.0
+    assert named["subset-exceeds-preimage"].gap == 0.0
     assert named["witness-fixes-measure"].gap <= 1e-10
+    # the flow's verdict on each pair, against both independent references
+    disagree = 0
+    for corr, mu in characterization_pairs(count=200):
+        verdict = is_invariant(corr, mu).invariant
+        disagree += verdict != (lp_pair(corr, mu) is not None)
+        disagree += verdict != (hall_subset(corr, mu) is None)
+    assert disagree == 0
     conclude(3, checks,
-             "200 pairs, modes agree, worst witness gap %.1e"
+             "200 pairs, flow agrees with LP and subsets, worst witness gap %.1e"
              % named["witness-fixes-measure"].gap)
 
 

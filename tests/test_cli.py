@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ def test_pressure_both_routes(tmp_path, capsys):
     assert doc["status"] == "ok"
     assert doc["results"]["spectral"]["pressure"] == pytest.approx(LOG_GOLDEN, abs=1e-11)
     assert doc["results"]["gap"] <= 5e-3
+    assert "minus_infinity" not in doc["results"]["spectral"]
     assert doc["inputs"]["input"]["sha256"]
 
 
@@ -81,7 +83,8 @@ def test_equilibrium_documents_round_trip(tmp_path, capsys):
     code, doc = run(capsys, ["invariant", "--input", corr, "--mu", mu])
     assert code == 0
     assert doc["results"]["invariant"] is True
-    assert doc["results"]["modes"] == {"lp": True, "subsets": True}
+    assert "modes" not in doc["results"]
+    assert doc["results"]["violating_subset"] is None
     assert doc["results"]["marginal_gap"] <= 1e-9
 
     code, doc = run(capsys, ["mpressure", "--input", corr, "--mu", mu])
@@ -355,6 +358,69 @@ def test_class_of_minus_infinity_weights_is_no_solver_error(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["spectral"]["pressure"] == 0.0
     assert doc["results"]["spectral"]["log_radii"] == [0.0, None]
+
+
+def minus_infinity_documents(tmp_path):
+    """Every cycle of {(0, 1), (1, 0), (1, 2), (2, 2)} weighs -inf."""
+    corr = write(tmp_path, "corr.json",
+                 {"n_states": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 2]]})
+    phi = write(tmp_path, "phi.json", {"edges": [
+        [0, 1, -math.inf], [1, 0, -math.inf], [1, 2, -math.inf],
+        [2, 2, -math.inf]]})
+    return corr, phi
+
+
+def test_pressure_of_minus_infinity_is_null_on_both_routes(tmp_path, capsys):
+    corr, phi = minus_infinity_documents(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = run(capsys, ["pressure", "--input", corr, "--phi", phi])
+    assert code == 0
+    res = doc["results"]
+    assert res["spectral"]["pressure"] is None
+    assert res["spectral"]["minus_infinity"] is True
+    assert res["spectral"]["dominant"] == []
+    assert res["paths"]["value"] is None
+    assert res["paths"]["minus_infinity"] is True
+    assert res["gap"] is None
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "derivative"])
+def test_pressure_of_minus_infinity_has_no_equilibrium_or_tangent(
+        tmp_path, capsys, command):
+    corr, phi = minus_infinity_documents(tmp_path)
+    argv = [command, "--input", corr, "--phi", phi]
+    if command == "derivative":
+        argv += ["--nu", write(tmp_path, "psi.json", {"edges": [[1, 2, 1.0]]})]
+    code, doc = run(capsys, argv)
+    assert code == 2
+    assert doc["error"]["type"] == "MinusInfinitePressure"
+    assert "pressure is -inf" in doc["error"]["message"]
+
+
+def test_invariance_has_no_state_cap(tmp_path, capsys):
+    """The 40-state cycle with a loop at 0: the point mass at 1 is refused
+    with a certified subset, and the uniform measure on the cycle gets a
+    witness."""
+    n = 40
+    edges = sorted([[i, (i + 1) % n] for i in range(n)] + [[0, 0]])
+    corr = write(tmp_path, "cycle.json", {"n_states": n, "edges": edges})
+    delta = [float(i == 1) for i in range(n)]
+    code, doc = run(capsys, ["invariant", "--input", corr, "--mu",
+                             write(tmp_path, "delta.json", {"weights": delta})])
+    assert code == 0
+    res = doc["results"]
+    assert res["invariant"] is False and res["witness_pair"] is None
+    subset = set(res["violating_subset"])
+    pre = {i for i, j in edges if j in subset}
+    assert sum(delta[j] for j in subset) - sum(delta[i] for i in pre) > 1e-9
+    code, doc = run(capsys, ["invariant", "--input", corr, "--mu",
+                             write(tmp_path, "flat.json", {"weights": [1 / n] * n})])
+    assert code == 0
+    res = doc["results"]
+    assert res["invariant"] is True and res["violating_subset"] is None
+    assert res["witness_pair"] is not None
+    assert res["marginal_gap"] <= 1e-10
 
 
 def test_unbalanced_pair_reports_minus_infinity(tmp_path, capsys):

@@ -1,13 +1,25 @@
+"""The invariance flow against the test-side references: the coupling
+LP and the bitmask Hall program of references.py."""
+
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrpress import (
     FiniteCorrespondence,
     ModeUnsupported,
+    invariant_polytope_extremes,
     is_invariant,
     pushforward,
     uniform_measure,
 )
+from corrpress.polytope import FEAS_TOL
+from corrpress.verify import random_invariant_measure
+from corrpress.verify import random_relation as verify_relation
+from references import hall_subset, lp_pair
 
 
 def random_relation(rng, n):
@@ -84,7 +96,9 @@ def test_modes_agree_and_witnesses_fix_the_measure():
             for s in cycle:
                 mu[s] += 1.0 / len(cycle)
         chk = is_invariant(corr, mu)
-        assert chk.by_mode["lp"] == chk.by_mode["subsets"]
+        assert chk.by_mode["lp"] == chk.by_mode["subsets"] == chk.invariant
+        assert chk.invariant == (lp_pair(corr, mu) is not None)
+        assert chk.invariant == (hall_subset(corr, mu) is None)
         if chk.invariant:
             checked_positive += 1
             gap = np.abs(pushforward(mu, chk.witness_kernel) - mu).sum()
@@ -102,10 +116,98 @@ def test_modes_agree_and_witnesses_fix_the_measure():
 
 
 def test_single_mode_calls():
+    """A mode picks the by_mode keys only; both certificates come back."""
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
     lp_only = is_invariant(corr, uniform_measure(2), mode="lp")
     assert list(lp_only.by_mode) == ["lp"]
     sub_only = is_invariant(corr, uniform_measure(2), mode="subsets")
     assert list(sub_only.by_mode) == ["subsets"]
+    assert sub_only.witness_kernel is not None
+    refused = is_invariant(corr, [1.0, 0.0], mode="lp")
+    assert refused.by_mode == {"lp": False}
+    assert refused.violating_subset == (0,)
     with pytest.raises(ModeUnsupported):
         is_invariant(corr, uniform_measure(2), mode="exact")
+
+
+def excess(corr, mu, subset):
+    """mu(A) - mu(pre A), from the edge list."""
+    pre = {i for i, j in corr.edges if j in subset}
+    return sum(mu[j] for j in subset) - sum(mu[i] for i in pre)
+
+
+def marginals(corr, pair):
+    left, right = [0] * corr.n_states, [0] * corr.n_states
+    for (i, j), w in zip(corr.edges, pair):
+        left[i] += w
+        right[j] += w
+    return left, right
+
+
+def exact_measure(rng, corr, invariant):
+    """A Fraction measure: a mix of exact extremes, or random integers."""
+    if invariant:
+        ext = invariant_polytope_extremes(corr).extremes_exact
+        w = [int(k) for k in rng.integers(1, 6, len(ext))]
+        return [sum(Fraction(wk) * p[i] for wk, p in zip(w, ext)) / sum(w)
+                for i in range(corr.n_states)]
+    w = [int(k) for k in rng.integers(0, 6, corr.n_states)]
+    w[int(rng.integers(corr.n_states))] += 1
+    return [Fraction(k, sum(w)) for k in w]
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), exact=st.booleans(),
+       invariant=st.booleans())
+def test_flow_matches_the_lp_and_subset_references(seed, exact, invariant):
+    rng = np.random.default_rng(seed)
+    corr = verify_relation(rng, 2, 9)
+    if exact:
+        mu = exact_measure(rng, corr, invariant)
+    elif invariant:
+        mu = random_invariant_measure(rng, corr)
+    else:
+        mu = rng.dirichlet(np.ones(corr.n_states))
+    chk = is_invariant(corr, mu)
+    assert chk.invariant == (lp_pair(corr, mu, exact) is not None)
+    assert chk.invariant == (hall_subset(corr, mu, 0 if exact else FEAS_TOL) is None)
+    if invariant:
+        assert chk.invariant
+    if not chk.invariant:
+        assert chk.witness_pair is None
+        assert excess(corr, mu, set(chk.violating_subset)) > (0 if exact else FEAS_TOL)
+        return
+    assert chk.violating_subset is None
+    left, right = marginals(corr, chk.witness_pair)
+    if exact:
+        assert all(isinstance(w, Fraction) for w in chk.witness_pair)
+        assert left == right == list(mu)
+    else:
+        assert np.abs(np.subtract(left, mu)).sum() <= 1e-9
+        assert np.abs(np.subtract(right, mu)).sum() <= 1e-9
+    gap = np.abs(pushforward(np.asarray(mu, dtype=float), chk.witness_kernel)
+                 - np.asarray(mu, dtype=float)).sum()
+    assert gap <= 1e-10
+
+
+def test_a_thousand_states_take_the_flow_without_a_cap():
+    """A 1000-state cycle with chords: the uniform measure has a witness,
+    and a point mass off the loop a certified subset."""
+    rng = np.random.default_rng(7)
+    n = 1000
+    edges = {(i, (i + 1) % n) for i in range(n)} | {(0, 0)}
+    edges |= {(int(i), int(j)) for i, j in zip(rng.integers(0, n, 2 * n),
+                                                rng.integers(0, n, 2 * n))
+              if i != j}
+    corr = FiniteCorrespondence(n, sorted(edges))
+    t0 = time.perf_counter()
+    chk = is_invariant(corr, uniform_measure(n))
+    assert time.perf_counter() - t0 < 10.0
+    assert chk.invariant
+    assert np.abs(pushforward(uniform_measure(n), chk.witness_kernel)
+                  - uniform_measure(n)).sum() <= 1e-10
+    delta = np.zeros(n)
+    delta[1] = 1.0
+    refused = is_invariant(corr, delta)    # state 1 has no loop
+    assert not refused.invariant
+    assert excess(corr, delta, set(refused.violating_subset)) > FEAS_TOL

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from corrpress import (
     FiniteCorrespondence,
+    InputError,
     Potential,
     TransitionKernel,
     abstract_kernel_entropy,
@@ -35,7 +36,7 @@ from corrpress import (
 )
 from corrpress.cli import _emit, main
 from corrpress.pressure import DENSE_MAX, SpectralCache
-from corrpress.simplex import INFEASIBLE, OPTIMAL, simplex
+from references import INFEASIBLE, OPTIMAL, simplex
 from corrpress.verify import (
     random_kernel,
     random_primitive,
@@ -122,6 +123,14 @@ def test_unbalanced_pairs_have_a_descent_ray(seed):
     p0 = spectral_pressure(corr, Potential(corr, zero)).pressure
     assert abs(spectral_pressure(corr, Potential(corr, d)).pressure - p0) <= 1e-9
     assert float(np.dot(nu, d)) > 0.0
+
+
+def test_unbalanced_pair_refuses_self_loops_before_any_draw():
+    """Every pair measure on self-loops is balanced, so no draw could end."""
+    rng = np.random.default_rng(5)
+    with pytest.raises(InputError, match="self-loop"):
+        random_unbalanced_pair(rng, FiniteCorrespondence(2, [(0, 0), (1, 1)]))
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 @PROPERTY
