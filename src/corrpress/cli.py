@@ -387,7 +387,7 @@ def cmd_mpressure(args):
     res = measure_pressure(corr, phi, mu, tol=min(cfg.tolerance, 1e-10),
                            max_iter=cfg.max_iterations)
     results = {
-        "value": _f(res.value),
+        "value": _f_finite(res.value),
         "iterations": res.iterations,
         "residual": _f(res.marginal_error),
         "converged": True,
@@ -395,6 +395,8 @@ def cmd_mpressure(args):
         "pair": _pair_doc(corr, res.pair),
         "kernel": _kernel_doc(res.kernel),
     }
+    if res.value == -np.inf:
+        results["minus_infinity"] = True
     _emit("mpressure", inputs, results, args.output)
     return 0
 
@@ -600,10 +602,14 @@ def cmd_decompose(args):
     if report["valid"]:
         dp = decomposition_pressure(corr, phi, decomp)
         spec = spectral_pressure(corr, phi)
-        results["value"] = _f(dp.value)
-        results["block_values"] = _flist(dp.block_values)
-        results["spectral"] = _f(spec.pressure)
-        results["gap"] = _f(abs(dp.value - spec.pressure))
+        # a pressure of -inf is null, as in the pressure report
+        results["value"] = _f_finite(dp.value)
+        results["block_values"] = [_f_finite(v) for v in dp.block_values]
+        results["spectral"] = _f_finite(spec.pressure)
+        results["gap"] = (None if -np.inf in (dp.value, spec.pressure)
+                          else _f(abs(dp.value - spec.pressure)))
+        if dp.value == -np.inf:
+            results["minus_infinity"] = True
     _emit("decompose", inputs, results, args.output)
     return 0
 

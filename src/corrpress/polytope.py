@@ -46,14 +46,16 @@ class InvarianceCheck:
     violating_subset: tuple | None
 
 
-def _hall_flow(corr, mu, exact):
+def _hall_flow(n, edges, mu, exact):
     """Invariance of mu by one maximum flow, with a certificate either way.
 
-    The network is s -> i (capacity mu_i) -> j' (one unbounded arc per
-    edge (i, j)) -> t (capacity mu_j).  By Gale's supply-demand theorem
-    (Gale 1957, Pacific J. Math. 7) and max-flow/min-cut (Ford &
-    Fulkerson 1956), its value falls short of the mass of mu by
-    max over A of mu(A) - mu(pre A), the deficiency; mu is invariant
+    The states are 0..n-1 and edges any list of pairs of them; they
+    need not form a correspondence.  The network is s -> i (capacity
+    mu_i) -> j' (one unbounded arc per edge (i, j)) -> t (capacity
+    mu_j).  By Gale's supply-demand theorem (Gale 1957, Pacific J.
+    Math. 7) and max-flow/min-cut (Ford & Fulkerson 1956), its value
+    falls short of the mass of mu by max over A of mu(A) - mu(pre A),
+    the deficiency; mu is invariant
     when that is at most FEAS_TOL, or exactly 0 when exact (mu is then
     ints and Fractions, and so is all the arithmetic).
 
@@ -70,7 +72,6 @@ def _hall_flow(corr, mu, exact):
     the states of positive mass outside succ X, so pre A misses X, and
     mu(A) - mu(pre A) is at least the deficiency.
     """
-    n = corr.n_states
     s, t = 2 * n, 2 * n + 1
     eps = 0 if exact else SATURATED
     zero = Fraction(0) if exact else 0.0
@@ -89,7 +90,7 @@ def _hall_flow(corr, mu, exact):
             arc(s, i, mu[i])
             arc(n + i, t, mu[i])
     first = len(head)
-    for i, j in corr.edges:
+    for i, j in edges:
         arc(i, n + j, math.inf)
     flow = zero
     while True:
@@ -130,7 +131,8 @@ def _hall_flow(corr, mu, exact):
                 u = head[path.pop() ^ 1]
                 ptr[u] += 1
     deficiency = sum(v for v in mu if v > 0) - flow
-    image = {j for i in queue if i < n for j in corr.successors(i)}
+    reached = {i for i in queue if i < n}
+    image = {j for i, j in edges if i in reached}
     subset = tuple(j for j in range(n) if mu[j] > 0 and j not in image)
     return deficiency <= (0 if exact else FEAS_TOL), cap[first + 1::2], subset
 
@@ -158,7 +160,8 @@ def is_invariant(corr, mu, mode="both"):
     if mode not in ("lp", "subsets", "both"):
         raise ModeUnsupported(f"unknown mode {mode!r}")
     verdict, pair, subset = _hall_flow(
-        corr, list(mu) if exact else checked.tolist(), exact)
+        corr.n_states, corr.edges, list(mu) if exact else checked.tolist(),
+        exact)
     by_mode = {k: verdict for k in ("lp", "subsets") if mode in (k, "both")}
     if not verdict:
         return InvarianceCheck(False, by_mode, None, None, subset)
@@ -293,7 +296,7 @@ def extremal_decomposition(corr, mu, extremes=None):
     # mu mixes extremes exactly when it is invariant: the polytope is
     # their hull, and only the face extremes can carry weight
     invariant, _, subset = _hall_flow(
-        corr, list(mu) if exact else [float(v) for v in mu], exact)
+        n, corr.edges, list(mu) if exact else [float(v) for v in mu], exact)
     if not invariant:
         raise NotInvariant(subset)
     target = list(mu) + [1 if exact else 1.0]

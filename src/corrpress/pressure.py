@@ -7,6 +7,14 @@ discrete metric every set of walks is separated, so no net is needed.
 The spectral route computes log of the spectral radius of the edge
 weight matrix M_ij = exp(phi(i, j)), class by class, with one Perron
 solver: dense eig on small classes, power iteration on large ones.
+
+Both the orbit route and the power iteration step with one log-domain
+edge operator (_edge_operator): the edges are sorted stably by target
+once, and each step is one np.logaddexp.reduceat over the target
+segments.  On a relation with k states and |E| edges the orbit route
+costs one reduction over at most |E| + 2k entries per step.  Each
+step's vector is bit for bit the one an np.logaddexp.at scatter of the
+same edges, in edge order, onto -inf would give.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidDecomposition, SolverError
+from .errors import (ConvergenceFailure, InvalidDecomposition, ShapeMismatch,
+                     SolverError)
 from .relations import Decomposition, decomposition_validate
 
 # Spectral classes whose log radius lies within this distance of the
@@ -102,10 +111,23 @@ def component_period(comp, successors):
     return abs(g)
 
 
-def _log_matvec(v, src, dst, weights, size):
-    out = np.full(size, -np.inf)
-    np.logaddexp.at(out, dst, v[src] + weights)
-    return out
+def _edge_operator(src, dst, weights):
+    """The map v -> (log of the sum over the edges (i, j) into each
+    target j of exp(v_i + weight)), for targets 0..max(dst).
+
+    The edges are sorted stably by target once; a step is then one
+    np.logaddexp.reduceat over the target segments.  reduceat folds
+    each segment left to right, in edge order, which is the order in
+    which np.logaddexp.at applies the same updates to -inf, and
+    logaddexp(-inf, x) is x, so a step is bit for bit that scatter.
+    Every target must have an edge: an empty segment would read its
+    neighbour's first entry.
+    """
+    order = np.argsort(dst, kind="stable")
+    src, weights = src[order], weights[order]
+    counts = np.bincount(dst)
+    heads = np.cumsum(counts) - counts
+    return lambda v: np.logaddexp.reduceat(v[src] + weights, heads)
 
 
 def _power_vector(src, dst, w, k, period, cap):
@@ -118,14 +140,16 @@ def _power_vector(src, dst, w, k, period, cap):
     bracket width.  v M^p settles on each cyclic subclass separately;
     the sum of rho^-t v M^t over one period is the Perron vector of M
     itself.  Swapping src and dst gives the right vector.  Returns None
-    when the bracket is still too wide after cap steps.
+    when the bracket is still too wide after cap steps.  The class is
+    strongly connected with k > 1 states, so every state is a target.
     """
+    step = _edge_operator(src, dst, w)
     v = np.zeros(k)
     steps = 0
     while steps < cap:
         sweep = [v]
         for _ in range(period):
-            sweep.append(_log_matvec(sweep[-1], src, dst, w, k))
+            sweep.append(step(sweep[-1]))
         steps += period
         diffs = sweep[-1] - v
         lo = float(np.min(diffs))
@@ -330,21 +354,31 @@ def path_pressure_sequence(corr, phi, n_max):
     a_n converges to the pressure; for a primitive relation the gap
     |a_n - P| is of order 1/n.  It is -inf from the first n at which
     every walk has an edge of weight -inf, as it is from n = n_states on
-    when the pressure is -inf.
+    when the pressure is -inf.  n_max < 1 is ShapeMismatch.
+
+    The recursion runs on the relation plus one sink state k.  Every
+    state feeds the sink at weight 0, so after step n + 1 the sink holds
+    the log of the total weight of the walks of n steps; the sink feeds
+    each state that no edge enters at weight -inf, which gives it a
+    segment and changes no value.  A step is then one reduction over at
+    most |E| + 2k entries (see _edge_operator), with no warning at -inf.
     """
+    if n_max < 1:
+        raise ShapeMismatch("n_max must be at least 1")
+    k = corr.n_states
     src, dst = corr.edge_arrays()
-    w = phi.values
-    v = np.zeros(corr.n_states)
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        v = _log_matvec(v, src, dst, w, corr.n_states)
-        m = float(np.max(v))
-        if m == -np.inf:
-            # every walk of n steps weighs -inf, and so does every longer one
-            out[n - 1:] = -np.inf
-            break
-        out[n - 1] = (m + math.log(float(np.sum(np.exp(v - m))))) / n
-    return out
+    states = np.arange(k)
+    unfed = np.flatnonzero(np.bincount(dst, minlength=k) == 0)
+    step = _edge_operator(
+        np.concatenate([src, states, np.full(unfed.size, k)]),
+        np.concatenate([dst, np.full(k, k), unfed]),
+        np.concatenate([phi.values, np.zeros(k), np.full(unfed.size, -np.inf)]))
+    v = np.zeros(k + 1)
+    totals = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        v = step(v)
+        totals[n] = v[k]
+    return totals[1:] / np.arange(1, n_max + 1)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .kernels import (
     stationary_gap,
     validate_measure,
 )
-from .polytope import is_invariant
+from .polytope import _hall_flow, is_invariant
 from .pressure import spectral_pressure
 
 
@@ -167,9 +167,17 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     face of the transport polytope the coupling vanishes off the face
     at a geometric rate, and at most tol of mass stays there.
     iterations counts the steps and face_restricted says some edge
-    carries mass below tol.  A spent budget ends in the invariance flow:
-    NotInvariant, with its violating subset, when mu is not invariant,
-    ScalingDiverged otherwise.
+    between mu-positive states carries mass below tol.
+
+    A coupling of mu lives on the edges between mu-positive states, and
+    Newton runs on those of finite weight.  P_mu is -inf exactly when
+    no coupling lives on those; that is decided before Newton, by the
+    local degrees and, where a -inf edge lies between mu-positive
+    states, by the invariance flow over the finite ones.  Then mu is
+    NotInvariant, with its violating subset, when no coupling exists at
+    all; else P_mu = -inf, reported with the flow's coupling and its
+    kernel.  A spent budget ends in the invariance flow: NotInvariant
+    when mu is not invariant, ScalingDiverged otherwise.
     """
     mu = validate_measure(corr.n_states, mu)
     support = np.flatnonzero(mu > 0.0)
@@ -177,13 +185,29 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     loc = np.full(corr.n_states, -1)
     loc[support] = np.arange(n)
     src, dst = corr.edge_arrays()
-    keep = np.flatnonzero((loc[src] >= 0) & (loc[dst] >= 0))
+    inside = (loc[src] >= 0) & (loc[dst] >= 0)
+    keep = np.flatnonzero(inside & np.isfinite(phi.values))
     rows, cols, w = loc[src[keep]], loc[dst[keep]], phi.values[keep]
-    # a state of positive mass must send and receive it inside the support
-    if not (np.all(np.bincount(rows, minlength=n))
-            and np.all(np.bincount(cols, minlength=n))):
-        raise NotInvariant()
     mu_s = mu[support]
+    # -inf edges inside the support carry no mass
+    off_face = keep.size < np.count_nonzero(inside)
+    # a state of positive mass must send and receive it on these edges,
+    # and past a -inf edge only the flow tells whether they carry mu
+    coupled = (np.all(np.bincount(rows, minlength=n))
+               and np.all(np.bincount(cols, minlength=n)))
+    if coupled and off_face:
+        coupled = _hall_flow(n, list(zip(rows.tolist(), cols.tolist())),
+                             mu_s.tolist(), False)[0]
+    if not coupled:
+        chk = is_invariant(corr, mu)
+        if not chk.invariant:
+            raise NotInvariant(chk.violating_subset)
+        pair = chk.witness_pair
+        gap = (np.abs(np.bincount(src, weights=pair, minlength=corr.n_states) - mu)
+               + np.abs(np.bincount(dst, weights=pair, minlength=corr.n_states) - mu))
+        return MeasurePressureResult(-np.inf, pair, chk.witness_kernel,
+                                     float(np.sum(gap)), 0,
+                                     bool(np.any(pair[inside] < tol)))
     log_mu = np.log(mu_s)
 
     def dual(f, g):
@@ -238,7 +262,7 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     value = np.sum(nu[pos] * (w[pos] - np.log(nu[pos] / mu_s[rows[pos]])))
     kernel = kernel_from_pair(corr, pair)
     return MeasurePressureResult(float(value), pair, kernel, err, steps,
-                                 bool(np.any(nu < tol)))
+                                 off_face or bool(np.any(nu < tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +332,9 @@ def abstract_measure_pressure(corr, phi, mu):
     mp = measure_pressure(corr, phi, mu)
     nu = mp.pair / float(np.sum(mp.pair))
     res = abstract_kernel_entropy(corr, nu)
-    return AbstractMeasurePressure(res.value + float(np.dot(nu, phi.values)),
-                                   nu, 1)
+    # an edge nu does not carry adds nothing, even where phi = -inf
+    integral = float(np.dot(nu, np.where(nu > 0.0, phi.values, 0.0)))
+    return AbstractMeasurePressure(res.value + integral, nu, 1)
 
 
 @dataclass(frozen=True, eq=False)

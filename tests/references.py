@@ -1,15 +1,22 @@
-"""Test-side references for the invariance flow and the cycle polytope.
+"""Test-side references for the invariance flow, the cycle polytope
+and the log-domain path sums.
 
 A dense two-phase simplex on Python lists (Bland's rule, exact with
 Fraction entries), the coupling LP built on it, and the bitmask Hall
 program over all 2^n target subsets.  They are slow and capped by
 nothing but patience, so they serve the tests only, as independent
-references for corrpress.polytope.
+references for corrpress.polytope.  The path sums and the power
+iteration step by an np.logaddexp.at scatter onto -inf, one edge at a
+time in edge order, as references for corrpress.pressure.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from corrpress.polytope import FEAS_TOL
+from corrpress.pressure import BRACKET_TOL
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -153,4 +160,49 @@ def hall_subset(corr, mu, tol=FEAS_TOL):
     for m in range(1, size):
         if mass[m] > mass[pre[m]] + tol:
             return tuple(i for i in range(n) if m >> i & 1)
+    return None
+
+
+def log_matvec(v, src, dst, weights, size):
+    """(log sum over the edges into each target of exp(v_src + w)), by
+    scattering the edges onto -inf in edge order."""
+    out = np.full(size, -np.inf)
+    np.logaddexp.at(out, dst, v[src] + weights)
+    return out
+
+
+def path_pressure_sequence(corr, phi, n_max):
+    """a_n = (1/n) log of the total weight of the walks of n steps, for
+    n = 1..n_max, with the total taken by max, exp, sum and log."""
+    src, dst = corr.edge_arrays()
+    v = np.zeros(corr.n_states)
+    out = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        v = log_matvec(v, src, dst, phi.values, corr.n_states)
+        m = float(np.max(v))
+        if m == -np.inf:
+            out[n - 1:] = -np.inf
+            break
+        out[n - 1] = (m + math.log(float(np.sum(np.exp(v - m))))) / n
+    return out
+
+
+def power_vector(src, dst, w, k, period, cap):
+    """corrpress.pressure._power_vector, stepping by log_matvec."""
+    v = np.zeros(k)
+    steps = 0
+    while steps < cap:
+        sweep = [v]
+        for _ in range(period):
+            sweep.append(log_matvec(sweep[-1], src, dst, w, k))
+        steps += period
+        diffs = sweep[-1] - v
+        lo = float(np.min(diffs))
+        hi = float(np.max(diffs))
+        if (hi - lo) / period < BRACKET_TOL:
+            logrho = (lo + hi) / (2.0 * period)
+            vec = np.logaddexp.reduce(
+                [u - t * logrho for t, u in enumerate(sweep[:-1])], axis=0)
+            return logrho, vec, (lo / period, hi / period)
+        v = sweep[-1] - np.max(sweep[-1])
     return None

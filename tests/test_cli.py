@@ -385,6 +385,59 @@ def test_pressure_of_minus_infinity_is_null_on_both_routes(tmp_path, capsys):
     assert res["gap"] is None
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_path_horizon_below_one_is_exit_two(tmp_path, capsys, n):
+    corr = golden_corr(tmp_path)
+    code, doc = run(capsys, ["pressure", "--input", corr, "--method", "paths",
+                             "--n", n])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["error"] == {"type": "ShapeMismatch",
+                            "message": "n_max must be at least 1"}
+
+
+def test_decompose_of_minus_infinity_is_null(tmp_path, capsys):
+    corr, phi = minus_infinity_documents(tmp_path)
+    blocks = write(tmp_path, "blocks.json", {"blocks": [[0, 1], [2]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = run(capsys, ["decompose", "--input", corr, "--phi", phi,
+                                 "--config", blocks])
+    assert code == 0
+    res = doc["results"]
+    assert res["valid"] is True
+    assert res["value"] is None and res["block_values"] == [None, None]
+    assert res["spectral"] is None and res["gap"] is None
+    assert res["minus_infinity"] is True
+
+
+def test_mpressure_of_minus_infinity_is_null(tmp_path, capsys):
+    """delta_2 is invariant through the loop (2, 2), whose weight is
+    -inf, so every coupling of it weighs -inf."""
+    corr, phi = minus_infinity_documents(tmp_path)
+    mu = write(tmp_path, "mu.json", {"weights": [0.0, 0.0, 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = run(capsys, ["mpressure", "--input", corr, "--phi", phi,
+                                 "--mu", mu])
+    assert code == 0
+    res = doc["results"]
+    assert res["value"] is None and res["minus_infinity"] is True
+    assert res["pair"] == {"edges": [[2, 2, 1.0]]}
+    assert res["residual"] == 0.0
+
+
+def test_finite_reports_carry_no_minus_infinity_key(tmp_path, capsys):
+    corr = write(tmp_path, "tri.json",
+                 {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 1]]})
+    blocks = write(tmp_path, "blocks.json", {"blocks": [[0], [1]]})
+    mu = write(tmp_path, "mu.json", {"weights": [0.0, 1.0]})
+    for argv in (["decompose", "--config", blocks], ["mpressure", "--mu", mu]):
+        code, doc = run(capsys, argv + ["--input", corr])
+        assert code == 0
+        assert "minus_infinity" not in doc["results"]
+
+
 @pytest.mark.parametrize("command", ["equilibrium", "derivative"])
 def test_pressure_of_minus_infinity_has_no_equilibrium_or_tangent(
         tmp_path, capsys, command):

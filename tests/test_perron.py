@@ -16,9 +16,11 @@ from corrpress import (
     gibbs_equilibrium,
     spectral_pressure,
 )
+from corrpress.intervals import example_branches, grid_discretize
 from corrpress.kernels import stationary_gap
-from corrpress.pressure import (DENSE_MAX, SpectralCache, _perron_from,
-                                component_period)
+from corrpress.pressure import (DENSE_MAX, POWER_CAP, SpectralCache,
+                                _perron_from, component_period)
+from references import power_vector
 
 
 def sparse_primitive(rng, n):
@@ -104,6 +106,35 @@ def test_power_route_gibbs_measure_is_the_stationary_solve(corr, phi, period):
     old = lstsq_stationary(eq.kernel, eq.dominant_class)
     assert np.max(np.abs(eq.measure - old)) <= 1e-10
     assert eq.entropy + eq.integral == pytest.approx(eq.pressure, abs=1e-9)
+
+
+def grid_class_cases():
+    """The 2048-state class of the example's grid model at resolution
+    4096, under the zero potential and a random one."""
+    corr = grid_discretize(example_branches(), 4096).corr
+    rng = np.random.default_rng(4243)
+    return [pytest.param(corr, Potential.zero(corr), 1, id="grid-4096-zero"),
+            pytest.param(corr, Potential(corr, rng.uniform(-1.0, 1.0, corr.n_edges)),
+                         1, id="grid-4096-random")]
+
+
+@pytest.mark.parametrize("corr, phi, period", large_cases() + grid_class_cases())
+def test_power_vector_is_bit_identical_to_the_scatter_reference(corr, phi, period):
+    """Both iterations of the power route, step for step the
+    np.logaddexp.at scatter they replaced."""
+    cache = corr.spectral_cache()
+    c = max(range(len(cache.components)), key=lambda c: len(cache.components[c]))
+    k = len(cache.components[c])
+    assert k > DENSE_MAX and cache.periods[c] == period
+    rows, cols, eidx = cache.class_edges(c)
+    w = phi.values[eidx]
+    cap = min(POWER_CAP, k ** 3 // eidx.size)
+    for src, dst in ((rows, cols), (cols, rows)):
+        got = pressure._power_vector(src, dst, w, k, period, cap)
+        ref = power_vector(src, dst, w, k, period, cap)
+        assert got is not None and ref is not None
+        assert got[0] == ref[0] and got[2] == ref[2]
+        assert np.array_equal(got[1], ref[1])
 
 
 def test_two_large_equal_classes_tie():

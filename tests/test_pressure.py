@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrpress import (
     ConvergenceFailure,
@@ -21,9 +22,11 @@ from corrpress import (
 )
 from corrpress.pressure import (
     SpectralCache,
+    _edge_operator,
     component_period,
     strongly_connected_components,
 )
+import references
 
 LOG2 = math.log(2.0)
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -74,6 +77,51 @@ def test_path_sums_match_brute_force_enumeration():
         seq = path_pressure_sequence(corr, phi, n)
         assert seq[n - 1] == pytest.approx(brute_force_a_n(corr, phi, n),
                                            abs=1e-12)
+
+
+# weights up to +-900 take exp past its range; -inf marks an absent edge
+WEIGHTS = st.one_of(st.floats(min_value=-900.0, max_value=900.0),
+                    st.just(-math.inf))
+
+
+@st.composite
+def weighted_relations(draw, max_states=8):
+    """A relation on up to max_states states with drawn weights."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    edges = sorted((i, j) for i in range(n)
+                   for j in draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    corr = FiniteCorrespondence(n, edges)
+    values = draw(st.lists(WEIGHTS, min_size=len(edges), max_size=len(edges)))
+    return corr, Potential(corr, values)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=weighted_relations(), n_max=st.integers(min_value=1, max_value=60))
+def test_path_sums_match_the_scatter_reference(case, n_max):
+    corr, phi = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = path_pressure_sequence(corr, phi, n_max)
+    ref = references.path_pressure_sequence(corr, phi, n_max)
+    assert got.shape == (n_max,)
+    assert np.array_equal(got == -np.inf, ref == -np.inf)
+    finite = ref > -np.inf
+    assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=weighted_relations(), data=st.data())
+def test_edge_operator_is_bit_identical_to_the_scatter(case, data):
+    """With a cycle added so that every state is a target."""
+    corr, phi = case
+    n = corr.n_states
+    src, dst = corr.edge_arrays()
+    src = np.concatenate([src, np.arange(n)])
+    dst = np.concatenate([dst, (np.arange(n) + 1) % n])
+    w = np.concatenate([phi.values, data.draw(st.lists(WEIGHTS, min_size=n, max_size=n))])
+    v = np.array(data.draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    assert np.array_equal(_edge_operator(src, dst, w)(v),
+                          references.log_matvec(v, src, dst, w, n))
 
 
 def test_full_shift_closed_forms():

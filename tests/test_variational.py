@@ -271,6 +271,39 @@ def test_measure_pressure_rejects_a_hall_violation_after_the_budget():
         measure_pressure(corr, Potential.zero(corr), [1 / 3, 1 / 3, 1 / 3])
 
 
+def test_measure_pressure_is_minus_infinity_without_a_finite_coupling():
+    """The relation above with loops of weight -inf at 1 and 2: the
+    uniform measure is invariant only through them.  Every state has a
+    finite edge in and out, so the flow over the finite edges decides,
+    before any Newton step."""
+    corr = FiniteCorrespondence(3, [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)])
+    phi = Potential(corr, {(1, 1): -math.inf, (2, 2): -math.inf})
+    mu = [1 / 3, 1 / 3, 1 / 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = measure_pressure(corr, phi, mu)
+        amp = abstract_measure_pressure(corr, phi, mu)
+    assert res.value == -math.inf and res.iterations == 0
+    # the flow's coupling of mu, which carries a -inf loop
+    assert np.allclose(np.bincount([0, 0, 1, 1, 2, 2], weights=res.pair), mu)
+    assert np.allclose(np.bincount([1, 2, 0, 1, 0, 2], weights=res.pair), mu)
+    assert res.pair[3] + res.pair[5] > 0.0
+    assert amp.value == -math.inf
+
+
+def test_minus_infinity_edges_carry_no_mass_and_no_nan():
+    corr = FiniteCorrespondence(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    phi = Potential(corr, [0.1, -math.inf, 0.3, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = measure_pressure(corr, phi, [0.5, 0.5])
+        amp = abstract_measure_pressure(corr, phi, [0.5, 0.5])
+    # the only coupling is the two loops
+    assert res.pair[1] == 0.0 and res.face_restricted
+    assert res.value == pytest.approx(0.15, abs=1e-8)
+    assert amp.value == pytest.approx(res.value, abs=1e-8)
+
+
 def test_extreme_points_attain_the_pressure_for_map_relations():
     # the graph of a map: extreme measures sit on its cycles
     rng = np.random.default_rng(64)
