@@ -13,8 +13,8 @@ edge operator (_edge_operator): the edges are sorted stably by target
 once, and each step is one np.logaddexp.reduceat over the target
 segments.  On a relation with k states and |E| edges the orbit route
 costs one reduction over at most |E| + 2k entries per step.  Each
-step's vector is bit for bit the one an np.logaddexp.at scatter of the
-same edges, in edge order, onto -inf would give.
+step's vector is bit for bit the one a scatter of the same edges by
+logaddexp's ufunc.at, in edge order, onto -inf would give.
 """
 
 from __future__ import annotations
@@ -111,26 +111,32 @@ def component_period(comp, successors):
     return abs(g)
 
 
-def _edge_operator(src, dst, weights):
+def _target_segments(dst):
+    """The stable order of the edges by target, and the head of each
+    target's segment in that order."""
+    counts = np.bincount(dst)
+    return np.argsort(dst, kind="stable"), np.cumsum(counts) - counts
+
+
+def _edge_operator(src, dst, weights, segments=None):
     """The map v -> (log of the sum over the edges (i, j) into each
     target j of exp(v_i + weight)), for targets 0..max(dst).
 
-    The edges are sorted stably by target once; a step is then one
+    The edges are sorted stably by target once (segments, from
+    _target_segments(dst) unless given); a step is then one
     np.logaddexp.reduceat over the target segments.  reduceat folds
     each segment left to right, in edge order, which is the order in
-    which np.logaddexp.at applies the same updates to -inf, and
+    which logaddexp's ufunc.at applies the same updates to -inf, and
     logaddexp(-inf, x) is x, so a step is bit for bit that scatter.
     Every target must have an edge: an empty segment would read its
     neighbour's first entry.
     """
-    order = np.argsort(dst, kind="stable")
+    order, heads = _target_segments(dst) if segments is None else segments
     src, weights = src[order], weights[order]
-    counts = np.bincount(dst)
-    heads = np.cumsum(counts) - counts
     return lambda v: np.logaddexp.reduceat(v[src] + weights, heads)
 
 
-def _power_vector(src, dst, w, k, period, cap):
+def _power_vector(src, dst, w, k, period, cap, segments=None):
     """Log radius, log Perron vector and bracket of v -> v M on a class.
 
     Power iteration from the all-ones vector in log domain, normalized
@@ -139,11 +145,12 @@ def _power_vector(src, dst, w, k, period, cap):
     the stopping rule bounds the error of the midpoint by half the
     bracket width.  v M^p settles on each cyclic subclass separately;
     the sum of rho^-t v M^t over one period is the Perron vector of M
-    itself.  Swapping src and dst gives the right vector.  Returns None
-    when the bracket is still too wide after cap steps.  The class is
-    strongly connected with k > 1 states, so every state is a target.
+    itself.  Swapping src and dst gives the right vector.  segments is
+    _target_segments(dst), which SpectralCache keeps per class.  Returns
+    None when the bracket is still too wide after cap steps.  The class
+    is strongly connected with k > 1 states, so every state is a target.
     """
-    step = _edge_operator(src, dst, w)
+    step = _edge_operator(src, dst, w, segments)
     v = np.zeros(k)
     steps = 0
     while steps < cap:
@@ -216,9 +223,9 @@ def _class_edges(corr, components):
 class SpectralCache:
     """Perron data of the spectral classes of a fixed edge graph.
 
-    The classes (strongly connected components) and the edges inside
-    them depend only on the support, so they are indexed once per
-    relation (FiniteCorrespondence.spectral_cache); every quantity for
+    The classes (strongly connected components), the edges inside
+    them and the target order of a power class's edges depend only on
+    the support, so they are indexed once per relation (FiniteCorrespondence.spectral_cache); every quantity for
     a given potential then comes from solve(), the one Perron routine.
     Classes of up to DENSE_MAX states take a dense eigensolve, larger
     ones a sparse power iteration.  The cache keeps no reference to the
@@ -233,6 +240,11 @@ class SpectralCache:
         self.periods = {c: component_period(comp, corr._succ)
                         for c, comp in enumerate(self.components)
                         if len(comp) > DENSE_MAX}
+        # the target order of each power class, left and right
+        self.segments = {}
+        for c in self.periods:
+            rows, cols, _ = self.class_edges(c)
+            self.segments[c] = (_target_segments(cols), _target_segments(rows))
         # classes whose power iteration once ran out of budget; the
         # dense route is exact, so keeping them on it costs speed only
         self.slow = set()
@@ -273,12 +285,14 @@ class SpectralCache:
             # past about k^3 / edges steps a dense eigensolve is cheaper,
             # so a class that mixes too slowly falls through to it
             cap = min(POWER_CAP, k ** 3 // eidx.size)
-            left = _power_vector(rows, cols, w, k, self.periods[c], cap)
+            to_cols, to_rows = self.segments[c]
+            left = _power_vector(rows, cols, w, k, self.periods[c], cap, to_cols)
             if left is not None:
                 logrho, left_vec, bracket = left
                 if not vectors:
                     return logrho, None, None, bracket
-                right = _power_vector(cols, rows, w, k, self.periods[c], cap)
+                right = _power_vector(cols, rows, w, k, self.periods[c], cap,
+                                      to_rows)
                 if right is not None:
                     return logrho, _unit(right[1]), _unit(left_vec), bracket
             self.slow.add(c)

@@ -170,14 +170,16 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     between mu-positive states carries mass below tol.
 
     A coupling of mu lives on the edges between mu-positive states, and
-    Newton runs on those of finite weight.  P_mu is -inf exactly when
-    no coupling lives on those; that is decided before Newton, by the
-    local degrees and, where a -inf edge lies between mu-positive
-    states, by the invariance flow over the finite ones.  Then mu is
-    NotInvariant, with its violating subset, when no coupling exists at
-    all; else P_mu = -inf, reported with the flow's coupling and its
-    kernel.  A spent budget ends in the invariance flow: NotInvariant
-    when mu is not invariant, ScalingDiverged otherwise.
+    Newton runs on those of finite weight.  Before Newton, a state of
+    positive mass with no such edge in or out makes mu NotInvariant,
+    with its violating subset, however little mass it has.  Where a
+    -inf edge lies between mu-positive states, the invariance flow over
+    the finite ones decides whether a coupling lives on them; when none
+    does, mu is NotInvariant if the flow over all edges finds it so, and
+    else P_mu = -inf, reported with that flow's coupling and its kernel.
+    So a finite potential never gives -inf.  A spent budget ends in the
+    invariance flow: NotInvariant when mu is not invariant,
+    ScalingDiverged otherwise.
     """
     mu = validate_measure(corr.n_states, mu)
     support = np.flatnonzero(mu > 0.0)
@@ -185,20 +187,28 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     loc = np.full(corr.n_states, -1)
     loc[support] = np.arange(n)
     src, dst = corr.edge_arrays()
-    inside = (loc[src] >= 0) & (loc[dst] >= 0)
-    keep = np.flatnonzero(inside & np.isfinite(phi.values))
-    rows, cols, w = loc[src[keep]], loc[dst[keep]], phi.values[keep]
+    inside = np.flatnonzero((loc[src] >= 0) & (loc[dst] >= 0))
+    rows, cols = loc[src[inside]], loc[dst[inside]]
+    # a state of positive mass must send and receive it inside the
+    # support.  {i} outgrows its empty preimage when no edge enters i;
+    # the support outgrows its preimage, which misses i, when none
+    # leaves i.
+    fed = np.bincount(cols, minlength=n) > 0
+    if not fed.all():
+        raise NotInvariant(tuple(support[~fed].tolist()))
+    if not np.all(np.bincount(rows, minlength=n)):
+        raise NotInvariant(tuple(support.tolist()))
+    finite = np.isfinite(phi.values[inside])
+    keep = inside[finite]
+    rows, cols, w = rows[finite], cols[finite], phi.values[keep]
     mu_s = mu[support]
-    # -inf edges inside the support carry no mass
-    off_face = keep.size < np.count_nonzero(inside)
-    # a state of positive mass must send and receive it on these edges,
-    # and past a -inf edge only the flow tells whether they carry mu
-    coupled = (np.all(np.bincount(rows, minlength=n))
-               and np.all(np.bincount(cols, minlength=n)))
-    if coupled and off_face:
-        coupled = _hall_flow(n, list(zip(rows.tolist(), cols.tolist())),
-                             mu_s.tolist(), False)[0]
-    if not coupled:
+    # -inf edges inside the support carry no mass, and past one only
+    # the flow tells whether the finite ones carry mu
+    off_face = not finite.all()
+    if off_face and not (np.all(np.bincount(rows, minlength=n))
+                         and np.all(np.bincount(cols, minlength=n))
+                         and _hall_flow(n, list(zip(rows.tolist(), cols.tolist())),
+                                        mu_s.tolist(), False)[0]):
         chk = is_invariant(corr, mu)
         if not chk.invariant:
             raise NotInvariant(chk.violating_subset)

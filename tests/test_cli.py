@@ -427,6 +427,16 @@ def test_mpressure_of_minus_infinity_is_null(tmp_path, capsys):
     assert res["residual"] == 0.0
 
 
+def test_mpressure_of_a_tiny_mass_without_an_in_edge_is_not_invariant(
+        tmp_path, capsys):
+    corr = write(tmp_path, "corr.json", {"n_states": 2, "edges": [[0, 0], [1, 0]]})
+    mu = write(tmp_path, "mu.json", {"weights": [1.0 - 1e-12, 1e-12]})
+    code, doc = run(capsys, ["mpressure", "--input", corr, "--mu", mu])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "NotInvariant"
+
+
 def test_finite_reports_carry_no_minus_infinity_key(tmp_path, capsys):
     corr = write(tmp_path, "tri.json",
                  {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 1]]})

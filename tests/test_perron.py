@@ -129,12 +129,16 @@ def test_power_vector_is_bit_identical_to_the_scatter_reference(corr, phi, perio
     rows, cols, eidx = cache.class_edges(c)
     w = phi.values[eidx]
     cap = min(POWER_CAP, k ** 3 // eidx.size)
-    for src, dst in ((rows, cols), (cols, rows)):
-        got = pressure._power_vector(src, dst, w, k, period, cap)
+    for (src, dst), segments in zip(((rows, cols), (cols, rows)),
+                                    cache.segments[c]):
         ref = power_vector(src, dst, w, k, period, cap)
-        assert got is not None and ref is not None
-        assert got[0] == ref[0] and got[2] == ref[2]
-        assert np.array_equal(got[1], ref[1])
+        assert ref is not None
+        # with the cache's target order, and sorting the targets itself
+        for got in (pressure._power_vector(src, dst, w, k, period, cap, segments),
+                    pressure._power_vector(src, dst, w, k, period, cap)):
+            assert got is not None
+            assert got[0] == ref[0] and got[2] == ref[2]
+            assert np.array_equal(got[1], ref[1])
 
 
 def test_two_large_equal_classes_tie():

@@ -182,6 +182,20 @@ def test_measure_pressure_rejects_non_invariant_measures():
         measure_pressure(corr, Potential.zero(corr), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("edges, witness", [
+    ([(0, 0), (1, 0), (2, 2)], (1,)),           # no edge enters state 1
+    ([(0, 0), (0, 1), (1, 2), (2, 2)], (0, 1)),  # state 1 leaves the support
+])
+def test_measure_pressure_rejects_a_tiny_mass_without_an_edge(edges, witness):
+    """Mass of 1e-12, below the tolerance of the invariance flow, on a
+    state with no edge in or out inside the support: under a finite
+    potential that is NotInvariant, never a pressure of -inf."""
+    corr = FiniteCorrespondence(3, edges)
+    with pytest.raises(NotInvariant) as err:
+        measure_pressure(corr, Potential.zero(corr), [1.0 - 1e-12, 1e-12, 0.0])
+    assert err.value.witness == witness
+
+
 def test_measure_pressure_face_restriction_converges():
     """A measure sitting on a face of the coupling polytope.
 
