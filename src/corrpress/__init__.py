@@ -50,14 +50,11 @@ from .pressure import (
 )
 from .kernels import (
     Partition,
-    PathDistribution,
     TransitionKernel,
-    chain_distribution,
     entropy_rate,
     kernel_entropy,
     kernel_from_pair,
     pair_from_kernel,
-    partition_entropy,
     pullback,
     pushforward,
     stationary_measures,

@@ -29,6 +29,7 @@ from .relations import (
     FiniteCorrespondence,
     Potential,
     decomposition_validate,
+    whole_number,
 )
 from .pressure import (
     decomposition_pressure,
@@ -131,8 +132,9 @@ class Inputs:
 def _corr_from(doc):
     if not isinstance(doc, dict) or "n_states" not in doc or "edges" not in doc:
         raise ShapeMismatch("correspondence document needs n_states and edges")
-    edges = [(int(i), int(j)) for i, j in doc["edges"]]
-    return FiniteCorrespondence(int(doc["n_states"]), edges, doc.get("labels"))
+    edges = [(whole_number(i), whole_number(j)) for i, j in doc["edges"]]
+    return FiniteCorrespondence(whole_number(doc["n_states"], "n_states"), edges,
+                                doc.get("labels"))
 
 
 def _potential_from(corr, doc):
@@ -141,7 +143,8 @@ def _potential_from(corr, doc):
     if not isinstance(doc, dict) or "edges" not in doc:
         raise ShapeMismatch("potential document needs an edges array")
     # absent edges default to zero; foreign pairs are rejected downstream
-    return Potential(corr, {(int(i), int(j)): float(v) for i, j, v in doc["edges"]})
+    return Potential(corr, {(whole_number(i), whole_number(j)): float(v)
+                            for i, j, v in doc["edges"]})
 
 
 def _measure_from(corr, doc):
@@ -163,7 +166,7 @@ def _pair_from(corr, doc):
     index = corr.edge_index()
     vec = np.zeros(corr.n_edges)
     for i, j, w in doc["edges"]:
-        e = (int(i), int(j))
+        e = (whole_number(i), whole_number(j))
         if e not in index:
             raise ShapeMismatch(f"pair {e} is not an edge")
         vec[index[e]] += float(w)
@@ -566,7 +569,7 @@ def cmd_relabel(args):
     cfg = inputs.load("config", args.config)
     if cfg is None or "theta" not in cfg:
         raise ShapeMismatch("relabel needs --config with a theta array")
-    theta = [int(t) for t in cfg["theta"]]
+    theta = [whole_number(t) for t in cfg["theta"]]
     relabeled = corr.relabel(theta)
     results = {"theta": theta, "correspondence": _corr_doc(relabeled)}
     phi_doc = inputs.load("phi", args.phi)
@@ -595,7 +598,7 @@ def cmd_decompose(args):
     cfg = inputs.load("config", args.config)
     if cfg is None or "blocks" not in cfg:
         raise ShapeMismatch("decompose needs --config with a blocks array")
-    decomp = Decomposition([[int(s) for s in b] for b in cfg["blocks"]])
+    decomp = Decomposition([[whole_number(s) for s in b] for b in cfg["blocks"]])
     report = decomposition_validate(corr, decomp)
     results = {"valid": bool(report["valid"]),
                "validation": _sanitize(report)}
@@ -721,7 +724,7 @@ def main(argv=None):
         # a ValueError subclass, but a failed numerical process
         return _fail(args, SolverError(f"linear algebra failure: {exc}"), 3)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        # malformed documents surface here, int(1e999) as an OverflowError
+        # malformed documents surface here, Fraction(1e999) as an OverflowError
         return _fail(args, exc, 2)
 
 

@@ -8,12 +8,11 @@ the point mass at x, and each step extends a path by one kernel draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndexOutOfRange, NotStationary, ShapeMismatch, TooLarge
-from .relations import FiniteCorrespondence, Potential
+from .relations import FiniteCorrespondence, Potential, whole_number
 
 DENSE_PATH_LIMIT = 10 ** 7
 
@@ -75,7 +74,7 @@ class TransitionKernel:
         p = np.zeros(corr.n_edges)
         for i, row in enumerate(rows):
             for j, q in row:
-                e, q = (i, int(j)), float(q)
+                e, q = (i, whole_number(j)), float(q)
                 if not 0 <= e[1] < n:
                     raise IndexOutOfRange([e], n)
                 if e in index:
@@ -115,7 +114,7 @@ class Partition:
     """Partition of the state set into nonempty cells."""
 
     def __init__(self, n_states, cells):
-        cells = tuple(tuple(sorted(int(s) for s in c)) for c in cells)
+        cells = tuple(tuple(sorted(whole_number(s) for s in c)) for c in cells)
         seen = []
         for c in cells:
             if not c:
@@ -138,93 +137,6 @@ class Partition:
         v = np.zeros(self.n_states)
         v[list(self.cells[k])] = 1.0
         return v
-
-
-@dataclass(frozen=True, eq=False)
-class PathDistribution:
-    """Law of (X_1, ..., X_{length}) for a start measure and a kernel."""
-
-    start: np.ndarray
-    kernel: TransitionKernel
-    length: int
-
-    @property
-    def corr(self):
-        return self.kernel.corr
-
-    def dense(self):
-        """Explicit path weights; guarded, since the support is exponential."""
-        n = self.corr.n_states
-        if n ** self.length > DENSE_PATH_LIMIT:
-            raise TooLarge(f"{n}^{self.length} paths exceed the dense limit")
-        out = {}
-        q = self.kernel.probs
-        starts = np.searchsorted(self.corr.edge_arrays()[0], np.arange(n + 1))
-        frontier = [((x,), float(self.start[x]))
-                    for x in range(n) if self.start[x] > 0.0]
-        for _ in range(self.length - 1):
-            nxt = []
-            for path, w in frontier:
-                x = path[-1]
-                for y, p in zip(self.corr.successors(x), q[starts[x]:starts[x + 1]]):
-                    if p > 0.0:
-                        nxt.append((path + (y,), w * p))
-            frontier = nxt
-        for path, w in frontier:
-            out[path] = out.get(path, 0.0) + w
-        return out
-
-    def marginal_first(self, k):
-        """Marginal onto the first k coordinates (exact, by Markov consistency)."""
-        if not 1 <= k <= self.length:
-            raise ShapeMismatch(f"cannot take {k} of {self.length} coordinates")
-        return PathDistribution(self.start, self.kernel, k)
-
-    def shifted_block(self, t, k):
-        """Law of the k-block starting after t steps."""
-        if t < 0 or k < 1 or t + k > self.length:
-            raise ShapeMismatch(f"block ({t}, {k}) outside length {self.length}")
-        mu = np.asarray(self.start, dtype=float)
-        for _ in range(t):
-            mu = pushforward(mu, self.kernel)
-        return PathDistribution(mu, self.kernel, k)
-
-
-def chain_distribution(start, kernel, n):
-    """Chain law over length-(n+1) paths; n = 0 gives the start itself."""
-    if n < 0:
-        raise ShapeMismatch("negative path length")
-    start = validate_measure(kernel.corr.n_states, start)
-    return PathDistribution(start, kernel, n + 1)
-
-
-def partition_entropy(dist, partition, n_coords=None):
-    """Shannon entropy of the coarsened path law.
-
-    Walks the tree of cell sequences carrying the vector of state
-    probabilities compatible with the prefix, pruning zero branches.
-    """
-    if n_coords is not None and n_coords != dist.length:
-        raise ShapeMismatch(
-            f"distribution has {dist.length} coordinates, expected {n_coords}")
-    k = len(partition.cells)
-    if k ** dist.length > DENSE_PATH_LIMIT:
-        raise TooLarge("too many cell sequences")
-    masks = [partition.indicator(c) for c in range(k)]
-    total = 0.0
-    stack = [(1, np.asarray(dist.start, dtype=float) * m) for m in masks]
-    while stack:
-        depth, vec = stack.pop()
-        mass = float(np.sum(vec))
-        if mass <= 0.0:
-            continue
-        if depth == dist.length:
-            total -= mass * math.log(mass)
-            continue
-        nxt = pushforward(vec, dist.kernel)
-        for m in masks:
-            stack.append((depth + 1, nxt * m))
-    return total
 
 
 def measure_entropy(mu):
@@ -275,31 +187,68 @@ def stationary_measures(kernel):
     return out
 
 
+def _cell_entropies(mu, kernel, partition, n_max):
+    """H(xi^1), ..., H(xi^n_max) of the coarsened chain law, by one walk.
+
+    A depth-first walk over the tree of cell sequences carries the
+    vector of state probabilities compatible with each prefix, prunes
+    zero branches, and adds -m log m of every node's mass m to the
+    total of its depth.  The nodes of each depth come in the order a
+    walk cut at that depth visits its leaves, so each total is the sum
+    such a walk would take, term for term.
+    """
+    masks = [partition.indicator(c) for c in range(len(partition.cells))]
+    totals = [0.0] * n_max
+    stack = [(0, mu * m) for m in masks]
+    while stack:
+        depth, vec = stack.pop()
+        mass = float(np.sum(vec))
+        if mass <= 0.0:
+            continue
+        totals[depth] -= mass * math.log(mass)
+        if depth + 1 == n_max:
+            continue
+        nxt = pushforward(vec, kernel)
+        for m in masks:
+            stack.append((depth + 1, nxt * m))
+    return totals
+
+
 def kernel_entropy(mu, kernel, n_max, partition=None):
     """Entropy sequence (1/n) H of the n-coordinate chain law, and its limit.
 
     For the discrete partition the closed form
     (H(mu) + (n-1) h) / n is used, where h is the entropy rate; the
     limit is h, and the discrete partition attains the supremum over
-    partitions.  For a coarser partition the sequence is computed from
-    the coarsened chain law and the last term is reported as the limit
-    estimate.  The measure must be stationary for the kernel.
+    partitions.  For a coarser partition the sequence comes from one
+    walk over the cells^n_max cell sequences (refused as TooLarge past
+    DENSE_PATH_LIMIT before any walking), and the last term is reported
+    as the limit estimate.  The measure must be stationary for the
+    kernel.
     """
-    mu = validate_measure(kernel.corr.n_states, mu)
+    states = kernel.corr.n_states
+    mu = validate_measure(states, mu)
+    if partition is not None and partition.n_states != states:
+        raise ShapeMismatch(f"partition of {partition.n_states} states "
+                            f"for a kernel on {states}")
+    if n_max < 1:
+        raise ShapeMismatch("n_max must be at least 1")
+    cells = states if partition is None else len(partition.cells)
+    # k^b > DENSE_PATH_LIMIT for b its bit length and any k >= 2, so the
+    # exponent never needs to exceed b
+    if (cells < states and cells ** min(n_max, DENSE_PATH_LIMIT.bit_length())
+            > DENSE_PATH_LIMIT):
+        raise TooLarge(f"{cells}^{n_max} cell sequences exceed the dense limit")
     gap = stationary_gap(mu, kernel)
     if gap > 1e-9:
         raise NotStationary(gap)
-    if n_max < 1:
-        raise ShapeMismatch("n_max must be at least 1")
-    if partition is None or len(partition.cells) == kernel.corr.n_states:
+    if cells == states:
         h = entropy_rate(mu, kernel)
         h0 = measure_entropy(mu)
         seq = np.array([(h0 + (n - 1) * h) / n for n in range(1, n_max + 1)])
         return seq, h
-    seq = []
-    for n in range(1, n_max + 1):
-        dist = chain_distribution(mu, kernel, n - 1)
-        seq.append(partition_entropy(dist, partition) / n)
+    totals = _cell_entropies(mu, kernel, partition, n_max)
+    seq = [t / n for n, t in enumerate(totals, 1)]
     return np.array(seq), float(seq[-1])
 
 

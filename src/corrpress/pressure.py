@@ -136,7 +136,7 @@ def _edge_operator(src, dst, weights, segments=None):
     return lambda v: np.logaddexp.reduceat(v[src] + weights, heads)
 
 
-def _power_vector(src, dst, w, k, period, cap, segments=None):
+def _power_vector(src, dst, w, k, period, cap, segments):
     """Log radius, log Perron vector and bracket of v -> v M on a class.
 
     Power iteration from the all-ones vector in log domain, normalized

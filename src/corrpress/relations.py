@@ -8,6 +8,7 @@ and a potential assigns a real weight to every edge.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -22,6 +23,19 @@ from .errors import (
     NotSurjective,
     ShapeMismatch,
 )
+
+
+def whole_number(x, what="state index"):
+    """x as an int: the one reader of a state index or count that a
+    document supplies.  An int counts, and so does a whole float such
+    as 2.0; a bool, a fractional or non-finite number, a string or
+    anything else is ShapeMismatch, with the value in the message.
+    """
+    if isinstance(x, float) and x.is_integer():    # not NaN or inf
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ShapeMismatch(f"{what} must be a whole number, not {x!r}")
+    return int(x)
 
 
 class FiniteCorrespondence:

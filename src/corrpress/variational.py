@@ -39,6 +39,7 @@ from .kernels import (
 )
 from .polytope import _hall_flow, is_invariant
 from .pressure import spectral_pressure
+from .relations import whole_number
 
 
 @dataclass(frozen=True)
@@ -57,17 +58,13 @@ class SolverConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        steps, tol = self.max_iterations, self.tolerance
-        if isinstance(steps, float) and steps.is_integer():    # not NaN or inf
-            steps = int(steps)
-        if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
-                or steps < 1):
-            raise ShapeMismatch(
-                f"max_iterations must be an integer >= 1, not {steps!r}")
+        steps, tol = whole_number(self.max_iterations, "max_iterations"), self.tolerance
+        if steps < 1:
+            raise ShapeMismatch(f"max_iterations must be at least 1, not {steps!r}")
         if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                 or not 0 < tol < math.inf):    # NaN fails here too
             raise ShapeMismatch(f"tolerance must be finite and > 0, not {tol!r}")
-        object.__setattr__(self, "max_iterations", int(steps))
+        object.__setattr__(self, "max_iterations", steps)
         object.__setattr__(self, "tolerance", float(tol))
 
 

@@ -1,5 +1,5 @@
-"""Test-side references for the invariance flow, the cycle polytope
-and the log-domain path sums.
+"""Test-side references for the invariance flow, the cycle polytope,
+the log-domain path sums and the entropy of a coarsened chain.
 
 A dense two-phase simplex on Python lists (Bland's rule, exact with
 Fraction entries), the coupling LP built on it, and the bitmask Hall
@@ -7,7 +7,9 @@ program over all 2^n target subsets.  They are slow and capped by
 nothing but patience, so they serve the tests only, as independent
 references for corrpress.polytope.  The path sums and the power
 iteration step by an np.logaddexp.at scatter onto -inf, one edge at a
-time in edge order, as references for corrpress.pressure.
+time in edge order, as references for corrpress.pressure.  The chain
+law is enumerated path by path, and the entropy of its coarsening is
+walked afresh for each length, as references for corrpress.kernels.
 """
 
 import math
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from corrpress.kernels import pushforward
 from corrpress.polytope import FEAS_TOL
 from corrpress.pressure import BRACKET_TOL
 
@@ -206,3 +209,43 @@ def power_vector(src, dst, w, k, period, cap):
             return logrho, vec, (lo / period, hi / period)
         v = sweep[-1] - np.max(sweep[-1])
     return None
+
+
+def chain_paths(start, kernel, length):
+    """The law of (X_1, ..., X_length) as a dict from each path of
+    positive weight to its weight, extending paths one draw at a time."""
+    corr = kernel.corr
+    n = corr.n_states
+    q = kernel.probs
+    starts = np.searchsorted(corr.edge_arrays()[0], np.arange(n + 1))
+    frontier = [((x,), float(start[x])) for x in range(n) if start[x] > 0.0]
+    for _ in range(length - 1):
+        nxt = []
+        for path, w in frontier:
+            x = path[-1]
+            for y, p in zip(corr.successors(x), q[starts[x]:starts[x + 1]]):
+                if p > 0.0:
+                    nxt.append((path + (y,), w * p))
+        frontier = nxt
+    return dict(frontier)
+
+
+def cell_entropy(start, kernel, partition, length):
+    """H of the law of the cells of (X_1, ..., X_length), by a
+    depth-first walk over the cell sequences of that length alone,
+    adding -m log m at its leaves."""
+    masks = [partition.indicator(c) for c in range(len(partition.cells))]
+    total = 0.0
+    stack = [(1, np.asarray(start, dtype=float) * m) for m in masks]
+    while stack:
+        depth, vec = stack.pop()
+        mass = float(np.sum(vec))
+        if mass <= 0.0:
+            continue
+        if depth == length:
+            total -= mass * math.log(mass)
+            continue
+        nxt = pushforward(vec, kernel)
+        for m in masks:
+            stack.append((depth + 1, nxt * m))
+    return total

@@ -131,13 +131,14 @@ def test_unnormalized_measure_is_an_input_error(tmp_path, capsys):
     '{"n_states": 2, "edges": [[0, 1e999], [1, 0]]}',
 ])
 def test_non_finite_number_is_an_input_error(tmp_path, capsys, text):
-    # JSON reads 1e999 as infinity, which no state index converts from
+    # JSON reads 1e999 as infinity, which is no whole number
     path = tmp_path / "inf.json"
     path.write_text(text)
     code, doc = run(capsys, ["pressure", "--input", str(path)])
     assert code == 2
     assert doc["status"] == "error"
-    assert doc["error"]["type"] == "OverflowError"
+    assert doc["error"]["type"] == "ShapeMismatch"
+    assert "inf" in doc["error"]["message"]
 
 
 def test_huge_state_count_is_refused_before_allocation(tmp_path, capsys):
@@ -173,6 +174,67 @@ def test_kernel_successor_out_of_range_is_an_input_error(tmp_path, capsys,
     assert code == 2
     assert doc["error"]["type"] == "IndexOutOfRange"
     assert f"(0, {successor})" in doc["error"]["message"]
+
+
+def _documents_with(tmp_path, bad, where):
+    """The argv of one command, with bad as the state index or count
+    at `where` and every other document valid."""
+    corr = {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
+    phi = {"edges": [[0, 1, 0.5]]}
+    nu = {"edges": [[0, 0, 0.5], [0, 1, 0.25], [1, 0, 0.25]]}
+    kernel = {"rows": [[[0, 1.0 / GOLDEN], [1, 1.0 / GOLDEN ** 2]], [[0, 1.0]]]}
+    config = {"theta": [1, 0], "blocks": [[0], [0, 1]], "cells": [[0, 1]]}
+    if where == "n_states":
+        corr["n_states"] = bad
+    elif where == "edge":
+        corr["edges"][1] = [0, bad]
+    elif where == "phi":
+        phi["edges"][0] = [0, bad, 0.5]
+    elif where == "nu":
+        nu["edges"][1] = [0, bad, 0.25]
+    elif where == "kernel":
+        kernel["rows"][0][1] = [bad, 1.0 / GOLDEN ** 2]
+    else:
+        config[where] = [[0], [bad]] if where != "theta" else [bad, 0]
+    command = {"n_states": "pressure", "edge": "pressure", "phi": "pressure",
+               "nu": "aentropy", "kernel": "kentropy", "theta": "relabel",
+               "blocks": "decompose", "cells": "kentropy"}[where]
+    docs = {"--input": corr, "--phi": phi, "--nu": nu, "--kernel": kernel,
+            "--mu": {"weights": PARRY}, "--config": config}
+    flags = {"pressure": ["--input", "--phi"], "aentropy": ["--input", "--nu"],
+             "kentropy": ["--input", "--kernel", "--mu", "--config"],
+             "relabel": ["--input", "--config"],
+             "decompose": ["--input", "--config"]}[command]
+    return [command] + [x for flag in flags
+                        for x in (flag, write(tmp_path, flag[2:] + ".json",
+                                              docs[flag]))]
+
+
+WHERE = ["n_states", "edge", "phi", "nu", "kernel", "theta", "blocks", "cells"]
+
+
+# int() once read the edge [0, 1.9] as (0, 1), true as 1 and cells
+# [[0.7], [1]] as [[0], [1]]
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("bad", [1.9, 0.7, True, "1", math.nan, math.inf,
+                                 -math.inf])
+def test_every_state_index_in_a_document_is_a_whole_number(tmp_path, capsys,
+                                                           where, bad):
+    code, doc = run(capsys, _documents_with(tmp_path, bad, where))
+    assert code == 2
+    assert doc["error"]["type"] == "ShapeMismatch"
+    assert repr(bad) in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("where", WHERE)
+def test_whole_floats_read_as_state_indices(tmp_path, capsys, where):
+    reports = []
+    whole = 2 if where == "n_states" else 1
+    for index in (whole, float(whole)):
+        code, doc = run(capsys, _documents_with(tmp_path, index, where))
+        assert code == 0
+        reports.append(doc["results"])
+    assert reports[0] == reports[1]
 
 
 def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys, monkeypatch):

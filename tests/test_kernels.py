@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import corrpress.kernels
 from corrpress import (
     FiniteCorrespondence,
     NotStationary,
@@ -12,13 +14,11 @@ from corrpress import (
     ShapeMismatch,
     TooLarge,
     TransitionKernel,
-    chain_distribution,
     entropy_rate,
     gibbs_equilibrium,
     kernel_entropy,
     kernel_from_pair,
     pair_from_kernel,
-    partition_entropy,
     pullback,
     pushforward,
     uniform_measure,
@@ -26,6 +26,8 @@ from corrpress import (
 )
 from corrpress.intervals import example_branches, grid_discretize
 from corrpress.kernels import measure_entropy, stationary_gap, stationary_measures
+from corrpress.verify import random_relation
+from references import cell_entropy, chain_paths
 
 
 def full_shift(m):
@@ -120,8 +122,7 @@ def test_chain_distribution_dense_sums_to_one():
     rng = np.random.default_rng(32)
     corr = golden_mean()
     ker = random_kernel(rng, corr)
-    dist = chain_distribution(uniform_measure(2), ker, 5)
-    dense = dist.dense()
+    dense = chain_paths(uniform_measure(2), ker, 6)
     assert sum(dense.values()) == pytest.approx(1.0, abs=1e-12)
     # support is exactly the walks of the relation
     for path in dense:
@@ -129,34 +130,41 @@ def test_chain_distribution_dense_sums_to_one():
             assert corr.has_edge(a, b)
 
 
-def test_chain_marginal_consistency():
-    rng = np.random.default_rng(33)
-    corr = full_shift(3)
-    ker = random_kernel(rng, corr)
-    mu = rng.dirichlet(np.ones(3))
-    dist = chain_distribution(mu, ker, 3)
-    short = dist.marginal_first(2).dense()
-    folded = {}
-    for path, w in dist.dense().items():
-        folded[path[:2]] = folded.get(path[:2], 0.0) + w
-    for key, w in short.items():
-        assert w == pytest.approx(folded[key], abs=1e-12)
-
-
-def test_stationary_chain_blocks_share_their_law():
-    ker = parry_golden_kernel()
-    dist = chain_distribution(PARRY_GOLDEN, ker, 4)
-    a = dist.shifted_block(0, 3).dense()
-    b = dist.shifted_block(2, 3).dense()
-    for key in a:
-        assert a[key] == pytest.approx(b[key], abs=1e-12)
-
-
 def test_dense_guard():
     corr = full_shift(4)
     ker = TransitionKernel(corr, np.full((4, 4), 0.25))
+    two_cells = Partition(4, [(0, 1), (2, 3)])
+    # 2^23 cell sequences are within the limit, 2^24 are past it
+    for n_max in (24, 40):
+        with pytest.raises(TooLarge, match=f"2\\^{n_max} "):
+            kernel_entropy(uniform_measure(4), ker, n_max, two_cells)
+
+
+def test_coarse_route_is_refused_before_any_walking(monkeypatch):
+    rng = np.random.default_rng(37)
+    ker = random_kernel(rng, full_shift(3))
+    _, mu = stationary_measures(ker)[0]
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return pushforward(*args)
+
+    monkeypatch.setattr(corrpress.kernels, "pushforward", counting)
     with pytest.raises(TooLarge):
-        chain_distribution(uniform_measure(4), ker, 40).dense()
+        kernel_entropy(mu, ker, 40, Partition(3, [(0, 1), (2,)]))
+    assert calls == []
+
+
+def test_partition_of_another_state_space_is_refused():
+    rng = np.random.default_rng(38)
+    ker = random_kernel(rng, full_shift(3))
+    _, mu = stationary_measures(ker)[0]
+    # three cells of five states once took the closed form for three states
+    for part in (Partition(5, [(0, 3), (1, 4), (2,)]), Partition(2, [(0,), (1,)]),
+                 Partition(4, [(0, 1), (2, 3)])):
+        with pytest.raises(ShapeMismatch, match="partition of"):
+            kernel_entropy(mu, ker, 3, part)
 
 
 def test_entropy_rate_closed_form():
@@ -191,15 +199,36 @@ def test_partition_entropy_matches_dense_enumeration():
     rng = np.random.default_rng(34)
     corr = full_shift(3)
     ker = random_kernel(rng, corr)
-    mu = rng.dirichlet(np.ones(3))
-    dist = chain_distribution(mu, ker, 3)
+    _, mu = stationary_measures(ker)[0]
     part = Partition(3, [(0, 1), (2,)])
-    by_walk = {}
-    for path, w in dist.dense().items():
-        key = tuple(part.cell_of[x] for x in path)
-        by_walk[key] = by_walk.get(key, 0.0) + w
-    direct = -sum(w * math.log(w) for w in by_walk.values() if w > 0.0)
-    assert partition_entropy(dist, part) == pytest.approx(direct, abs=1e-12)
+    seq, value = kernel_entropy(mu, ker, 4, part)
+    assert value == seq[-1]
+    for n in range(1, 5):
+        by_walk = {}
+        for path, w in chain_paths(mu, ker, n).items():
+            key = tuple(part.cell_of[x] for x in path)
+            by_walk[key] = by_walk.get(key, 0.0) + w
+        direct = -sum(w * math.log(w) for w in by_walk.values() if w > 0.0)
+        assert n * seq[n - 1] == pytest.approx(direct, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       n_cells=st.sampled_from([2, 3]), n_max=st.integers(1, 8))
+def test_one_walk_is_bit_identical_to_a_walk_per_length(seed, n_cells, n_max):
+    rng = np.random.default_rng(seed)
+    corr = random_relation(rng, n_min=n_cells + 1, n_max=6)
+    ker = random_kernel(rng, corr)
+    _, mu = stationary_measures(ker)[0]
+    label = np.concatenate([np.arange(n_cells),
+                            rng.integers(0, n_cells, corr.n_states - n_cells)])
+    rng.shuffle(label)
+    part = Partition(corr.n_states, [np.flatnonzero(label == c)
+                                     for c in range(n_cells)])
+    seq, value = kernel_entropy(mu, ker, n_max, part)
+    assert list(seq) == [cell_entropy(mu, ker, part, n) / n
+                         for n in range(1, n_max + 1)]
+    assert value == seq[-1]
 
 
 def test_coarse_partition_entropy_is_dominated():
@@ -281,20 +310,17 @@ def test_edge_formulas_match_the_dense_loops():
         assert np.array_equal(ker.relabel(theta).matrix[np.ix_(theta, theta)], m)
         rows = [[(j, m[i, j]) for j in corr.successors(i)] for i in range(n)]
         assert np.array_equal(TransitionKernel.from_rows(corr, rows).matrix, m)
-        dist = chain_distribution(mu, ker, 2)
-        assert np.allclose(dist.shifted_block(2, 1).start, mu @ m @ m,
-                           rtol=1e-13, atol=0.0)
         walks = {(a, b, c): mu[a] * m[a, b] * m[b, c]
                  for a in range(n) for b in range(n) for c in range(n)
                  if mu[a] * m[a, b] * m[b, c] > 0.0}
-        assert dist.dense() == walks
+        assert chain_paths(mu, ker, 3) == walks
         part = Partition(n, [range(0, n, 2), range(1, n, 2)])
         by_cells = {}
         for walk, w in walks.items():
             key = tuple(x % 2 for x in walk)
             by_cells[key] = by_cells.get(key, 0.0) + w
         direct = -sum(w * math.log(w) for w in by_cells.values())
-        assert partition_entropy(dist, part) == pytest.approx(direct, rel=1e-13)
+        assert cell_entropy(mu, ker, part, 3) == pytest.approx(direct, rel=1e-13)
 
 
 def test_gibbs_kernel_on_the_4096_cell_grid_holds_no_dense_matrix():
