@@ -132,9 +132,7 @@ class Inputs:
 def _corr_from(doc):
     if not isinstance(doc, dict) or "n_states" not in doc or "edges" not in doc:
         raise ShapeMismatch("correspondence document needs n_states and edges")
-    edges = [(whole_number(i), whole_number(j)) for i, j in doc["edges"]]
-    return FiniteCorrespondence(whole_number(doc["n_states"], "n_states"), edges,
-                                doc.get("labels"))
+    return FiniteCorrespondence(doc["n_states"], doc["edges"], doc.get("labels"))
 
 
 def _potential_from(corr, doc):
@@ -197,7 +195,8 @@ def _config_from(doc):
 
 def _corr_doc(corr):
     doc = {"n_states": corr.n_states,
-           "edges": [[i, j] for i, j in corr.edges]}
+           # an int array, which _json_text writes as its rows
+           "edges": np.stack(corr.edge_arrays(), axis=1)}
     if corr.labels is not None:
         doc["labels"] = list(corr.labels)
     return doc
@@ -256,23 +255,30 @@ def _scalar_text(x):
 
 
 def _int_rows(items, inner):
-    """The joined item texts of a list of equal-length int lists, from
-    one %d template, or None when items is not such a list."""
-    if set(map(type, items)) - {list, tuple}:
-        return None
-    lengths = set(map(len, items))
-    # bool is not int here: json writes it as true or false
-    if (len(lengths) != 1
-            or set(map(type, itertools.chain.from_iterable(items))) != {int}):
-        return None
+    """The joined item texts of a list of equal-length int lists, or of
+    the rows of a 2-D int array, from one %d template; None when items
+    is neither."""
+    if isinstance(items, np.ndarray):
+        if items.dtype.kind != "i" or items.ndim != 2:
+            return None
+        width, flat = items.shape[1], items.ravel().tolist()
+    else:
+        if set(map(type, items)) - {list, tuple}:
+            return None
+        lengths = set(map(len, items))
+        # bool is not int here: json writes it as true or false
+        if (len(lengths) != 1
+                or set(map(type, itertools.chain.from_iterable(items))) != {int}):
+            return None
+        width, flat = lengths.pop(), itertools.chain.from_iterable(items)
     deeper = inner + INDENT
-    row = "[" + deeper + ("," + deeper).join(["%d"] * lengths.pop()) + inner + "]"
-    return (("," + inner + row) * len(items))[len(inner) + 1:] % tuple(
-        itertools.chain.from_iterable(items))
+    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+    return (("," + inner + row) * len(items))[len(inner) + 1:] % tuple(flat)
 
 
 def _json_text(obj, inner="\n"):
-    """obj as json.dumps(obj, indent=2, allow_nan=False) writes it.
+    """obj as json.dumps(obj, indent=2, allow_nan=False) writes it; a
+    2-D int array is written as its nested lists.
 
     inner is the newline and indentation of obj's own line.  Each
     container is one join of its item texts; scalars go through the
@@ -289,13 +295,14 @@ def _json_text(obj, inner="\n"):
         body = ("," + deeper).join([_quote(k) + ": " + _json_text(v, deeper)
                                     for k, v in obj.items()])
         return "{" + deeper + body + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             return "[]"
         body = _int_rows(obj, deeper)
-        if body is None:
+        if body is None and not isinstance(obj, np.ndarray):
             body = ("," + deeper).join([_json_text(v, deeper) for v in obj])
-        return "[" + deeper + body + inner + "]"
+        if body is not None:
+            return "[" + deeper + body + inner + "]"
     raise TypeError(f"Object of type {obj.__class__.__name__} "
                     "is not JSON serializable")
 

@@ -170,7 +170,8 @@ def stationary_measures(kernel):
     q = kernel.probs
     on = q > 0.0
     src, dst, logq = src[on], dst[on], np.log(q[on])   # the support's edges, sorted
-    cache = FiniteCorrespondence(corr.n_states, zip(src, dst)).spectral_cache()
+    support = FiniteCorrespondence(corr.n_states, np.stack((src, dst), axis=1))
+    cache = support.spectral_cache()
     label = cache.class_of
     leaving = set(label[src][label[src] != label[dst]].tolist())
     out = []

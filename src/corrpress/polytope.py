@@ -169,6 +169,11 @@ def is_invariant(corr, mu, mode="both"):
     return InvarianceCheck(True, by_mode, pair, kernel_from_pair(corr, pair), None)
 
 
+def _csr(rows):
+    """CSR offsets and targets of successor lists."""
+    return [0, *itertools.accumulate(map(len, rows))], list(itertools.chain(*rows))
+
+
 def _simple_cycles(corr):
     """Simple cycles, as state tuples from their least state.
 
@@ -186,7 +191,7 @@ def _simple_cycles(corr):
         local = {v: k for k, v in enumerate(states)}
         succ = [[local[w] for w in corr.successors(v) if w in local]
                 for v in states]
-        comps = strongly_connected_components(len(states), succ)
+        comps = strongly_connected_components(*_csr(succ))
         if len(comps) != 1:
             work.extend([states[k] for k in c] for c in comps)
             continue
@@ -231,7 +236,7 @@ def _sole_cycle_cover(corr, cycle):
     arcs = [[(pos[j] - 1) % m for j in corr.successors(v)
              if j in pos and pos[j] != (k + 1) % m]
             for k, v in enumerate(cycle)]
-    return len(strongly_connected_components(m, arcs)) == m
+    return len(strongly_connected_components(*_csr(arcs))) == m
 
 
 @dataclass(frozen=True, eq=False)

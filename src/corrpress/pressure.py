@@ -42,73 +42,82 @@ POWER_CAP = 100000
 BRACKET_TOL = 1e-13
 
 
-def strongly_connected_components(n_states, successors):
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index = [-1] * n_states
-    low = [0] * n_states
-    on_stack = [False] * n_states
+def strongly_connected_components(offsets, targets):
+    """Tarjan's algorithm, iterative, on a relation in CSR form: the
+    successors of v are targets[offsets[v]:offsets[v + 1]]
+    (FiniteCorrespondence.csr; Python lists walk fastest).  Components
+    in reverse topological order, each a sorted tuple.
+
+    A state whose component is complete gets the index n, above every
+    low-link, so it never lowers one and no on-stack flag is kept; the
+    stack holds v and the states above it from where[v] on.
+    """
+    n = len(offsets) - 1
+    index = [-1] * n
+    low = [0] * n
+    where = [0] * n
+    nxt = list(offsets[:-1])        # each state's next edge to scan
     stack = []
     components = []
     counter = 0
-    for root in range(n_states):
-        if index[root] != -1:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(successors[v])):
-                w = successors[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
+        index[root] = low[root] = counter
+        counter += 1
+        where[root] = len(stack)
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            k, end, lv = nxt[v], offsets[v + 1], low[v]
+            child = -1
+            while k < end:
+                w = targets[k]
+                k += 1
+                if index[w] < 0:
+                    child = w
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+                if index[w] < lv:
+                    lv = index[w]
+            nxt[v], low[v] = k, lv
+            if child >= 0:
+                index[child] = low[child] = counter
+                counter += 1
+                where[child] = len(stack)
+                stack.append(child)
+                path.append(child)
                 continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            path.pop()
+            if lv == index[v]:
+                comp = stack[where[v]:]
+                del stack[where[v]:]
+                for w in comp:
+                    index[w] = n
+                components.append(tuple(sorted(comp)) if len(comp) > 1 else (v,))
+            if path and lv < low[path[-1]]:
+                low[path[-1]] = lv
     return components
 
 
-def component_period(comp, successors):
-    """gcd of cycle lengths inside one strongly connected component."""
-    comp_set = set(comp)
-    root = comp[0]
-    level = {root: 0}
-    queue = [root]
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in successors[u]:
-                if w in comp_set and w not in level:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-        queue = nxt
-    g = 0
-    for u in comp:
-        for w in successors[u]:
-            if w in comp_set:
-                g = math.gcd(g, level[u] + 1 - level[w])
-    return abs(g)
+def component_period(k, rows, cols):
+    """gcd of the cycle lengths of a strongly connected class of k
+    states, from the local sources and targets of its internal edges,
+    sources in increasing order (SpectralCache.class_edges): the gcd of
+    level(i) + 1 - level(j) over the edges, levels from one breadth-first
+    search on the class's CSR lists."""
+    offsets = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    targets = cols.tolist()
+    level = [-1] * k
+    level[0] = 0
+    queue = [0]
+    for u in queue:                 # the queue grows while it is read
+        for w in targets[offsets[u]:offsets[u + 1]]:
+            if level[w] < 0:
+                level[w] = level[u] + 1
+                queue.append(w)
+    level = np.array(level)
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
 
 
 def _target_segments(dst):
@@ -197,11 +206,11 @@ def _perron_from(w, vecs, rho):
 def _class_edges(corr, components):
     """Index the edges inside each class in one vectorized pass.
 
-    Returns the state -> class label array, the local source and target
-    indices of the internal edges with their global edge indices, each
-    as one array grouped by class and in edge order within a class, and
-    the offsets of the classes' groups: class c owns the entries
-    offsets[c]:offsets[c + 1].
+    Returns the state -> class label array, the class sizes, the local
+    source and target indices of the internal edges with their global
+    edge indices, each as one array grouped by class and in edge order
+    within a class, and the offsets of the classes' groups as an array:
+    class c owns the entries offsets[c]:offsets[c + 1].
     """
     sizes = np.fromiter(map(len, components), dtype=np.int64,
                         count=len(components))
@@ -215,9 +224,10 @@ def _class_edges(corr, components):
     src, dst = corr.edge_arrays()
     inside = np.flatnonzero(label[src] == label[dst])
     inside = inside[np.argsort(label[src[inside]], kind="stable")]
-    counts = np.bincount(label[src[inside]], minlength=len(components))
-    offsets = [0] + np.cumsum(counts).tolist()
-    return label, local[src[inside]], local[dst[inside]], inside, offsets
+    offsets = np.zeros(len(components) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(label[src[inside]], minlength=len(components)),
+              out=offsets[1:])
+    return label, sizes, local[src[inside]], local[dst[inside]], inside, offsets
 
 
 class SpectralCache:
@@ -225,8 +235,9 @@ class SpectralCache:
 
     The classes (strongly connected components), the edges inside
     them and the target order of a power class's edges depend only on
-    the support, so they are indexed once per relation (FiniteCorrespondence.spectral_cache); every quantity for
-    a given potential then comes from solve(), the one Perron routine.
+    the support, so they are indexed once per relation
+    (FiniteCorrespondence.spectral_cache); every quantity for a given
+    potential then comes from solve(), the one Perron routine.
     Classes of up to DENSE_MAX states take a dense eigensolve, larger
     ones a sparse power iteration.  The cache keeps no reference to the
     relation, so the relation it is memoised on is freed by reference
@@ -234,12 +245,18 @@ class SpectralCache:
     """
 
     def __init__(self, corr):
-        self.components = strongly_connected_components(corr.n_states, corr._succ)
-        (self.class_of, self._rows, self._cols, self._eidx,
-         self._offsets) = _class_edges(corr, self.components)
-        self.periods = {c: component_period(comp, corr._succ)
-                        for c, comp in enumerate(self.components)
-                        if len(comp) > DENSE_MAX}
+        offsets, targets = (a.tolist() for a in corr.csr())
+        self.components = strongly_connected_components(offsets, targets)
+        (self.class_of, sizes, self._rows, self._cols, self._eidx,
+         bounds) = _class_edges(corr, self.components)
+        self._offsets = bounds.tolist()
+        # the one-state classes with a loop and their loops' edges; every
+        # other one-state class has log rho = -inf (see log_radii)
+        looped = np.flatnonzero((sizes == 1) & (bounds[1:] - bounds[:-1] == 1))
+        self._loops = (looped, self._eidx[bounds[looped]])
+        self._multi = np.flatnonzero(sizes > 1).tolist()
+        self.periods = {c: component_period(int(sizes[c]), *self.class_edges(c)[:2])
+                        for c in self._multi if sizes[c] > DENSE_MAX}
         # the target order of each power class, left and right
         self.segments = {}
         for c in self.periods:
@@ -321,8 +338,15 @@ class SpectralCache:
         return shift + math.log(rho), right, left, None
 
     def log_radii(self, values):
-        return [self.solve(c, values, vectors=False)[0]
-                for c in range(len(self.components))]
+        """log rho of every class, as a list: the one-state classes in
+        one vector operation, each a loop's weight or -inf as solve()
+        gives it, and solve() on the others."""
+        radii = np.full(len(self.components), -np.inf)
+        looped, loops = self._loops
+        radii[looped] = values[loops]
+        for c in self._multi:
+            radii[c] = self.solve(c, values, vectors=False)[0]
+        return radii.tolist()
 
     def pressure(self, values):
         return max(self.log_radii(values))
@@ -330,8 +354,10 @@ class SpectralCache:
     def dominant(self, values):
         radii = self.log_radii(values)
         top = max(radii)
-        dom = [c for c, r in enumerate(radii) if top - r <= TIE_TOL]
-        dom.sort(key=lambda c: min(self.components[c]))
+        if top == -np.inf:
+            return top, [], radii
+        dom = np.flatnonzero(top - np.array(radii) <= TIE_TOL).tolist()
+        dom.sort(key=lambda c: self.components[c][0])
         return top, dom, radii
 
 

@@ -7,8 +7,8 @@ and a potential assigns a real weight to every edge.
 
 from __future__ import annotations
 
-import itertools
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -31,6 +31,8 @@ def whole_number(x, what="state index"):
     as 2.0; a bool, a fractional or non-finite number, a string or
     anything else is ShapeMismatch, with the value in the message.
     """
+    if type(x) is int:
+        return x
     if isinstance(x, float) and x.is_integer():    # not NaN or inf
         return int(x)
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
@@ -38,55 +40,86 @@ def whole_number(x, what="state index"):
     return int(x)
 
 
+def sorted_unique(a):
+    """np.unique of an int array by one sort; numpy's own hashes the
+    values first, which is many times slower on large arrays."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 class FiniteCorrespondence:
     """Edge relation on n_states states with no empty successor set.
 
-    Edges are stored sorted, so iteration order is deterministic and
-    independent of construction order.
+    The edges are stored as two sorted int64 arrays, sources and
+    targets in the order of the keys i * n_states + j, with CSR offsets:
+    the successors of i are targets[offsets[i]:offsets[i + 1]].  So
+    iteration order is deterministic and independent of construction
+    order.  The Python views (edges, successors, predecessors,
+    edge_index) are built on first use, for the callers that walk them.
+
+    edges is an iterable of pairs, each index a whole number read by
+    whole_number, or an int array of shape (m, 2), which skips that
+    per-item pass.
     """
 
     def __init__(self, n_states, edges, labels=None):
-        if n_states <= 0:
-            raise IndexOutOfRange(list(edges), n_states)
-        edges = [(int(i), int(j)) for i, j in edges]
-        bad = [e for e in edges if not (0 <= e[0] < n_states and 0 <= e[1] < n_states)]
-        if bad:
-            raise IndexOutOfRange(bad, n_states)
-        seen, dups = set(), []
-        for e in edges:
-            if e in seen:
-                dups.append(e)
-            seen.add(e)
-        if dups:
-            raise DuplicateEdge(sorted(set(dups)))
-        sources = {i for i, _ in seen}
-        if len(sources) < n_states:
-            # checked before any per-state allocation: n_states may be huge
-            first = itertools.islice((i for i in range(n_states) if i not in sources),
-                                     EmptySuccessor.LISTED)
-            raise EmptySuccessor(list(first), n_states - len(sources))
-        self.n_states = int(n_states)
-        self.edges = tuple(sorted(seen))
-        succ = [[] for _ in range(n_states)]
-        pred = [[] for _ in range(n_states)]
-        for i, j in self.edges:
-            succ[i].append(j)
-            pred[j].append(i)
-        self._succ = tuple(tuple(s) for s in succ)
-        self._pred = tuple(tuple(p) for p in pred)
+        n = whole_number(n_states, "n_states")
+        both = _edge_columns(edges, n)
+        src, dst = both
+        if n <= 0:
+            raise IndexOutOfRange(_pairs(src, dst), n)
+        m = src.size
+        # a negative index wraps to an unsigned one past n
+        if m and both.view(np.uint64).max() >= n:
+            bad = (both.view(np.uint64) >= n).any(axis=0)
+            raise IndexOutOfRange(_pairs(src[bad], dst[bad]), n)
+        if n > m:
+            _refuse_short(n, src, dst)
+        # n <= m, and m edges fit in memory, so n * n fits in int64
+        keys = src * n + dst
+        if not (keys[1:] > keys[:-1]).all():
+            keys = np.sort(keys)
+            twice = keys[1:] == keys[:-1]
+            if twice.any():
+                raise DuplicateEdge(_pairs(*np.divmod(sorted_unique(keys[1:][twice]), n)))
+            src, dst = np.divmod(keys, n)
+        offsets = _offsets(src, n)
+        if not (offsets[1:] > offsets[:-1]).all():
+            empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+            raise EmptySuccessor(empty[:EmptySuccessor.LISTED].tolist(), empty.size)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
-            if len(labels) != n_states:
-                raise ShapeMismatch(f"{len(labels)} labels for {n_states} states")
+            if len(labels) != n:
+                raise ShapeMismatch(f"{len(labels)} labels for {n} states")
+        for a in (src, dst, offsets):
+            a.flags.writeable = False
+        self.n_states = n
         self.labels = labels
-        self._arrays = None
+        self._src, self._dst, self._offsets = src, dst, offsets
+        self._edges = self._succ = self._pred = None
         self._spectral = None
         self._index = None
 
+    @property
+    def edges(self):
+        """The edges as a sorted tuple of (i, j) pairs."""
+        if self._edges is None:
+            self._edges = tuple(_pairs(self._src, self._dst))
+        return self._edges
+
     def successors(self, i):
+        if self._succ is None:
+            self._succ = _rows(self._offsets, self._dst)
         return self._succ[i]
 
     def predecessors(self, j):
+        if self._pred is None:
+            # a stable sort by target keeps each target's sources in order
+            order = np.argsort(self._dst, kind="stable")
+            self._pred = _rows(_offsets(self._dst[order], self.n_states),
+                               self._src[order])
         return self._pred[j]
 
     def has_edge(self, i, j):
@@ -94,16 +127,17 @@ class FiniteCorrespondence:
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return self._src.size
 
     def edge_arrays(self):
         """Read-only source and target index arrays, aligned with
-        self.edges; built once per relation."""
-        if self._arrays is None:
-            arrays = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
-            arrays.flags.writeable = False
-            self._arrays = (arrays[0], arrays[1])
-        return self._arrays
+        self.edges."""
+        return self._src, self._dst
+
+    def csr(self):
+        """Read-only CSR offsets and targets: the successors of state i
+        are targets[offsets[i]:offsets[i + 1]], in increasing order."""
+        return self._offsets, self._dst
 
     def spectral_cache(self):
         """The spectral class index (pressure.SpectralCache) of this
@@ -120,43 +154,101 @@ class FiniteCorrespondence:
             self._index = MappingProxyType({e: k for k, e in enumerate(self.edges)})
         return self._index
 
+    def _induced(self, order):
+        """The edges with both ends in order (sorted states, a list):
+        their sources and targets as positions in order, and their mask
+        in self.edges."""
+        pos = np.full(self.n_states, -1, dtype=np.int64)
+        lo, hi = bisect_left(order, 0), bisect_left(order, self.n_states)
+        pos[order[lo:hi]] = np.arange(lo, hi)
+        src, dst = pos[self._src], pos[self._dst]
+        keep = (src >= 0) & (dst >= 0)
+        return src[keep], dst[keep], keep
+
     def restrict(self, states):
         """Sub-relation induced on the given states.
 
         Returns the restricted correspondence together with the list
         mapping its state indices back to the original ones.  Raises
-        EmptySuccessor if some state loses all successors.
+        EmptySuccessor if some state loses all successors; a state
+        outside 0..n_states-1 has none.
         """
         order = sorted(set(states))
-        pos = {s: k for k, s in enumerate(order)}
-        sub = [(pos[i], pos[j]) for i, j in self.edges if i in pos and j in pos]
+        src, dst, _ = self._induced(order)
         labels = None
         if self.labels is not None:
             labels = [self.labels[s] for s in order]
-        return FiniteCorrespondence(len(order), sub, labels), order
+        return (FiniteCorrespondence(len(order), np.stack((src, dst), axis=1), labels),
+                order)
 
     def relabel(self, theta):
         theta = list(theta)
         if sorted(theta) != list(range(self.n_states)):
             raise NotBijective(f"not a permutation of 0..{self.n_states - 1}")
-        edges = [(theta[i], theta[j]) for i, j in self.edges]
+        t = np.array(theta, dtype=np.int64)
         labels = None
         if self.labels is not None:
             labels = [None] * self.n_states
             for s in range(self.n_states):
                 labels[theta[s]] = self.labels[s]
-        return FiniteCorrespondence(self.n_states, edges, labels)
+        return FiniteCorrespondence(
+            self.n_states, np.stack((t[self._src], t[self._dst]), axis=1), labels)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteCorrespondence)
                 and self.n_states == other.n_states
-                and self.edges == other.edges)
+                and np.array_equal(self._src, other._src)
+                and np.array_equal(self._dst, other._dst))
 
     def __hash__(self):
-        return hash((self.n_states, self.edges))
+        return hash((self.n_states, self._src.tobytes(), self._dst.tobytes()))
 
     def __repr__(self):
         return f"FiniteCorrespondence({self.n_states}, {list(self.edges)})"
+
+
+def _pairs(src, dst):
+    """Index arrays as a list of (i, j) tuples of Python ints."""
+    return list(zip(src.tolist(), dst.tolist()))
+
+
+def _rows(offsets, targets):
+    """CSR rows as a tuple of tuples of Python ints."""
+    flat, bounds = targets.tolist(), offsets.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _offsets(index, n):
+    """CSR offsets of the rows 0..n-1 of a sorted index array."""
+    return np.searchsorted(index, np.arange(n + 1))
+
+
+def _edge_columns(edges, n):
+    """The edges as a (2, m) int64 array of the caller's own, sources
+    over targets, in input order."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind == "i":
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ShapeMismatch(f"edge array of shape {edges.shape}, not (m, 2)")
+        return np.array(edges.T, dtype=np.int64, order="C")
+    pairs = [(whole_number(i), whole_number(j)) for i, j in edges]
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    except OverflowError:
+        # only an index far outside 0..n-1 leaves int64
+        raise IndexOutOfRange([e for e in pairs if not (0 <= e[0] < n and 0 <= e[1] < n)],
+                              n) from None
+
+
+def _refuse_short(n, src, dst):
+    """Raise what the constructor's checks raise on a relation with more
+    states than edges, which cannot give every state a successor, with
+    no array of length n: n may be huge."""
+    pairs, counts = np.unique(np.stack((src, dst), axis=1), axis=0, return_counts=True)
+    if np.any(counts > 1):
+        raise DuplicateEdge(_pairs(*pairs[counts > 1].T))
+    have = np.unique(src)
+    first = np.arange(min(n, have.size + EmptySuccessor.LISTED))
+    raise EmptySuccessor(first[~np.isin(first, have)].tolist(), n - have.size)
 
 
 def validate_correspondence(n_states, edges, labels=None):
@@ -177,7 +269,7 @@ def from_map(n_states, images, direction="forward"):
     images = list(images)
     if len(images) != n_states:
         raise IndexOutOfRange([], n_states)
-    edges = [(i, int(images[i])) for i in range(n_states)]
+    edges = [(i, whole_number(images[i])) for i in range(n_states)]
     if direction == "forward":
         return FiniteCorrespondence(n_states, edges)
     if direction == "inverse":
@@ -190,10 +282,11 @@ def from_map(n_states, images, direction="forward"):
 
 def inverse_correspondence(corr):
     """Transpose relation; requires every state to have an incoming edge."""
-    missed = [j for j in range(corr.n_states) if not corr.predecessors(j)]
-    if missed:
-        raise NotSurjective(missed)
-    return FiniteCorrespondence(corr.n_states, [(j, i) for i, j in corr.edges],
+    src, dst = corr.edge_arrays()
+    missed = np.flatnonzero(np.bincount(dst, minlength=corr.n_states) == 0)
+    if missed.size:
+        raise NotSurjective(missed.tolist())
+    return FiniteCorrespondence(corr.n_states, np.stack((dst, src), axis=1),
                                 corr.labels)
 
 
@@ -213,7 +306,7 @@ class Potential:
         elif isinstance(values, dict):
             index = corr.edge_index()
             for edge, v in values.items():
-                e = (int(edge[0]), int(edge[1]))
+                e = (whole_number(edge[0]), whole_number(edge[1]))
                 if e not in index:
                     raise IndexOutOfRange([e], corr.n_states)
                 vec[index[e]] = float(v)
@@ -270,14 +363,15 @@ class Potential:
 
     def restrict(self, sub, order):
         """Transport onto a sub-relation produced by corr.restrict."""
-        idx = self.corr.edge_index()
-        vals = [self.values[idx[(order[i], order[j])]] for i, j in sub.edges]
-        return Potential(sub, np.array(vals))
+        return Potential(sub, self.values[self.corr._induced(order)[2]])
 
     def relabel(self, theta):
         relabeled = self.corr.relabel(theta)
-        vals = {(theta[i], theta[j]): v for (i, j), v in zip(self.corr.edges, self.values)}
-        return Potential(relabeled, vals)
+        # the relabeled keys, sorted, give the new edge order
+        t = np.asarray(theta, dtype=np.int64)
+        src, dst = self.corr.edge_arrays()
+        moved = np.argsort(t[src] * self.corr.n_states + t[dst])
+        return Potential(relabeled, self.values[moved])
 
 
 def birkhoff_sum(corr, phi, path):
@@ -318,28 +412,38 @@ def decomposition_validate(corr, decomp):
     Returns a report dict and never raises: the union must cover the
     states, every induced block relation must itself be a
     correspondence, and no block may send an edge into the part of an
-    earlier block it does not share.
+    earlier block it does not share.  Block states outside
+    0..n_states-1 are listed under "outside" and make the report
+    invalid.
     """
     blocks = decomp.blocks if isinstance(decomp, Decomposition) else Decomposition(decomp).blocks
+    n = corr.n_states
+    src, dst = corr.edge_arrays()
     report = {"valid": True, "covers": True, "block_rows": [], "forbidden_edges": []}
-    covered = set()
-    for b in blocks:
-        covered.update(b)
-    if covered != set(range(corr.n_states)):
+    outside = sorted({s for b in blocks for s in b if not 0 <= s < n})
+    members = [np.array([s for s in b if 0 <= s < n], dtype=np.int64) for b in blocks]
+    covered = np.zeros(n, dtype=bool)
+    for b in members:
+        covered[b] = True
+    if outside or not covered.all():
         report["covers"] = False
         report["valid"] = False
-        report["missing"] = sorted(set(range(corr.n_states)) - covered)
-    earlier = set()
-    for k, b in enumerate(blocks):
-        bset = set(b)
-        empty = [i for i in b if not any(j in bset for j in corr.successors(i))]
-        if empty:
-            report["block_rows"].append({"block": k, "states": empty})
+        report["missing"] = np.flatnonzero(~covered).tolist()
+    if outside:
+        report["outside"] = outside
+    earlier = np.zeros(n, dtype=bool)
+    for k, b in enumerate(members):
+        inside = np.zeros(n, dtype=bool)
+        inside[b] = True
+        from_b, into_b = inside[src], inside[dst]
+        rows = np.bincount(src[from_b & into_b], minlength=n)
+        empty = b[rows[b] == 0]
+        if empty.size:
+            report["block_rows"].append({"block": k, "states": empty.tolist()})
             report["valid"] = False
-        forbidden = earlier - bset
-        bad = [(i, j) for i, j in corr.edges if i in bset and j in forbidden]
-        if bad:
-            report["forbidden_edges"].append({"block": k, "edges": sorted(bad)})
+        bad = from_b & ~into_b & earlier[dst]
+        if bad.any():
+            report["forbidden_edges"].append({"block": k, "edges": _pairs(src[bad], dst[bad])})
             report["valid"] = False
-        earlier |= bset
+        earlier |= inside
     return report

@@ -1,5 +1,10 @@
-"""Test-side references for the invariance flow, the cycle polytope,
-the log-domain path sums and the entropy of a coarsened chain.
+"""Test-side references for the relation constructor, the invariance
+flow, the cycle polytope, the log-domain path sums and the entropy of a
+coarsened chain.
+
+The relation is checked and indexed with Python sets, tuples and
+per-state lists, as corrpress.relations.FiniteCorrespondence once was,
+as the reference for its array checks and views.
 
 A dense two-phase simplex on Python lists (Bland's rule, exact with
 Fraction entries), the coupling LP built on it, and the bitmask Hall
@@ -12,14 +17,50 @@ law is enumerated path by path, and the entropy of its coarsening is
 walked afresh for each length, as references for corrpress.kernels.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from corrpress.errors import (DuplicateEdge, EmptySuccessor,
+                              IndexOutOfRange)
 from corrpress.kernels import pushforward
 from corrpress.polytope import FEAS_TOL
 from corrpress.pressure import BRACKET_TOL
+
+def relation(n_states, edges):
+    """(edges, successor tuples, predecessor tuples) of a relation, or
+    the exception its checks raise: IndexOutOfRange listing the edges
+    outside 0..n_states-1 in input order, then DuplicateEdge listing
+    the repeated edges sorted, then EmptySuccessor listing the first
+    LISTED states with no successor."""
+    if n_states <= 0:
+        raise IndexOutOfRange(list(edges), n_states)
+    edges = [(int(i), int(j)) for i, j in edges]
+    bad = [e for e in edges if not (0 <= e[0] < n_states and 0 <= e[1] < n_states)]
+    if bad:
+        raise IndexOutOfRange(bad, n_states)
+    seen, dups = set(), []
+    for e in edges:
+        if e in seen:
+            dups.append(e)
+        seen.add(e)
+    if dups:
+        raise DuplicateEdge(sorted(set(dups)))
+    sources = {i for i, _ in seen}
+    if len(sources) < n_states:
+        first = itertools.islice((i for i in range(n_states) if i not in sources),
+                                 EmptySuccessor.LISTED)
+        raise EmptySuccessor(list(first), n_states - len(sources))
+    edges = tuple(sorted(seen))
+    succ = [[] for _ in range(n_states)]
+    pred = [[] for _ in range(n_states)]
+    for i, j in edges:
+        succ[i].append(j)
+        pred[j].append(i)
+    return edges, tuple(map(tuple, succ)), tuple(map(tuple, pred))
+
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

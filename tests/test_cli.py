@@ -672,6 +672,25 @@ def test_decompose_reports_block_maximum(tmp_path, capsys):
     assert res["gap"] <= 1e-9
 
 
+def test_decompose_lists_block_states_outside_the_relation(tmp_path, capsys):
+    corr = write(tmp_path, "tri.json",
+                 {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 1]]})
+    blocks = write(tmp_path, "blocks.json", {"blocks": [[0], [1, 5]]})
+    code, doc = run(capsys, ["decompose", "--input", corr, "--config", blocks])
+    assert code == 0
+    assert doc["results"]["valid"] is False
+    assert doc["results"]["validation"]["outside"] == [5]
+
+
+def test_an_edge_index_past_int64_is_an_input_error(tmp_path, capsys):
+    corr = write(tmp_path, "big.json",
+                 {"n_states": 2, "edges": [[0, 0], [1, 0], [0, 2 ** 70]]})
+    code, doc = run(capsys, ["pressure", "--input", corr])
+    assert code == 2
+    assert doc["error"]["type"] == "IndexOutOfRange"
+    assert str(2 ** 70) in doc["error"]["message"]
+
+
 def test_verify_example_suite_passes(capsys):
     code, doc = run(capsys, ["verify", "--suite", "example"])
     assert code == 0

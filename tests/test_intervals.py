@@ -21,7 +21,7 @@ from corrpress import (
     pl_eval,
     spectral_pressure,
 )
-from corrpress.intervals import example_blocks, example_inner_maps
+from corrpress.intervals import GRID_MAX, example_blocks, example_inner_maps
 
 LOG2 = math.log(2.0)
 
@@ -74,6 +74,12 @@ def test_tent_cells_split_under_expansion():
     assert grid.corr.successors(1) == (2, 3)
     assert spectral_pressure(grid.corr, Potential.zero(grid.corr)).pressure \
         == pytest.approx(LOG2, abs=1e-12)
+
+
+def test_resolution_is_a_power_of_two_up_to_the_cap():
+    for n in (2, 12, GRID_MAX * 2):
+        with pytest.raises(ShapeMismatch, match="power of two"):
+            grid_discretize(example_branches(), n)
 
 
 def test_misaligned_breakpoints_are_rejected():
@@ -231,3 +237,24 @@ def test_example_grid_matches_the_fraction_reference():
     for n in (256, 1024, 4096):
         assert grid_discretize(system, n).corr.edges \
             == reference_grid_edges(system.branches, n)
+
+
+def test_grid_build_takes_python_ints_past_int64():
+    """Two pieces whose cell ranges leave int64; _piece_cells works
+    them in Python ints."""
+    # the common denominator 2^64 + 1 itself is past int64
+    q = 2 ** 64 + 1
+    wide = PiecewiseLinearMap([0, F(1, 2), 1],
+                              [(F(1, q), 0), (2 - F(1, q), F(1, q) - 1)])
+    # a k + c reaches 3 (2^62 - 57) at the last cell, past 2^63, with
+    # a, c and the denominator inside int64; the flat branch keeps every
+    # cell's successor set nonempty, so wrapped ends would build a
+    # valid relation with the wrong edges
+    q = 2 ** 62 - 57
+    steep = PiecewiseLinearMap([0, F(1, 2), 1],
+                               [(F(q + 1, q), 0), (F(q - 1, q), F(1, q))])
+    flat = PiecewiseLinearMap([0, 1], [(0, 0)])
+    for system in (IntervalCorrespondence([wide]),
+                   IntervalCorrespondence([steep, flat])):
+        assert grid_discretize(system, 4).corr.edges \
+            == reference_grid_edges(system.branches, 4)

@@ -84,7 +84,7 @@ def test_power_route_is_bracketed_and_matches_dense_eig(corr, phi, period):
     cache = SpectralCache(corr)
     assert len(cache.components) == 1
     assert corr.n_states > DENSE_MAX
-    assert component_period(cache.components[0], corr._succ) == period
+    assert component_period(corr.n_states, *cache.class_edges(0)[:2]) == period
     logrho, right, left, (lo, hi) = cache.solve(0, phi.values)
     assert lo <= logrho <= hi
     assert hi - lo < 1e-12

@@ -15,7 +15,9 @@ from corrpress import (
     Potential,
     SolverError,
     decomposition_pressure,
+    example_branches,
     gibbs_equilibrium,
+    grid_discretize,
     inverse_correspondence,
     path_pressure_sequence,
     spectral_pressure,
@@ -158,9 +160,9 @@ def test_spectral_pressure_matches_dense_eigenvalues():
 
 def test_two_cycle_period_is_handled():
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
-    comps = strongly_connected_components(2, corr._succ)
-    assert len(comps) == 1
-    assert component_period(comps[0], corr._succ) == 2
+    assert strongly_connected_components(*corr.csr()) == [(0, 1)]
+    rows, cols, _ = SpectralCache(corr).class_edges(0)
+    assert component_period(2, rows, cols) == 2
     phi = Potential(corr, {(0, 1): 0.8, (1, 0): -0.2})
     # the only cycle has weight phi01 + phi10 over two steps
     assert spectral_pressure(corr, phi).pressure == pytest.approx(0.3, abs=1e-12)
@@ -373,3 +375,43 @@ def test_class_of_minus_infinity_weights_has_radius_minus_infinity():
     assert spec.log_radii == (0.0, -np.inf)
     with pytest.raises(ConvergenceFailure):
         SpectralCache(corr).solve(1, phi.values)
+
+
+def loopy_relation(rng, n):
+    """Mostly one-state classes: forward edges, a self-loop on some
+    states, and a closing cycle on the last three states."""
+    edges = {(n - 3, n - 2), (n - 2, n - 1), (n - 1, n - 3)}
+    for i in range(n - 3):
+        later = rng.choice(np.arange(i + 1, n), size=int(rng.integers(1, 3)))
+        edges.update((i, int(j)) for j in later)
+        if rng.random() < 0.5:
+            edges.add((i, i))
+    return FiniteCorrespondence(n, sorted(edges))
+
+
+def per_class_radii(cache, values):
+    return [cache.solve(c, values, vectors=False)[0]
+            for c in range(len(cache.components))]
+
+
+def test_one_state_log_radii_are_the_per_class_solves_bit_for_bit():
+    rng = np.random.default_rng(5)
+    grid = grid_discretize(example_branches(), 4096).corr
+    cases = [(grid, np.zeros(grid.n_edges)),
+             (grid, rng.uniform(-3.0, 3.0, grid.n_edges))]
+    for n in (4, 9, 40):
+        corr = loopy_relation(rng, n)
+        cases.append((corr, rng.uniform(-2.0, 2.0, corr.n_edges)))
+    # state 0 is a one-state class whose loop has weight -inf
+    corr = FiniteCorrespondence(3, [(0, 0), (0, 1), (1, 2), (2, 1)])
+    cases.append((corr, np.array([-np.inf, 0.5, 0.25, -0.75])))
+    kinds = set()
+    for corr, values in cases:
+        cache = SpectralCache(corr)
+        radii = cache.log_radii(values)
+        assert radii == per_class_radii(cache, values)
+        assert all(type(r) is float for r in radii)
+        kinds.update(cache.class_edges(c)[2].size
+                     for c, comp in enumerate(cache.components) if len(comp) == 1)
+    assert kinds == {0, 1}      # one-state classes without and with a loop
+    assert radii[cache.class_of[0]] == -np.inf

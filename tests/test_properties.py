@@ -446,6 +446,19 @@ def test_report_writer_matches_the_stdlib_encoder(results):
     assert emitted(results) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+@PROPERTY
+@given(rows=st.integers(0, 6), width=st.integers(1, 3), seed=SEEDS)
+def test_report_writer_writes_int_arrays_as_their_nested_lists(rows, width, seed):
+    a = np.random.default_rng(seed).integers(-2 ** 62, 2 ** 62, size=(rows, width))
+    assert emitted({"edges": a, "n": 1}) == emitted({"edges": a.tolist(), "n": 1})
+
+
+def test_report_writer_refuses_other_arrays():
+    for a in (np.zeros((2, 2)), np.arange(3), np.ones((1, 1, 1), dtype=int)):
+        with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+            emitted({"a": a})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_report_writer_refuses_non_finite_floats(bad):
     for results in (bad, [1.0, bad], {"a": [[0, 1], {"b": bad}]}):

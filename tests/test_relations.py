@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import references
 from corrpress import (
     Decomposition,
     DuplicateEdge,
@@ -180,3 +184,115 @@ def test_decomposition_validation_conditions():
     # overlapping blocks are allowed
     rep = decomposition_validate(corr, Decomposition([[0, 1], [1, 2]]))
     assert rep["valid"]
+    # states outside 0..n-1 are listed; -1 once read as the last state
+    rep = decomposition_validate(corr, Decomposition([[0, -1], [1, 2, 5]]))
+    assert not rep["valid"] and not rep["covers"]
+    assert rep["outside"] == [-1, 5] and rep["missing"] == []
+    assert rep["block_rows"] == [] and rep["forbidden_edges"] == []
+
+
+def test_restrict_to_a_state_outside_the_relation_leaves_it_empty():
+    corr = FiniteCorrespondence(2, [(0, 0), (0, 1), (1, 1)])
+    with pytest.raises(EmptySuccessor) as err:
+        corr.restrict([1, 7])
+    assert err.value.states == [1]
+
+
+def test_state_indices_and_counts_are_whole_numbers():
+    # int() once read the edge (0, 1.9) as (0, 1) and n_states True as 1
+    for n, edges in ((2, [(0, 1.9), (1, 0), (0, 0)]), (2.7, [(0, 1), (1, 0)]),
+                     (True, [(0, 0)]), (2, [(0, math.nan), (1, 0)]),
+                     (2, [("0", 1), (1, 0)]), (2, [(0, True), (1, 0)])):
+        with pytest.raises(ShapeMismatch, match="whole number"):
+            FiniteCorrespondence(n, edges)
+    corr = FiniteCorrespondence(2.0, [(0, 1.0), (1.0, 0)])
+    assert corr.n_states == 2 and corr.edges == ((0, 1), (1, 0))
+    assert all(type(i) is int for e in corr.edges for i in e)
+    with pytest.raises(ShapeMismatch):
+        from_map(2, [1.5, 0])
+    with pytest.raises(ShapeMismatch):
+        Potential(corr, {(0, 1.5): 1.0})
+
+
+def test_an_index_past_int64_is_out_of_range():
+    with pytest.raises(IndexOutOfRange) as err:
+        FiniteCorrespondence(2, [(0, 2 ** 70), (1, 0), (0, 0), (-2 ** 64, 1)])
+    assert err.value.pairs == [(0, 2 ** 70), (-2 ** 64, 1)]
+
+
+def test_more_states_than_edges_is_refused_without_per_state_arrays():
+    # 10**18 states could not be allocated: the refusal reads the edges only
+    with pytest.raises(EmptySuccessor) as err:
+        FiniteCorrespondence(10 ** 18, [(0, 1), (1, 0), (3, 3)])
+    assert err.value.states == [2] + list(range(4, 23))
+    assert err.value.count == 10 ** 18 - 3
+    with pytest.raises(DuplicateEdge) as err:
+        FiniteCorrespondence(2 ** 70, [(5, 5), (0, 0), (5, 5)])
+    assert err.value.pairs == [(5, 5)]
+
+
+def test_int_arrays_build_the_same_relation_as_pair_lists():
+    pairs = [(2, 0), (0, 1), (1, 2), (0, 0)]
+    corr = FiniteCorrespondence(3, np.array(pairs))
+    assert corr == FiniteCorrespondence(3, pairs)
+    assert hash(corr) == hash(FiniteCorrespondence(3, pairs))
+    with pytest.raises(ShapeMismatch, match="shape"):
+        FiniteCorrespondence(3, np.array(pairs).T)
+
+
+def test_relation_arrays_are_read_only_copies():
+    pairs = np.array([[0, 1], [1, 0]])
+    corr = FiniteCorrespondence(2, pairs)
+    pairs[0, 1] = 0
+    assert corr.edges == ((0, 1), (1, 0))
+    offsets, targets = corr.csr()
+    assert offsets.tolist() == [0, 1, 2] and targets.tolist() == [1, 0]
+    for a in (*corr.edge_arrays(), offsets):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+@st.composite
+def raw_relations(draw):
+    """A state count and an edge list with duplicates, out-of-range
+    entries and empty rows, in input order or already sorted."""
+    n = draw(st.integers(-1, 7))
+    hi = max(n - 1, 0)
+    index = st.integers(-2, n + 1) if draw(st.booleans()) else st.integers(0, hi)
+    edges = draw(st.lists(st.tuples(index, index), max_size=24))
+    if n > 0 and draw(st.booleans()):
+        # a successor for every state, so that some inputs are valid
+        edges += [(i, draw(st.integers(0, hi))) for i in range(n)]
+    order = draw(st.sampled_from(["input", "sorted", "sorted and unique"]))
+    if order == "sorted":
+        edges.sort()
+    elif order == "sorted and unique":
+        edges = sorted(set(edges))
+    return n, edges
+
+
+def outcome(build):
+    """The views of a built relation, or the type and listed items of
+    the exception its checks raise."""
+    try:
+        edges, succ, pred = build()
+    except (IndexOutOfRange, DuplicateEdge, EmptySuccessor) as exc:
+        return (type(exc), getattr(exc, "pairs", None),
+                getattr(exc, "states", None), getattr(exc, "count", None))
+    return edges, succ, pred
+
+
+def views(n, edges):
+    corr = FiniteCorrespondence(n, edges)
+    return (corr.edges, tuple(corr.successors(i) for i in range(n)),
+            tuple(corr.predecessors(j) for j in range(n)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw_relations())
+def test_constructor_matches_the_set_based_reference(case):
+    n, edges = case
+    expected = outcome(lambda: references.relation(n, edges))
+    assert outcome(lambda: views(n, edges)) == expected
+    array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    assert outcome(lambda: views(n, array)) == expected
