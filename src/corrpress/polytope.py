@@ -191,7 +191,7 @@ def _simple_cycles(corr):
         local = {v: k for k, v in enumerate(states)}
         succ = [[local[w] for w in corr.successors(v) if w in local]
                 for v in states]
-        comps = strongly_connected_components(*_csr(succ))
+        comps = strongly_connected_components(*_csr(succ))[0]
         if len(comps) != 1:
             work.extend([states[k] for k in c] for c in comps)
             continue
@@ -236,7 +236,7 @@ def _sole_cycle_cover(corr, cycle):
     arcs = [[(pos[j] - 1) % m for j in corr.successors(v)
              if j in pos and pos[j] != (k + 1) % m]
             for k, v in enumerate(cycle)]
-    return len(strongly_connected_components(*_csr(arcs))) == m
+    return len(strongly_connected_components(*_csr(arcs))[0]) == m
 
 
 @dataclass(frozen=True, eq=False)

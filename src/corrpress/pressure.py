@@ -15,6 +15,15 @@ segments.  On a relation with k states and |E| edges the orbit route
 costs one reduction over at most |E| + 2k entries per step.  Each
 step's vector is bit for bit the one a scatter of the same edges by
 logaddexp's ufunc.at, in edge order, onto -inf would give.
+
+The orbit route stops stepping once a Collatz-Wielandt bracket on the
+growth over a sweep of SWEEP steps is narrower than BRACKET_TOL per
+step, and fills the rest of the horizon from it: each a_n of that tail
+is within BRACKET_TOL / 2 of the exact recursion, not bit for bit the
+stepped value.  A relation whose growth never settles (a period that
+does not divide SWEEP, tied dominant classes, a state at -inf) takes
+every step.  The period of a class, which the power iteration steps
+by, comes from the depths of Tarjan's depth-first search.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceFailure, InvalidDecomposition, ShapeMismatch,
-                     SolverError)
+                     SolverError, TooLarge)
 from .relations import Decomposition, decomposition_validate
 
 # Spectral classes whose log radius lies within this distance of the
@@ -41,12 +50,21 @@ DENSE_MAX = 64
 POWER_CAP = 100000
 BRACKET_TOL = 1e-13
 
+# The orbit route checks its bracket once every SWEEP steps, a multiple
+# of every period that divides it; a check every few steps would cost a
+# relation that never settles a measurable share.  PATH_MAX caps its
+# horizon: a 3-cycle, which never settles, takes about 3 s there on
+# one core.
+SWEEP = 64
+PATH_MAX = 1_000_000
+
 
 def strongly_connected_components(offsets, targets):
     """Tarjan's algorithm, iterative, on a relation in CSR form: the
     successors of v are targets[offsets[v]:offsets[v + 1]]
-    (FiniteCorrespondence.csr; Python lists walk fastest).  Components
-    in reverse topological order, each a sorted tuple.
+    (FiniteCorrespondence.csr; Python lists walk fastest).  Returns the
+    components in reverse topological order, each a sorted tuple, and
+    each state's depth in the depth-first forest.
 
     A state whose component is complete gets the index n, above every
     low-link, so it never lowers one and no on-stack flag is kept; the
@@ -56,6 +74,7 @@ def strongly_connected_components(offsets, targets):
     index = [-1] * n
     low = [0] * n
     where = [0] * n
+    depth = [0] * n
     nxt = list(offsets[:-1])        # each state's next edge to scan
     stack = []
     components = []
@@ -84,6 +103,7 @@ def strongly_connected_components(offsets, targets):
             if child >= 0:
                 index[child] = low[child] = counter
                 counter += 1
+                depth[child] = len(path)
                 where[child] = len(stack)
                 stack.append(child)
                 path.append(child)
@@ -97,27 +117,7 @@ def strongly_connected_components(offsets, targets):
                 components.append(tuple(sorted(comp)) if len(comp) > 1 else (v,))
             if path and lv < low[path[-1]]:
                 low[path[-1]] = lv
-    return components
-
-
-def component_period(k, rows, cols):
-    """gcd of the cycle lengths of a strongly connected class of k
-    states, from the local sources and targets of its internal edges,
-    sources in increasing order (SpectralCache.class_edges): the gcd of
-    level(i) + 1 - level(j) over the edges, levels from one breadth-first
-    search on the class's CSR lists."""
-    offsets = np.searchsorted(rows, np.arange(k + 1)).tolist()
-    targets = cols.tolist()
-    level = [-1] * k
-    level[0] = 0
-    queue = [0]
-    for u in queue:                 # the queue grows while it is read
-        for w in targets[offsets[u]:offsets[u + 1]]:
-            if level[w] < 0:
-                level[w] = level[u] + 1
-                queue.append(w)
-    level = np.array(level)
-    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+    return components, depth
 
 
 def _target_segments(dst):
@@ -246,7 +246,7 @@ class SpectralCache:
 
     def __init__(self, corr):
         offsets, targets = (a.tolist() for a in corr.csr())
-        self.components = strongly_connected_components(offsets, targets)
+        self.components, depth = strongly_connected_components(offsets, targets)
         (self.class_of, sizes, self._rows, self._cols, self._eidx,
          bounds) = _class_edges(corr, self.components)
         self._offsets = bounds.tolist()
@@ -255,13 +255,23 @@ class SpectralCache:
         looped = np.flatnonzero((sizes == 1) & (bounds[1:] - bounds[:-1] == 1))
         self._loops = (looped, self._eidx[bounds[looped]])
         self._multi = np.flatnonzero(sizes > 1).tolist()
-        self.periods = {c: component_period(int(sizes[c]), *self.class_edges(c)[:2])
-                        for c in self._multi if sizes[c] > DENSE_MAX}
+        # A class is a subtree of the depth-first forest, entered at its
+        # root r, so for an edge (i, j) inside it depth(i) + 1 - depth(j)
+        # is the length of the closed walk r -> i -> j -> r less that of
+        # r -> j -> r: the period divides it.  A cycle's length is the
+        # sum of its edges' gaps, so their gcd is the period.
+        src, dst = corr.edge_arrays()
+        depth = np.array(depth, dtype=np.int64)
+        gaps = depth[src] + 1 - depth[dst]
+        self.periods = {c: int(np.gcd.reduce(gaps[self.class_edges(c)[2]]))
+                        for c in self._multi}
         # the target order of each power class, left and right
         self.segments = {}
-        for c in self.periods:
-            rows, cols, _ = self.class_edges(c)
-            self.segments[c] = (_target_segments(cols), _target_segments(rows))
+        for c in self._multi:
+            if sizes[c] > DENSE_MAX:
+                rows, cols, _ = self.class_edges(c)
+                self.segments[c] = (_target_segments(cols),
+                                    _target_segments(rows))
         # classes whose power iteration once ran out of budget; the
         # dense route is exact, so keeping them on it costs speed only
         self.slow = set()
@@ -394,17 +404,32 @@ def path_pressure_sequence(corr, phi, n_max):
     a_n converges to the pressure; for a primitive relation the gap
     |a_n - P| is of order 1/n.  It is -inf from the first n at which
     every walk has an edge of weight -inf, as it is from n = n_states on
-    when the pressure is -inf.  n_max < 1 is ShapeMismatch.
+    when the pressure is -inf.  n_max < 1 is ShapeMismatch, n_max above
+    PATH_MAX is TooLarge.
 
     The recursion runs on the relation plus one sink state k.  Every
     state feeds the sink at weight 0, so after step n + 1 the sink holds
-    the log of the total weight of the walks of n steps; the sink feeds
-    each state that no edge enters at weight -inf, which gives it a
-    segment and changes no value.  A step is then one reduction over at
-    most |E| + 2k entries (see _edge_operator), with no warning at -inf.
+    the log of the total weight T(n) of the walks of n steps; the sink
+    feeds each state that no edge enters at weight -inf, which gives it
+    a segment and changes no value.  A step is then one reduction over
+    at most |E| + 2k entries (see _edge_operator), with no warning at
+    -inf, and every step taken is bit for bit the scatter.
+
+    The steps go in sweeps of SWEEP.  After a sweep from x to x M^SWEEP
+    with every entry finite, lo and hi, the minimum and maximum over
+    the states of the log growth, bound the growth T(m + SWEEP) - T(m)
+    at every later m (Collatz-Wielandt).  Once hi - lo is at most
+    BRACKET_TOL * SWEEP, stepping stops: each later T(m) is the total at
+    the same offset in the last sweep plus whole sweeps at the midpoint
+    (lo + hi) / 2, so each a_m of the tail lies within BRACKET_TOL / 2
+    of the exact recursion, not bit for bit.  A relation whose growth
+    never settles takes every step: a period that does not divide
+    SWEEP, dominant classes that tie, a state stuck at -inf.
     """
     if n_max < 1:
         raise ShapeMismatch("n_max must be at least 1")
+    if n_max > PATH_MAX:
+        raise TooLarge(f"path horizon {n_max} exceeds {PATH_MAX}")
     k = corr.n_states
     src, dst = corr.edge_arrays()
     states = np.arange(k)
@@ -415,9 +440,28 @@ def path_pressure_sequence(corr, phi, n_max):
         np.concatenate([phi.values, np.zeros(k), np.full(unfed.size, -np.inf)]))
     v = np.zeros(k + 1)
     totals = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        v = step(v)
-        totals[n] = v[k]
+    start = v[:k]                   # finite, or None: no bracket from it
+    for head in range(0, n_max + 1, SWEEP):
+        end = min(head + SWEEP, n_max + 1)
+        for n in range(head, end):
+            v = step(v)
+            totals[n] = v[k]
+        if end > n_max:
+            break
+        here = v[:k]
+        if start is None:
+            start = here if np.isfinite(here).all() else None
+            continue
+        # start is finite, so a state at -inf gives -inf, not a warning,
+        # and a bracket that is not finite never closes
+        growth = here - start
+        lo, hi = float(growth.min()), float(growth.max())
+        if hi - lo <= BRACKET_TOL * SWEEP:
+            ahead = np.arange(end, n_max + 1) - head
+            totals[end:] = (totals[head + ahead % SWEEP]
+                            + ahead // SWEEP * ((lo + hi) / 2.0))
+            break
+        start = here if math.isfinite(lo) and math.isfinite(hi) else None
     return totals[1:] / np.arange(1, n_max + 1)
 
 

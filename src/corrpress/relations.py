@@ -378,9 +378,10 @@ def birkhoff_sum(corr, phi, path):
     """Sum of phi along consecutive pairs of a walk.
 
     The walk (x_1, ..., x_{m+1}) must follow edges; a broken pair is
-    reported with its position.
+    reported with its position.  Each entry is read by whole_number, so
+    a fractional value, a bool or NaN is ShapeMismatch.
     """
-    path = [int(x) for x in path]
+    path = [whole_number(x) for x in path]
     if len(path) < 1:
         raise InvalidPath(0, ())
     for k, x in enumerate(path):

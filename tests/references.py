@@ -12,7 +12,8 @@ program over all 2^n target subsets.  They are slow and capped by
 nothing but patience, so they serve the tests only, as independent
 references for corrpress.polytope.  The path sums and the power
 iteration step by an np.logaddexp.at scatter onto -inf, one edge at a
-time in edge order, as references for corrpress.pressure.  The chain
+time in edge order, and the period of a class comes from a
+breadth-first search, as references for corrpress.pressure.  The chain
 law is enumerated path by path, and the entropy of its coarsening is
 walked afresh for each length, as references for corrpress.kernels.
 """
@@ -229,6 +230,26 @@ def path_pressure_sequence(corr, phi, n_max):
             break
         out[n - 1] = (m + math.log(float(np.sum(np.exp(v - m))))) / n
     return out
+
+
+def component_period(k, rows, cols):
+    """gcd of the cycle lengths of a strongly connected class of k
+    states, from the local sources and targets of its internal edges,
+    sources in increasing order (SpectralCache.class_edges): the gcd of
+    level(i) + 1 - level(j) over the edges, levels from one breadth-first
+    search on the class's CSR lists."""
+    offsets = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    targets = cols.tolist()
+    level = [-1] * k
+    level[0] = 0
+    queue = [0]
+    for u in queue:                 # the queue grows while it is read
+        for w in targets[offsets[u]:offsets[u + 1]]:
+            if level[w] < 0:
+                level[w] = level[u] + 1
+                queue.append(w)
+    level = np.array(level)
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
 
 
 def power_vector(src, dst, w, k, period, cap):

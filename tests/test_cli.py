@@ -9,7 +9,7 @@ import pytest
 
 from corrpress import ConvergenceFailure
 from corrpress.cli import main
-from corrpress.pressure import SpectralCache
+from corrpress.pressure import PATH_MAX, SpectralCache
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 LOG_GOLDEN = math.log(GOLDEN)
@@ -456,6 +456,19 @@ def test_path_horizon_below_one_is_exit_two(tmp_path, capsys, n):
     assert doc["status"] == "error"
     assert doc["error"] == {"type": "ShapeMismatch",
                             "message": "n_max must be at least 1"}
+
+
+def test_path_horizon_past_the_cap_is_refused_before_allocation(tmp_path,
+                                                               capsys):
+    corr = golden_corr(tmp_path)
+    code, doc = run(capsys, ["pressure", "--input", corr, "--method", "paths",
+                             "--n", str(PATH_MAX + 1)])
+    assert code == 2
+    assert doc["error"] == {"type": "TooLarge",
+                            "message": f"path horizon {PATH_MAX + 1} exceeds {PATH_MAX}"}
+    code, doc = run(capsys, ["pressure", "--input", corr, "--method", "paths",
+                             "--n", str(10 ** 10)])
+    assert code == 2 and doc["error"]["type"] == "TooLarge"
 
 
 def test_decompose_of_minus_infinity_is_null(tmp_path, capsys):

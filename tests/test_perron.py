@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrpress import pressure
 from corrpress import (
@@ -19,8 +20,8 @@ from corrpress import (
 from corrpress.intervals import example_branches, grid_discretize
 from corrpress.kernels import stationary_gap
 from corrpress.pressure import (DENSE_MAX, POWER_CAP, SpectralCache,
-                                _perron_from, component_period)
-from references import power_vector
+                                _perron_from)
+from references import component_period, power_vector
 
 
 def sparse_primitive(rng, n):
@@ -84,6 +85,7 @@ def test_power_route_is_bracketed_and_matches_dense_eig(corr, phi, period):
     cache = SpectralCache(corr)
     assert len(cache.components) == 1
     assert corr.n_states > DENSE_MAX
+    assert cache.periods[0] == period
     assert component_period(corr.n_states, *cache.class_edges(0)[:2]) == period
     logrho, right, left, (lo, hi) = cache.solve(0, phi.values)
     assert lo <= logrho <= hi
@@ -137,6 +139,41 @@ def test_power_vector_is_bit_identical_to_the_scatter_reference(corr, phi, perio
         assert got is not None
         assert got[0] == ref[0] and got[2] == ref[2]
         assert np.array_equal(got[1], ref[1])
+
+
+def cyclic_pieces(rng):
+    """Up to four block-cyclic classes of periods 1-6 on 1-40 states,
+    each strongly connected through a ring, with edges from earlier
+    pieces to later ones and the states shuffled."""
+    edges, n = set(), 0
+    for _ in range(int(rng.integers(1, 5))):
+        period = int(rng.integers(1, 7))
+        size = period * int(rng.integers(1, 40 // period + 1))
+        for t in range(size):
+            edges.add((n + t, n + (t + 1) % size))
+            for j in rng.choice(np.arange((t + 1) % period, size, period), size=2):
+                edges.add((n + t, n + int(j)))
+            if n and rng.random() < 0.3:
+                edges.add((int(rng.integers(n)), n + t))
+        n += size
+    shuffle = rng.permutation(n)
+    return FiniteCorrespondence(n, [(int(shuffle[i]), int(shuffle[j]))
+                                    for i, j in edges])
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_periods_are_the_breadth_first_search_periods(seed):
+    """The period of every class from Tarjan's depths, against a
+    breadth-first search over the class alone."""
+    corr = cyclic_pieces(np.random.default_rng(seed))
+    cache = SpectralCache(corr)
+    multi = [c for c, comp in enumerate(cache.components) if len(comp) > 1]
+    assert sorted(cache.periods) == multi
+    for c in multi:
+        rows, cols, _ = cache.class_edges(c)
+        assert cache.periods[c] == component_period(
+            len(cache.components[c]), rows, cols)
 
 
 def test_two_large_equal_classes_tie():

@@ -22,10 +22,11 @@ from corrpress import (
     path_pressure_sequence,
     spectral_pressure,
 )
+from corrpress import pressure
 from corrpress.pressure import (
+    SWEEP,
     SpectralCache,
     _edge_operator,
-    component_period,
     strongly_connected_components,
 )
 import references
@@ -111,6 +112,92 @@ def test_path_sums_match_the_scatter_reference(case, n_max):
     assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12)
 
 
+def horizon_relation(rng, kind):
+    """A relation on up to 9 states: primitive (a ring through every
+    state and a loop), of period 3 (every edge steps from residue r to
+    r + 1 mod 3) or reducible (state i reaches only states from
+    2 * (i // 2) on, so the pairs are classes in a row)."""
+    n = int(rng.integers(1, 10))
+    if kind == "period-3":
+        n = 3 * (n // 3 + 1)
+    edges = set()
+    for i in range(n):
+        if kind == "period-3":
+            targets = np.arange((i + 1) % 3, n, 3)
+            edges.add((i, (i + 1) % n))
+        elif kind == "reducible":
+            targets = np.arange(i // 2 * 2, n)
+        else:
+            targets = np.arange(n)
+            edges.update({(i, (i + 1) % n), (0, 0)})
+        for j in rng.choice(targets, size=int(rng.integers(1, 4))):
+            edges.add((i, int(j)))
+    return FiniteCorrespondence(n, sorted(edges))
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       kind=st.sampled_from(["primitive", "period-3", "reducible"]),
+       n_max=st.integers(min_value=SWEEP, max_value=3000))
+def test_path_tail_matches_the_scatter_reference(seed, kind, n_max):
+    """Long horizons, where most relations stop stepping and fill the
+    tail from the bracket.  Weights lie within 1 of 0, a tenth of them
+    -inf: the reference's own rounding grows with n times the size of
+    the totals, and by weights of 10 it reaches 1e-12 at n = 3000, where
+    the tail lies closer to an exact evaluation than the reference."""
+    rng = np.random.default_rng(seed)
+    corr = horizon_relation(rng, kind)
+    values = rng.uniform(-1.0, 1.0, corr.n_edges)
+    values[rng.random(corr.n_edges) < 0.1] = -np.inf
+    phi = Potential(corr, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = path_pressure_sequence(corr, phi, n_max)
+    ref = references.path_pressure_sequence(corr, phi, n_max)
+    assert got.shape == (n_max,)
+    assert np.array_equal(got == -np.inf, ref == -np.inf)
+    finite = ref > -np.inf
+    assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12)
+
+
+@pytest.fixture
+def steps_taken(monkeypatch):
+    """A list whose one entry counts the steps of every edge operator
+    built from here on."""
+    count = [0]
+
+    def counting(*args):
+        step = _edge_operator(*args)
+
+        def counted(v):
+            count[0] += 1
+            return step(v)
+        return counted
+    monkeypatch.setattr(pressure, "_edge_operator", counting)
+    return count
+
+
+def test_full_shift_path_sums_stop_after_one_sweep(steps_taken):
+    corr = full_shift(3)
+    seq = path_pressure_sequence(corr, Potential.zero(corr), 10 ** 5)
+    assert steps_taken[0] <= SWEEP
+    # 3^(n + 1) walks of n steps
+    n = np.arange(1, 10 ** 5 + 1)
+    assert np.max(np.abs(seq - (n + 1) / n * math.log(3.0))) <= 1e-13
+
+
+def test_three_cycle_path_sums_take_every_step(steps_taken):
+    """Unequal weights: a sweep is 64 = 21 * 3 + 1 steps, so each
+    state's growth over it is 21 cycle weights plus the weight of a
+    different edge, and no bracket closes."""
+    corr = FiniteCorrespondence(3, [(0, 1), (1, 2), (2, 0)])
+    phi = Potential(corr, [0.1, 0.5, -0.3])
+    seq = path_pressure_sequence(corr, phi, 1000)
+    assert steps_taken[0] == 1001
+    ref = references.path_pressure_sequence(corr, phi, 1000)
+    assert np.max(np.abs(seq - ref)) <= 1e-12
+
+
 @settings(deadline=None, max_examples=100)
 @given(case=weighted_relations(), data=st.data())
 def test_edge_operator_is_bit_identical_to_the_scatter(case, data):
@@ -160,9 +247,11 @@ def test_spectral_pressure_matches_dense_eigenvalues():
 
 def test_two_cycle_period_is_handled():
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
-    assert strongly_connected_components(*corr.csr()) == [(0, 1)]
-    rows, cols, _ = SpectralCache(corr).class_edges(0)
-    assert component_period(2, rows, cols) == 2
+    assert strongly_connected_components(*corr.csr()) == ([(0, 1)], [0, 1])
+    cache = SpectralCache(corr)
+    rows, cols, _ = cache.class_edges(0)
+    assert cache.periods == {0: 2}
+    assert references.component_period(2, rows, cols) == 2
     phi = Potential(corr, {(0, 1): 0.8, (1, 0): -0.2})
     # the only cycle has weight phi01 + phi10 over two steps
     assert spectral_pressure(corr, phi).pressure == pytest.approx(0.3, abs=1e-12)

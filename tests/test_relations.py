@@ -167,6 +167,12 @@ def test_birkhoff_sum_follows_the_walk():
     with pytest.raises(InvalidPath) as err:
         birkhoff_sum(corr, phi, [0, 2])
     assert err.value.position == 0
+    # once read by int() as the walk [0, 1, 0]
+    two = FiniteCorrespondence(2, [(0, 1), (1, 0)])
+    for walk in ([0, 1.9, 0.2], [0, True], [0, math.nan]):
+        with pytest.raises(ShapeMismatch):
+            birkhoff_sum(two, Potential(two, [1.0, 2.0]), walk)
+    assert birkhoff_sum(corr, phi, [0.0, 1.0, np.int64(2)]) == pytest.approx(11.0)
 
 
 def test_decomposition_validation_conditions():
