@@ -10,17 +10,16 @@ non-convergence.
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from .errors import (
     CorrpressError,
-    InputError,
+    DuplicateEdge,
+    IndexOutOfRange,
     ShapeMismatch,
     SolverError,
 )
@@ -71,31 +70,30 @@ EXAMPLE_FIXTURE = "interval-example"
 
 def _f(x):
     # every float that reaches a report goes through 12 significant digits
-    return float(f"{float(x):.12g}")
-
-
-def _f_finite(x):
-    """_f, with -inf as None: JSON has no -inf."""
-    return None if x == -np.inf else _f(x)
-
-
-def _flist(xs):
-    return [_f(x) for x in xs]
+    return float(_json_float(f"{float(x):.12g}"))
 
 
 def _sanitize(obj):
-    """Make an arbitrary result tree JSON-clean with rounded floats."""
-    if isinstance(obj, bool):
-        return obj
+    """A result tree as report values: the one converter, applied by
+    _emit to every report.  A float goes through _f, and -inf becomes
+    None, as JSON has no -inf (a report whose value is -inf also says
+    minus_infinity); NaN and +inf are refused.  numpy scalars, tuples
+    and arrays become JSON values, except a 2-D int array, which the
+    writer prints from one template.
+    """
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _f(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
+        return None if obj == -np.inf else _f(obj)
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.dtype.kind == "i":
+            return obj
+        return _sanitize(obj.tolist())
+    if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     return obj
 
@@ -135,14 +133,33 @@ def _corr_from(doc):
     return FiniteCorrespondence(doc["n_states"], doc["edges"], doc.get("labels"))
 
 
+def _edge_values(corr, doc, kind):
+    """The weights of an {"edges": [[i, j, w], ...]} document as a vector
+    over corr.edges, zero on the edges it leaves out.  A pair outside
+    0..n_states-1 is IndexOutOfRange, any other pair that is not an edge
+    ShapeMismatch, and a pair given twice DuplicateEdge."""
+    if not isinstance(doc, dict) or "edges" not in doc:
+        raise ShapeMismatch(f"{kind} document needs an edges array")
+    index, n = corr.edge_index(), corr.n_states
+    vec = np.zeros(corr.n_edges)
+    seen = set()
+    for i, j, w in doc["edges"]:
+        e = (whole_number(i), whole_number(j))
+        if e not in index:
+            if not (0 <= e[0] < n and 0 <= e[1] < n):
+                raise IndexOutOfRange([e], n)
+            raise ShapeMismatch(f"pair {e} is not an edge")
+        if e in seen:
+            raise DuplicateEdge([e])
+        seen.add(e)
+        vec[index[e]] = float(w)
+    return vec
+
+
 def _potential_from(corr, doc):
     if doc is None:
         return Potential.zero(corr)
-    if not isinstance(doc, dict) or "edges" not in doc:
-        raise ShapeMismatch("potential document needs an edges array")
-    # absent edges default to zero; foreign pairs are rejected downstream
-    return Potential(corr, {(whole_number(i), whole_number(j)): float(v)
-                            for i, j, v in doc["edges"]})
+    return Potential(corr, _edge_values(corr, doc, "potential"))
 
 
 def _measure_from(corr, doc):
@@ -156,19 +173,6 @@ def _kernel_from(corr, doc):
         raise ShapeMismatch("kernel document needs a rows array")
     # reparsing rounded probabilities must pass, hence the looser sum check
     return TransitionKernel.from_rows(corr, doc["rows"], tol=1e-9)
-
-
-def _pair_from(corr, doc):
-    if not isinstance(doc, dict) or "edges" not in doc:
-        raise ShapeMismatch("pair measure document needs an edges array")
-    index = corr.edge_index()
-    vec = np.zeros(corr.n_edges)
-    for i, j, w in doc["edges"]:
-        e = (whole_number(i), whole_number(j))
-        if e not in index:
-            raise ShapeMismatch(f"pair {e} is not an edge")
-        vec[index[e]] += float(w)
-    return vec
 
 
 def _map_from(doc):
@@ -202,25 +206,21 @@ def _corr_doc(corr):
     return doc
 
 
-def _measure_doc(weights):
-    return {"weights": _flist(weights)}
-
-
 def _kernel_doc(kernel):
     rows = [[] for _ in range(kernel.corr.n_states)]
     for (i, j), p in zip(kernel.corr.edges, kernel.probs):
         if p > 0.0:
-            rows[i].append([j, _f(p)])
+            rows[i].append([j, p])
     return {"rows": rows}
 
 
 def _pair_doc(corr, vec):
-    return {"edges": [[i, j, _f(w)] for (i, j), w in zip(corr.edges, vec)
+    return {"edges": [[i, j, w] for (i, j), w in zip(corr.edges, vec)
                       if w != 0.0]}
 
 
 def _potential_doc(corr, values):
-    return {"edges": [[i, j, _f(v)] for (i, j), v in zip(corr.edges, values)]}
+    return {"edges": [[i, j, v] for (i, j), v in zip(corr.edges, values)]}
 
 
 # ---------------------------------------------------------------- reports
@@ -229,11 +229,11 @@ INDENT = "  "
 _NONFINITE = frozenset({"nan", "inf", "-inf"})
 
 
-def _float_text(x):
-    text = float.__repr__(x)
+def _json_float(text):
+    """The text of a float, refused when JSON has no number for it."""
     if text in _NONFINITE:
         raise ValueError("Out of range float values are not JSON compliant: "
-                         + repr(x))
+                         + text)
     return text
 
 
@@ -250,30 +250,16 @@ def _scalar_text(x):
     if isinstance(x, int):
         return int.__repr__(x)
     if isinstance(x, float):
-        return _float_text(x)
+        return _json_float(float.__repr__(x))
     return None
 
 
-def _int_rows(items, inner):
-    """The joined item texts of a list of equal-length int lists, or of
-    the rows of a 2-D int array, from one %d template; None when items
-    is neither."""
-    if isinstance(items, np.ndarray):
-        if items.dtype.kind != "i" or items.ndim != 2:
-            return None
-        width, flat = items.shape[1], items.ravel().tolist()
-    else:
-        if set(map(type, items)) - {list, tuple}:
-            return None
-        lengths = set(map(len, items))
-        # bool is not int here: json writes it as true or false
-        if (len(lengths) != 1
-                or set(map(type, itertools.chain.from_iterable(items))) != {int}):
-            return None
-        width, flat = lengths.pop(), itertools.chain.from_iterable(items)
+def _int_rows(rows, inner):
+    """The joined row texts of a 2-D int array, from one %d template."""
     deeper = inner + INDENT
-    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
-    return (("," + inner + row) * len(items))[len(inner) + 1:] % tuple(flat)
+    row = "[" + deeper + ("," + deeper).join(["%d"] * rows.shape[1]) + inner + "]"
+    return ((("," + inner + row) * len(rows))[len(inner) + 1:]
+            % tuple(rows.ravel().tolist()))
 
 
 def _json_text(obj, inner="\n"):
@@ -295,16 +281,14 @@ def _json_text(obj, inner="\n"):
         body = ("," + deeper).join([_quote(k) + ": " + _json_text(v, deeper)
                                     for k, v in obj.items()])
         return "{" + deeper + body + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        if not len(obj):
-            return "[]"
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "i":
         body = _int_rows(obj, deeper)
-        if body is None and not isinstance(obj, np.ndarray):
-            body = ("," + deeper).join([_json_text(v, deeper) for v in obj])
-        if body is not None:
-            return "[" + deeper + body + inner + "]"
-    raise TypeError(f"Object of type {obj.__class__.__name__} "
-                    "is not JSON serializable")
+    elif isinstance(obj, list):
+        body = ("," + deeper).join([_json_text(v, deeper) for v in obj])
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} "
+                        "is not JSON serializable")
+    return "[" + deeper + body + inner + "]" if len(obj) else "[]"
 
 
 def _emit(command, inputs, results, output, status="ok", error=None):
@@ -313,7 +297,7 @@ def _emit(command, inputs, results, output, status="ok", error=None):
            "results": results,
            "status": status,
            "error": error}
-    text = _json_text(doc) + "\n"
+    text = _json_text(_sanitize(doc)) + "\n"
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -332,21 +316,22 @@ def cmd_pressure(args):
     if args.method in ("spectral", "both"):
         spec = spectral_pressure(corr, phi)
         results["spectral"] = {
-            "pressure": _f_finite(spec.pressure),
-            "components": [list(c) for c in spec.components],
-            "log_radii": [_f_finite(r) for r in spec.log_radii],
-            "dominant": list(spec.dominant),
+            "pressure": spec.pressure,
+            "components": spec.components,
+            "log_radii": spec.log_radii,
+            "dominant": spec.dominant,
         }
         if spec.pressure == -np.inf:
             results["spectral"]["minus_infinity"] = True
     if args.method in ("paths", "both"):
         value = path_pressure_sequence(corr, phi, args.n)[-1]
-        results["paths"] = {"n": args.n, "value": _f_finite(value)}
+        results["paths"] = {"n": args.n, "value": value}
         if value == -np.inf:
             results["paths"]["minus_infinity"] = True
     if args.method == "both":
-        a, b = results["spectral"]["pressure"], results["paths"]["value"]
-        results["gap"] = None if None in (a, b) else _f(abs(a - b))
+        # the gap between the two values as reported
+        results["gap"] = (None if -np.inf in (spec.pressure, value)
+                          else abs(_f(spec.pressure) - _f(value)))
     _emit("pressure", inputs, results, args.output)
     return 0
 
@@ -355,8 +340,7 @@ def cmd_verify(args):
     checks = verify_mod.run_suite(args.suite)
     rows = []
     for c in checks:
-        rows.append({"name": c.name, "passed": bool(c.passed),
-                     "gap": None if c.gap is None else _f(c.gap),
+        rows.append({"name": c.name, "passed": c.passed, "gap": c.gap,
                      "detail": c.detail})
         status = "pass" if c.passed else "FAIL"
         sys.stderr.write(f"{status:4s}  {c.name}  ({c.seconds:.2f}s)\n")
@@ -376,11 +360,11 @@ def cmd_equilibrium(args):
     phi = _potential_from(corr, inputs.load("phi", args.phi))
     eq = gibbs_equilibrium(corr, phi)
     results = {
-        "pressure": _f(eq.pressure),
-        "entropy": _f(eq.entropy),
-        "integral": _f(eq.integral),
-        "dominant_class": list(eq.dominant_class),
-        "measure": _measure_doc(eq.measure),
+        "pressure": eq.pressure,
+        "entropy": eq.entropy,
+        "integral": eq.integral,
+        "dominant_class": eq.dominant_class,
+        "measure": {"weights": eq.measure},
         "kernel": _kernel_doc(eq.kernel),
         "pair": _pair_doc(corr, eq.pair),
     }
@@ -397,11 +381,10 @@ def cmd_mpressure(args):
     res = measure_pressure(corr, phi, mu, tol=min(cfg.tolerance, 1e-10),
                            max_iter=cfg.max_iterations)
     results = {
-        "value": _f_finite(res.value),
+        "value": res.value,
         "iterations": res.iterations,
-        "residual": _f(res.marginal_error),
-        "converged": True,
-        "boundary_flag": bool(res.face_restricted),
+        "residual": res.marginal_error,
+        "boundary_flag": res.face_restricted,
         "pair": _pair_doc(corr, res.pair),
         "kernel": _kernel_doc(res.kernel),
     }
@@ -414,18 +397,17 @@ def cmd_mpressure(args):
 def cmd_aentropy(args):
     inputs = Inputs()
     corr = _corr_from(inputs.load("input", args.input))
-    nu = _pair_from(corr, inputs.load("nu", args.nu))
+    nu = _edge_values(corr, inputs.load("nu", args.nu), "pair measure")
     cfg = _config_from(inputs.load("config", args.config))
     res = abstract_kernel_entropy(corr, nu, cfg)
     results = {
-        "value": None if res.minus_infinity else _f(res.value),
-        "minus_infinity": bool(res.minus_infinity),
-        "iterations": res.iterations,
-        "residual": _f(res.residual),
-        "converged": bool(res.converged),
-        "boundary_flag": bool(res.boundary),
-        # the dual certificate is -inf on edges nu misses: null in JSON
-        "potential": [_f_finite(v) for v in res.potential],
+        # value is -inf, so null, exactly when minus_infinity is true
+        "value": res.value,
+        "minus_infinity": res.minus_infinity,
+        "residual": res.residual,
+        "boundary_flag": res.boundary,
+        # the dual certificate is -inf, so null, on edges nu misses
+        "potential": res.potential,
     }
     _emit("aentropy", inputs, results, args.output)
     return 0
@@ -437,7 +419,7 @@ def cmd_invariant(args):
     mu = _measure_from(corr, inputs.load("mu", args.mu))
     chk = is_invariant(corr, mu)
     results = {
-        "invariant": bool(chk.invariant),
+        "invariant": chk.invariant,
         "witness_pair": None,
         "witness_kernel": None,
         "violating_subset": None,
@@ -446,7 +428,7 @@ def cmd_invariant(args):
         results["witness_pair"] = _pair_doc(corr, chk.witness_pair)
     if chk.witness_kernel is not None:
         results["witness_kernel"] = _kernel_doc(chk.witness_kernel)
-        results["marginal_gap"] = _f(stationary_gap(mu, chk.witness_kernel))
+        results["marginal_gap"] = stationary_gap(mu, chk.witness_kernel)
     if chk.violating_subset is not None:
         results["violating_subset"] = sorted(chk.violating_subset)
     _emit("invariant", inputs, results, args.output)
@@ -459,7 +441,7 @@ def cmd_extremes(args):
     ext = invariant_polytope_extremes(corr)
     results = {
         "n_extremes": len(ext.extremes),
-        "extremes": [_flist(e) for e in ext.extremes],
+        "extremes": ext.extremes,
         "n_pair_vertices": len(ext.pair_vertices),
     }
     mu_doc = inputs.load("mu", args.mu)
@@ -470,9 +452,10 @@ def cmd_extremes(args):
         for k, w in zip(idxs, weights):
             mix += w * np.asarray(extremes[k], dtype=float)
         results["decomposition"] = {
-            "indices": list(idxs),
-            "weights": _flist(weights),
-            "residual": _f(float(np.sum(np.abs(mix - mu)))),
+            "indices": idxs,
+            # as floats: a weight clipped by max(v, 0) is the int 0
+            "weights": np.asarray(weights, dtype=float),
+            "residual": np.sum(np.abs(mix - mu)),
         }
     _emit("extremes", inputs, results, args.output)
     return 0
@@ -490,7 +473,7 @@ def cmd_kentropy(args):
             raise ShapeMismatch("partition document needs a cells array")
         partition = Partition(corr.n_states, cfg_doc["cells"])
     seq, value = kernel_entropy(mu, kernel, args.n, partition)
-    results = {"value": _f(value), "n": args.n, "sequence": _flist(seq)}
+    results = {"value": value, "n": args.n, "sequence": seq}
     _emit("kentropy", inputs, results, args.output)
     return 0
 
@@ -507,13 +490,13 @@ def cmd_derivative(args):
     tset = tangent_functionals(corr, phi)
     results = {
         "side": args.method,
-        "plus": None if der.plus is None else _f(der.plus),
-        "minus": None if der.minus is None else _f(der.minus),
-        "plus_fd": None if der.plus_fd is None else _f(der.plus_fd),
-        "minus_fd": None if der.minus_fd is None else _f(der.minus_fd),
-        "is_gateaux": None if der.is_gateaux is None else bool(der.is_gateaux),
+        "plus": der.plus,
+        "minus": der.minus,
+        "plus_fd": der.plus_fd,
+        "minus_fd": der.minus_fd,
+        "is_gateaux": der.is_gateaux,
         "tangent_count": len(tset.tangents),
-        "unique_tangent": bool(tset.is_unique),
+        "unique_tangent": tset.is_unique,
     }
     _emit("derivative", inputs, results, args.output)
     return 0
@@ -542,7 +525,7 @@ def cmd_discretize(args):
         if doc is not None:
             raise ShapeMismatch(
                 f"the example route needs --input {EXAMPLE_FIXTURE}")
-        results = _sanitize(example_report(args.grid))
+        results = example_report(args.grid)
     elif method == "grid":
         system = example_branches() if doc is None else _branches_from(doc)
         grid = grid_discretize(system, args.grid)
@@ -550,7 +533,7 @@ def cmd_discretize(args):
         results = {
             "resolution": grid.resolution,
             "n_states": grid.corr.n_states,
-            "pressure": _f(pres.pressure),
+            "pressure": pres.pressure,
             "correspondence": _corr_doc(grid.corr),
         }
     elif method == "markov":
@@ -561,7 +544,7 @@ def cmd_discretize(args):
         pres = spectral_pressure(model.corr, Potential.zero(model.corr))
         results = {
             "n_states": model.corr.n_states,
-            "pressure": _f(pres.pressure),
+            "pressure": pres.pressure,
             "correspondence": _corr_doc(model.corr),
         }
     else:
@@ -589,7 +572,7 @@ def cmd_relabel(args):
         out = np.zeros_like(mu)
         for i, w in enumerate(mu):
             out[theta[i]] = w
-        results["measure"] = _measure_doc(out)
+        results["measure"] = {"weights": out}
     ker_doc = inputs.load("kernel", args.kernel)
     if ker_doc is not None:
         kernel = _kernel_from(corr, ker_doc).relabel(theta)
@@ -607,17 +590,16 @@ def cmd_decompose(args):
         raise ShapeMismatch("decompose needs --config with a blocks array")
     decomp = Decomposition([[whole_number(s) for s in b] for b in cfg["blocks"]])
     report = decomposition_validate(corr, decomp)
-    results = {"valid": bool(report["valid"]),
-               "validation": _sanitize(report)}
+    results = {"valid": report["valid"], "validation": report}
     if report["valid"]:
         dp = decomposition_pressure(corr, phi, decomp)
         spec = spectral_pressure(corr, phi)
         # a pressure of -inf is null, as in the pressure report
-        results["value"] = _f_finite(dp.value)
-        results["block_values"] = [_f_finite(v) for v in dp.block_values]
-        results["spectral"] = _f_finite(spec.pressure)
+        results["value"] = dp.value
+        results["block_values"] = dp.block_values
+        results["spectral"] = spec.pressure
         results["gap"] = (None if -np.inf in (dp.value, spec.pressure)
-                          else _f(abs(dp.value - spec.pressure)))
+                          else abs(dp.value - spec.pressure))
         if dp.value == -np.inf:
             results["minus_infinity"] = True
     _emit("decompose", inputs, results, args.output)

@@ -129,10 +129,6 @@ class Partition:
             for s in c:
                 self.cell_of[s] = k
 
-    @classmethod
-    def discrete(cls, n_states):
-        return cls(n_states, [(i,) for i in range(n_states)])
-
     def indicator(self, k):
         v = np.zeros(self.n_states)
         v[list(self.cells[k])] = 1.0

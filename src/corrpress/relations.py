@@ -342,9 +342,6 @@ class Potential:
         idx = self.corr.edge_index()
         return float(self.values[idx[(edge[0], edge[1])]])
 
-    def as_dict(self):
-        return {e: float(v) for e, v in zip(self.corr.edges, self.values)}
-
     def sup_norm(self):
         return float(np.max(np.abs(self.values))) if self.corr.n_edges else 0.0
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corrpress import ConvergenceFailure
-from corrpress.cli import main
+from corrpress.cli import _build_parser, _sanitize, main
 from corrpress.pressure import PATH_MAX, SpectralCache
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -22,9 +22,11 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+GOLDEN_MEAN = {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
+
+
 def golden_corr(tmp_path):
-    return write(tmp_path, "corr.json",
-                 {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0]]})
+    return write(tmp_path, "corr.json", GOLDEN_MEAN)
 
 
 def parry_mu(tmp_path):
@@ -90,12 +92,14 @@ def test_equilibrium_documents_round_trip(tmp_path, capsys):
     code, doc = run(capsys, ["mpressure", "--input", corr, "--mu", mu])
     assert code == 0
     assert doc["results"]["value"] == pytest.approx(LOG_GOLDEN, abs=1e-7)
-    assert doc["results"]["converged"] is True
+    # a constant field says nothing, so the report has none
+    assert "converged" not in doc["results"]
 
     code, doc = run(capsys, ["aentropy", "--input", corr, "--nu", nu])
     assert code == 0
     assert doc["results"]["minus_infinity"] is False
     assert doc["results"]["value"] == pytest.approx(LOG_GOLDEN, abs=1e-4)
+    assert not {"iterations", "converged"} & set(doc["results"])
 
     code, doc = run(capsys, ["kentropy", "--input", corr,
                              "--kernel", kernel, "--mu", mu])
@@ -275,7 +279,8 @@ def test_skewed_pair_entropy_ignores_the_iteration_budget(tmp_path, capsys):
     res = doc["results"]
     assert res["value"] == pytest.approx(
         -(0.8 * math.log(0.8) + 0.2 * math.log(0.2)), abs=1e-12)
-    assert res["iterations"] == 0 and res["converged"] is True
+    # the closed form iterates nothing, so the report counts no steps
+    assert not {"iterations", "converged"} & set(res)
 
 
 def test_removed_solver_options_are_input_errors(tmp_path, capsys):
@@ -709,3 +714,122 @@ def test_verify_example_suite_passes(capsys):
     assert code == 0
     assert doc["results"]["passed"] is True
     assert doc["results"]["counts"]["passed"] == doc["results"]["counts"]["total"]
+
+
+# ------------------------------------------------------------ edge documents
+
+@pytest.mark.parametrize("command, flag", [("pressure", "--phi"),
+                                           ("aentropy", "--nu")])
+@pytest.mark.parametrize("entries, error, named", [
+    # (1, 1) lies in 0..1 but is no edge of the golden-mean relation
+    ([[1, 1, 0.5]], "ShapeMismatch", "pair (1, 1) is not an edge"),
+    ([[0, 2, 0.5]], "IndexOutOfRange", "edges outside 0..1: [(0, 2)]"),
+    # once kept last in a potential and summed in a pair measure
+    ([[0, 0, 0.5], [0, 1, 0.25], [0, 1, 0.25]], "DuplicateEdge",
+     "duplicate edges: [(0, 1)]"),
+])
+def test_potential_and_pair_documents_name_the_same_bad_pairs(
+        tmp_path, capsys, command, flag, entries, error, named):
+    doc = write(tmp_path, "edges.json", {"edges": entries})
+    code, report = run(capsys, [command, "--input", golden_corr(tmp_path),
+                                flag, doc])
+    assert code == 2
+    assert report["error"] == {"type": error, "message": named}
+
+
+# ------------------------------------------------------------ report values
+
+def report_floats(node):
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, dict):
+        for v in node.values():
+            yield from report_floats(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from report_floats(v)
+
+
+def every_subcommand(tmp_path):
+    """One small argv per subcommand and route, -inf cases included."""
+    three = write(tmp_path, "three.json", THREE)
+    corr, minf = minus_infinity_documents(tmp_path)
+    golden = write(tmp_path, "golden.json", GOLDEN_MEAN)
+    mu = parry_mu(tmp_path)
+    phi = write(tmp_path, "phi_golden.json",
+                {"edges": [[0, 0, 0.3], [0, 1, -1.1], [1, 0, 0.7]]})
+    phi_minf = write(tmp_path, "phi_minf.json",
+                     {"edges": [[0, 0, -math.inf], [0, 1, 0.3]]})
+    kernel = write(tmp_path, "k.json", {"rows": [
+        [[0, 1.0 / GOLDEN], [1, 1.0 / GOLDEN ** 2]], [[0, 1.0]]]})
+    nu = write(tmp_path, "nu.json", {"edges": [[0, 0, 1 / 3], [0, 1, 1 / 3],
+                                               [1, 0, 1 / 3]]})
+    tent = write(tmp_path, "tent.json", {
+        "breakpoints": ["0", "1/2", "1"], "pieces": [[2, 0], [-2, 2]],
+        "cells": [["0", "1/2"], ["1/2", "1"]]})
+    return [
+        ["pressure", "--input", golden, "--phi", phi],
+        ["pressure", "--input", corr, "--phi", minf],
+        ["verify", "--suite", "example"],
+        ["equilibrium", "--input", golden, "--phi", phi],
+        ["equilibrium", "--input", golden, "--phi", phi_minf],
+        ["mpressure", "--input", golden, "--phi", phi, "--mu", mu],
+        ["mpressure", "--input", corr, "--phi", minf, "--mu",
+         write(tmp_path, "d2.json", {"weights": [0.0, 0.0, 1.0]})],
+        ["aentropy", "--input", golden, "--nu", nu],
+        ["aentropy", "--input", three, "--nu",
+         write(tmp_path, "u.json", UNBALANCED)],
+        ["invariant", "--input", golden, "--mu", mu],
+        ["extremes", "--input", golden, "--mu", mu],
+        ["kentropy", "--input", golden, "--kernel", kernel, "--mu", mu,
+         "--n", "6", "--config",
+         write(tmp_path, "cells.json", {"cells": [[0], [1]]})],
+        ["derivative", "--input", golden, "--phi", phi, "--nu", phi],
+        ["discretize", "--input", "interval-example", "--grid", "16"],
+        ["discretize", "--input", "interval-example", "--grid", "16",
+         "--method", "grid"],
+        ["discretize", "--input", tent],
+        ["relabel", "--input", golden, "--config",
+         write(tmp_path, "theta.json", {"theta": [1, 0]}), "--phi", phi_minf,
+         "--mu", mu, "--kernel", kernel],
+        ["decompose", "--input", golden, "--phi", phi, "--config",
+         write(tmp_path, "b.json", {"blocks": [[0, 1]]})],
+        ["decompose", "--input", corr, "--phi", minf, "--config",
+         write(tmp_path, "b2.json", {"blocks": [[0, 1], [2]]})],
+    ]
+
+
+@pytest.mark.parametrize("case", range(19))
+def test_every_report_float_has_twelve_significant_digits(tmp_path, capsys,
+                                                          case):
+    argv = every_subcommand(tmp_path)[case]
+    code, doc = run(capsys, argv)
+    assert code == 0 and doc["status"] == "ok"
+    for x in report_floats(doc["results"]):
+        assert x == float(f"{x:.12g}")
+
+
+def test_every_subcommand_is_in_the_report_float_cases(tmp_path):
+    argvs = every_subcommand(tmp_path)
+    assert len(argvs) == 19
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in argvs} == set(subcommands)
+
+
+def test_the_converter_makes_report_values():
+    third = 1.0 / 3.0
+    tree = {"f": np.float64(third), "i": np.int64(7), "b": np.bool_(True),
+            "t": (1, 2.0), "a": np.array([third, -np.inf]), "z": -0.0,
+            "sub": 5e-324, "m": -math.inf, "s": "x", "n": None,
+            "rows": np.array([[1, 2]])}
+    out = _sanitize(tree)
+    assert out["rows"] is tree["rows"]      # left to the writer's template
+    del out["rows"]
+    assert out == {"f": 0.333333333333, "i": 7, "b": True, "t": [1, 2.0],
+                   "a": [0.333333333333, None], "z": 0.0, "sub": 5e-324,
+                   "m": None, "s": "x", "n": None}
+    assert [type(out[k]) for k in "fibtz"] == [float, int, bool, list, float]
+    assert math.copysign(1.0, out["z"]) == -1.0
+    for bad in (math.inf, np.float64(np.nan), [1.0, np.inf]):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _sanitize({"x": bad})

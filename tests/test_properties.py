@@ -34,7 +34,7 @@ from corrpress import (
     spectral_pressure,
     stationary_measures,
 )
-from corrpress.cli import _emit, main
+from corrpress.cli import _json_text, main
 from corrpress.pressure import DENSE_MAX, SpectralCache
 from references import INFEASIBLE, OPTIMAL, simplex
 from corrpress.verify import (
@@ -432,10 +432,11 @@ JSON_TREES = st.recursive(
 
 
 def emitted(results):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _emit("probe", {}, results, "-")
-    return out.getvalue()
+    """The writer's text for a report around results: the writer alone,
+    without the converter that _emit applies first."""
+    doc = {"command": "probe", "inputs": {}, "results": results,
+           "status": "ok", "error": None}
+    return _json_text(doc) + "\n"
 
 
 @settings(deadline=None, max_examples=300)
