@@ -137,7 +137,9 @@ def _edge_values(corr, doc, kind):
     """The weights of an {"edges": [[i, j, w], ...]} document as a vector
     over corr.edges, zero on the edges it leaves out.  A pair outside
     0..n_states-1 is IndexOutOfRange, any other pair that is not an edge
-    ShapeMismatch, and a pair given twice DuplicateEdge."""
+    ShapeMismatch, and a pair given twice DuplicateEdge.  A null weight,
+    which is how a report writes -inf, reads as -inf in a potential and
+    is ShapeMismatch in any other document."""
     if not isinstance(doc, dict) or "edges" not in doc:
         raise ShapeMismatch(f"{kind} document needs an edges array")
     index, n = corr.edge_index(), corr.n_states
@@ -152,6 +154,10 @@ def _edge_values(corr, doc, kind):
         if e in seen:
             raise DuplicateEdge([e])
         seen.add(e)
+        if w is None:
+            if kind != "potential":
+                raise ShapeMismatch(f"{kind} weight null on pair {e}")
+            w = -np.inf
         vec[index[e]] = float(w)
     return vec
 

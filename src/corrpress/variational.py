@@ -37,8 +37,8 @@ from .kernels import (
     stationary_gap,
     validate_measure,
 )
-from .polytope import _hall_flow, is_invariant
-from .pressure import spectral_pressure
+from .polytope import SATURATED, _hall_flow, is_invariant
+from .pressure import spectral_pressure, strongly_connected_components
 from .relations import whole_number
 
 
@@ -160,23 +160,28 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     complement of the Hessian [[diag mu, N], [N^T, diag col]], shifted
     by 1e-3 times the l1 marginal error (Levenberg-Marquardt) so that
     no direction of small curvature is lost.  The step is taken in full
-    when it halves that error, else backtracked by Armijo on D.  On a
-    face of the transport polytope the coupling vanishes off the face
-    at a geometric rate, and at most tol of mass stays there.
-    iterations counts the steps and face_restricted says some edge
-    between mu-positive states carries mass below tol.
+    when it halves that error, else backtracked by Armijo on D.
+    iterations counts the steps.
 
-    A coupling of mu lives on the edges between mu-positive states, and
-    Newton runs on those of finite weight.  Before Newton, a state of
-    positive mass with no such edge in or out makes mu NotInvariant,
-    with its violating subset, however little mass it has.  Where a
-    -inf edge lies between mu-positive states, the invariance flow over
-    the finite ones decides whether a coupling lives on them; when none
-    does, mu is NotInvariant if the flow over all edges finds it so, and
-    else P_mu = -inf, reported with that flow's coupling and its kernel.
-    So a finite potential never gives -inf.  A spent budget ends in the
-    invariance flow: NotInvariant when mu is not invariant,
-    ScalingDiverged otherwise.
+    A coupling of mu lives on the edges between mu-positive states.
+    Before Newton, a state of positive mass with no such edge in or out
+    makes mu NotInvariant, with its violating subset, however little
+    mass it has.  Then one invariance flow over the finite edges among
+    them decides.  When it falls short, mu is NotInvariant if the flow
+    over all edges finds it so, and else P_mu = -inf, reported with
+    that flow's coupling and its kernel; so a finite potential never
+    gives -inf.  When it carries mu, its flow certifies the face of the
+    coupling polytope: an edge with no flow is charged by some coupling
+    exactly when its two ends share a strong component of the residual
+    graph, the arcs i -> j' of every edge and j' -> i of every edge
+    with flow (Ahuja, Magnanti & Orlin, Network Flows, 1993).  Newton
+    runs on those face edges only, where the optimum is interior, and
+    the pair is exactly 0 off them; but where the flow leaves a state's
+    mass at or below SATURATED, it certifies nothing and Newton runs on
+    every finite edge.  face_restricted says the face misses some edge
+    between mu-positive states: one of weight -inf, or one that no
+    coupling charges.  The flow has decided invariance, so a spent
+    budget is ScalingDiverged.
     """
     mu = validate_measure(corr.n_states, mu)
     support = np.flatnonzero(mu > 0.0)
@@ -197,15 +202,16 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
         raise NotInvariant(tuple(support.tolist()))
     finite = np.isfinite(phi.values[inside])
     keep = inside[finite]
-    rows, cols, w = rows[finite], cols[finite], phi.values[keep]
+    rows, cols = rows[finite], cols[finite]
     mu_s = mu[support]
-    # -inf edges inside the support carry no mass, and past one only
-    # the flow tells whether the finite ones carry mu
-    off_face = not finite.all()
-    if off_face and not (np.all(np.bincount(rows, minlength=n))
-                         and np.all(np.bincount(cols, minlength=n))
-                         and _hall_flow(n, list(zip(rows.tolist(), cols.tolist())),
-                                        mu_s.tolist(), False)[0]):
+    # -inf edges inside the support carry no mass, and only the flow
+    # tells whether the finite ones carry mu
+    carried = (np.all(np.bincount(rows, minlength=n))
+               and np.all(np.bincount(cols, minlength=n)))
+    if carried:
+        carried, flow, _ = _hall_flow(n, list(zip(rows.tolist(), cols.tolist())),
+                                      mu_s.tolist(), False)
+    if not carried:
         chk = is_invariant(corr, mu)
         if not chk.invariant:
             raise NotInvariant(chk.violating_subset)
@@ -215,6 +221,26 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
         return MeasurePressureResult(-np.inf, pair, chk.witness_kernel,
                                      float(np.sum(gap)), 0,
                                      bool(np.any(pair[inside] < tol)))
+    # the residual graph on i and j' = n + j; every coupling of mu has
+    # the flow's marginals, so no residual cycle passes s or t
+    charged = np.array(flow) > SATURATED
+    tails = np.concatenate([rows, n + cols[charged]])
+    heads = np.concatenate([n + cols, rows[charged]])
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=2 * n))])
+    comps, _ = strongly_connected_components(
+        offsets.tolist(), heads[np.argsort(tails, kind="stable")].tolist())
+    label = np.empty(2 * n, dtype=np.int64)
+    for k, c in enumerate(comps):
+        label[list(c)] = k
+    face = label[rows] == label[n + cols]
+    face_restricted = not (finite.all() and face.all())
+    if not (np.all(np.bincount(rows[face], minlength=n))
+            and np.all(np.bincount(cols[face], minlength=n))):
+        # a mass at or below SATURATED that the flow left behind: no
+        # certificate, so Newton runs on every finite edge
+        face[:] = True
+    keep, rows, cols = keep[face], rows[face], cols[face]
+    w = phi.values[keep]
     log_mu = np.log(mu_s)
 
     def dual(f, g):
@@ -245,9 +271,6 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
             if err <= tol:
                 break
             if steps >= max_iter:
-                chk = is_invariant(corr, mu)
-                if not chk.invariant:
-                    raise NotInvariant(chk.violating_subset)
                 raise ScalingDiverged(f"marginal error {err:.3e} after {steps} steps")
             steps += 1
             coupling = np.zeros((n, n))
@@ -269,7 +292,7 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     value = np.sum(nu[pos] * (w[pos] - np.log(nu[pos] / mu_s[rows[pos]])))
     kernel = kernel_from_pair(corr, pair)
     return MeasurePressureResult(float(value), pair, kernel, err, steps,
-                                 off_face or bool(np.any(nu < tol)))
+                                 face_restricted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,8 +404,9 @@ class DirectionalDerivative:
 FD_STEPS = (1e-3, 1e-4, 1e-5)
 
 
-def _one_sided_fd(cache, values, direction, sign):
-    base = cache.pressure(values)
+def _one_sided_fd(cache, values, direction, sign, base):
+    """Richardson-extrapolated one-sided difference of the pressure
+    along direction, from base, the pressure at values."""
     fds = []
     for t in FD_STEPS:
         fds.append((cache.pressure(values + sign * t * direction) - base) / (sign * t))
@@ -408,10 +432,10 @@ def directional_derivative(corr, phi, psi, side="both"):
     plus = minus = plus_fd = minus_fd = None
     if side in ("plus", "both"):
         plus = max(pairings)
-        plus_fd = _one_sided_fd(cache, phi.values, psi.values, +1.0)
+        plus_fd = _one_sided_fd(cache, phi.values, psi.values, +1.0, tset.pressure)
     if side in ("minus", "both"):
         minus = min(pairings)
-        minus_fd = _one_sided_fd(cache, phi.values, psi.values, -1.0)
+        minus_fd = _one_sided_fd(cache, phi.values, psi.values, -1.0, tset.pressure)
     gateaux = tset.is_unique or (
         plus is not None and minus is not None and abs(plus - minus) <= 1e-8)
     return DirectionalDerivative(plus, minus, plus_fd, minus_fd, gateaux)

@@ -1,6 +1,6 @@
 """Test-side references for the relation constructor, the invariance
-flow, the cycle polytope, the log-domain path sums and the entropy of a
-coarsened chain.
+flow, the cycle polytope, the log-domain path sums, the entropy of a
+coarsened chain and the measure pressure.
 
 The relation is checked and indexed with Python sets, tuples and
 per-state lists, as corrpress.relations.FiniteCorrespondence once was,
@@ -8,7 +8,8 @@ as the reference for its array checks and views.
 
 A dense two-phase simplex on Python lists (Bland's rule, exact with
 Fraction entries), the coupling LP built on it, and the bitmask Hall
-program over all 2^n target subsets.  They are slow and capped by
+program over all 2^n target subsets, which also finds the edges a
+coupling can charge by their tight subsets.  They are slow and capped by
 nothing but patience, so they serve the tests only, as independent
 references for corrpress.polytope.  The path sums and the power
 iteration step by an np.logaddexp.at scatter onto -inf, one edge at a
@@ -16,6 +17,9 @@ time in edge order, and the period of a class comes from a
 breadth-first search, as references for corrpress.pressure.  The chain
 law is enumerated path by path, and the entropy of its coarsening is
 walked afresh for each length, as references for corrpress.kernels.
+The measure pressure runs its Newton solve on every finite edge
+between mu-positive states, without the face the flow certifies, as
+the reference for corrpress.variational.measure_pressure.
 """
 
 import itertools
@@ -187,9 +191,8 @@ def lp_pair(corr, mu, exact=False):
     return x if status == OPTIMAL else None
 
 
-def hall_subset(corr, mu, tol=FEAS_TOL):
-    """The first target subset A, in bitmask order, with
-    mu(A) > mu(pre A) + tol, or None; exact on Fraction weights."""
+def _subset_tables(corr, mu):
+    """mu(A) and the bitmask of pre A for every bitmask A of states."""
     n = corr.n_states
     pred_mask = [0] * n
     for i, j in corr.edges:
@@ -202,10 +205,32 @@ def hall_subset(corr, mu, tol=FEAS_TOL):
         rest = m & (m - 1)
         mass[m] = mass[rest] + mu[low]
         pre[m] = pre[rest] | pred_mask[low]
-    for m in range(1, size):
+    return mass, pre
+
+
+def hall_subset(corr, mu, tol=FEAS_TOL):
+    """The first target subset A, in bitmask order, with
+    mu(A) > mu(pre A) + tol, or None; exact on Fraction weights."""
+    mass, pre = _subset_tables(corr, mu)
+    for m in range(1, len(mass)):
         if mass[m] > mass[pre[m]] + tol:
-            return tuple(i for i in range(n) if m >> i & 1)
+            return tuple(i for i in range(corr.n_states) if m >> i & 1)
     return None
+
+
+def chargeable_edges(corr, mu, tol):
+    """Mask over corr.edges of the edges between mu-positive states
+    that some coupling of mu charges.  A target subset A with
+    mu(pre A) <= mu(A) + tol is tight: all the mass of pre A enters A,
+    so no coupling charges an edge from pre A to a state outside A.  By
+    max-flow/min-cut every uncharged edge has such an A; this tries all
+    2^n of them."""
+    mass, pre = _subset_tables(corr, mu)
+    tight = [(pre[m], m) for m in range(1, len(mass))
+             if mass[pre[m]] <= mass[m] + tol]
+    return np.array([mu[i] > 0 and mu[j] > 0
+                     and not any(p >> i & 1 and not m >> j & 1 for p, m in tight)
+                     for i, j in corr.edges])
 
 
 def log_matvec(v, src, dst, weights, size):
@@ -311,3 +336,72 @@ def cell_entropy(start, kernel, partition, length):
         for m in masks:
             stack.append((depth + 1, nxt * m))
     return total
+
+
+def all_edge_newton(corr, phi, mu, tol, max_iter):
+    """(value, pair, marginal error, steps) of measure pressure by the
+    damped Newton solve of corrpress.variational over every finite edge
+    between mu-positive states, with no face identified: on a face the
+    mass off it decays geometrically.  mu must be carried by those
+    edges.  A spent budget, or a Hessian singular in floating point,
+    returns the last iterate."""
+    mu = np.asarray(mu, dtype=float)
+    support = np.flatnonzero(mu > 0.0)
+    n = len(support)
+    loc = np.full(corr.n_states, -1)
+    loc[support] = np.arange(n)
+    src, dst = corr.edge_arrays()
+    keep = np.flatnonzero((loc[src] >= 0) & (loc[dst] >= 0)
+                          & np.isfinite(phi.values))
+    rows, cols, w = loc[src[keep]], loc[dst[keep]], phi.values[keep]
+    mu_s = mu[support]
+    log_mu = np.log(mu_s)
+
+    def dual(f, g):
+        nu = np.exp(f[rows] + w + g[cols])
+        return nu, float(np.sum(nu) - np.dot(mu_s, f + g))
+
+    def residuals(nu):
+        a = np.bincount(rows, weights=nu, minlength=n) - mu_s
+        b = np.bincount(cols, weights=nu, minlength=n) - mu_s
+        return b, float(np.sum(np.abs(a)) + np.sum(np.abs(b)))
+
+    def row_half_step(g):
+        vals = w + g[cols]
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, rows, vals)
+        return log_mu - top - np.log(
+            np.bincount(rows, weights=np.exp(vals - top[rows]), minlength=n))
+
+    g, steps = np.zeros(n), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            f = row_half_step(g)
+            nu, d = dual(f, g)
+            b, err = residuals(nu)
+            if err <= tol or steps >= max_iter:
+                break
+            steps += 1
+            coupling = np.zeros((n, n))
+            coupling[rows, cols] = nu
+            scaled = coupling / mu_s[:, None]
+            try:
+                dg = np.linalg.solve(
+                    np.diag(b + mu_s + 1e-3 * err) - coupling.T @ scaled, -b)
+            except np.linalg.LinAlgError:
+                # the shift 1e-3 err has fallen below rounding, and the
+                # near-null direction of a face block is lost
+                break
+            df = -(scaled @ dg)
+            slope = float(np.dot(b, dg))
+            for t in 0.5 ** np.arange(40):
+                nu_t, d_t = dual(f + t * df, g + t * dg)
+                if (t == 1.0 and residuals(nu_t)[1] <= 0.5 * err
+                        or d_t <= d + 1e-4 * t * slope):
+                    g = g + t * dg
+                    break
+    pair = np.zeros(corr.n_edges)
+    pair[keep] = nu
+    pos = nu > 0.0
+    value = np.sum(nu[pos] * (w[pos] - np.log(nu[pos] / mu_s[rows[pos]])))
+    return float(value), pair, err, steps

@@ -255,11 +255,15 @@ def test_solver_budget_exhaustion_is_exit_three(tmp_path, capsys, monkeypatch):
 
 
 def test_mpressure_newton_budget_exhaustion_is_exit_three(tmp_path, capsys):
-    # the uniform measure on the golden mean shift lives on the face
-    # without the loop, which one Newton step cannot reach
-    mu = write(tmp_path, "mu.json", {"weights": [0.5, 0.5]})
+    # a skewed measure on the full 2-shift under a nonzero potential:
+    # its optimal coupling charges every edge and takes four Newton steps
+    corr = write(tmp_path, "full.json",
+                 {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]})
+    phi = write(tmp_path, "phi.json",
+                {"edges": [[0, 0, 0.5], [0, 1, 0.0], [1, 0, 0.0], [1, 1, -0.5]]})
+    mu = write(tmp_path, "mu.json", {"weights": [0.8, 0.2]})
     cfg = write(tmp_path, "cfg.json", {"max_iterations": 1})
-    code, doc = run(capsys, ["mpressure", "--input", golden_corr(tmp_path),
+    code, doc = run(capsys, ["mpressure", "--input", corr, "--phi", phi,
                              "--mu", mu, "--config", cfg])
     assert code == 3
     assert doc["status"] == "error"
@@ -651,6 +655,37 @@ def test_relabel_preserves_pressure(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["spectral"]["pressure"] \
         == pytest.approx(LOG_GOLDEN, abs=1e-11)
+
+
+def test_relabel_potential_with_minus_infinity_reads_back(tmp_path, capsys):
+    """relabel writes a -inf weight as null; pressure --phi reads the
+    null back as -inf."""
+    corr = write(tmp_path, "corr.json",
+                 {"n_states": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 2]]})
+    phi = write(tmp_path, "phi.json", {"edges": [
+        [0, 1, -1e999], [1, 0, -1e999], [1, 2, 0.0], [2, 2, 0.0]]})
+    theta = write(tmp_path, "theta.json", {"theta": [2, 0, 1]})
+    code, doc = run(capsys, ["relabel", "--input", corr, "--phi", phi,
+                             "--config", theta])
+    assert code == 0
+    assert doc["results"]["potential"]["edges"] == [
+        [0, 1, 0.0], [0, 2, None], [1, 1, 0.0], [2, 0, None]]
+    relabeled = write(tmp_path, "relabeled.json", doc["results"]["correspondence"])
+    phi_back = write(tmp_path, "phi_back.json", doc["results"]["potential"])
+    code, doc = run(capsys, ["pressure", "--input", relabeled, "--phi", phi_back,
+                             "--method", "spectral"])
+    assert code == 0
+    # only the loop, of weight 0, escapes the -inf cycle
+    assert doc["results"]["spectral"]["pressure"] == 0.0
+
+
+def test_pair_measure_refuses_a_null_weight(tmp_path, capsys):
+    nu = write(tmp_path, "nu.json", {"edges": [[0, 0, 0.5], [0, 1, None]]})
+    code, doc = run(capsys, ["aentropy", "--input", golden_corr(tmp_path),
+                             "--nu", nu])
+    assert code == 2
+    assert doc["error"]["type"] == "ShapeMismatch"
+    assert "(0, 1)" in doc["error"]["message"]
 
 
 def test_relabel_keeps_the_tolerance_a_kernel_document_passed(tmp_path, capsys):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrpress import (
     ConvergenceFailure,
@@ -26,9 +27,10 @@ from corrpress import (
     tangent_functionals,
     uniform_measure,
 )
-from corrpress import pressure, verify
+from corrpress import pressure, variational, verify
 from corrpress.kernels import stationary_gap
 from corrpress.verify import random_invariant_measure as cycle_mixture
+from references import all_edge_newton, chargeable_edges
 
 LOG2 = math.log(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -200,9 +202,10 @@ def test_measure_pressure_face_restriction_converges():
     """A measure sitting on a face of the coupling polytope.
 
     No coupling with these marginals charges every edge, so the
-    entropic optimum lies on a face: the potentials drift apart and the
-    mass off the face decays geometrically, with no face identified.
-    Alternate scaling decays here only as 1/k.
+    entropic optimum lies on a face.  Over every edge the mass off the
+    face decays only geometrically, in 22 Newton steps (alternate
+    scaling decays here as 1/k); on the face the invariance flow
+    certifies, Newton converges in 11.
     """
     corr = FiniteCorrespondence(5, ((0, 1), (0, 3), (0, 4), (1, 0), (1, 2),
                                     (1, 3), (2, 1), (3, 0), (3, 2), (3, 3),
@@ -217,8 +220,59 @@ def test_measure_pressure_face_restriction_converges():
                            -0.031850527301669374, 0.2559871254788322])
     res = measure_pressure(corr, phi, mu)
     assert res.face_restricted
+    assert res.iterations <= 12
     assert res.marginal_error <= 1e-10
     assert res.value <= spectral_pressure(corr, phi).pressure + 1e-8
+
+
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_measure_pressure_on_the_certified_face_matches_all_edge_newton(seed):
+    """The pair charges exactly the edges that some coupling charges,
+    which the tight subsets of references.chargeable_edges find, and
+    its value matches Newton over every edge between mu-positive
+    states, run to 1e-13 so that little mass stays off the face.  Where
+    no edge is off the face, the two solves are the same arithmetic."""
+    rng = np.random.default_rng(seed)
+    corr = verify.random_relation(rng, 2, 8)
+    phi = verify.random_potential(rng, corr)
+    mu = cycle_mixture(rng, corr)
+    res = measure_pressure(corr, phi, mu)
+    src, dst = corr.edge_arrays()
+    gap = (np.abs(np.bincount(src, weights=res.pair, minlength=corr.n_states) - mu)
+           + np.abs(np.bincount(dst, weights=res.pair, minlength=corr.n_states) - mu))
+    assert res.marginal_error <= 1e-10 and float(np.sum(gap)) <= 1e-10 + 1e-15
+    face = chargeable_edges(corr, mu, 1e-12)
+    assert np.all(res.pair[face] > 0.0) and np.all(res.pair[~face] == 0.0)
+    inside = (mu[src] > 0.0) & (mu[dst] > 0.0)
+    assert res.face_restricted == (not np.all(face[inside]))
+    # the all-edge solve can stall a little above 1e-13, at rounding
+    value, _, err, _ = all_edge_newton(corr, phi, mu, 1e-13, 200)
+    assert err <= 1e-11
+    assert res.value == pytest.approx(value, abs=1e-8)
+    if not res.face_restricted:
+        value, pair, err, steps = all_edge_newton(corr, phi, mu, 1e-10, 100)
+        assert (res.value, res.marginal_error, res.iterations) == (value, err, steps)
+        assert np.array_equal(res.pair, pair)
+
+
+def test_measure_pressure_below_the_flow_resolution_runs_on_every_edge():
+    """The loop 0 -> 1 -> 0 with mass 1 - 1e-15 and the 3-cycle
+    0 -> 2 -> 3 -> 0 with mass 1e-15: the flow leaves the cycle's mass,
+    below SATURATED, behind, so it certifies no face and Newton runs on
+    every finite edge, as the all-edge reference does."""
+    corr = FiniteCorrespondence(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0),
+                                    (1, 1), (2, 2)])
+    phi = Potential(corr, np.linspace(-0.5, 0.5, corr.n_edges))
+    eps = 1e-15
+    mu = np.array([(1 - eps) / 2 + eps / 3, (1 - eps) / 2, eps / 3, eps / 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = measure_pressure(corr, phi, mu)
+    value, pair, err, steps = all_edge_newton(corr, phi, mu, 1e-10, 100)
+    assert (res.value, res.marginal_error, res.iterations) == (value, err, steps)
+    assert np.array_equal(res.pair, pair)
+    assert res.face_restricted
 
 
 def test_measure_pressure_converges_where_the_scaling_diverged():
@@ -279,7 +333,8 @@ def test_underflowed_parry_measure_is_a_convergence_failure():
 
 def test_measure_pressure_rejects_a_hall_violation_after_the_budget():
     # every state has a local edge in and out, but {1, 2} sends its mass
-    # 2/3 into {0}, which holds 1/3: only the LP check can tell
+    # 2/3 into {0}, which holds 1/3: only the invariance flow can tell,
+    # and it does before the first Newton step
     corr = FiniteCorrespondence(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
     with pytest.raises(NotInvariant):
         measure_pressure(corr, Potential.zero(corr), [1 / 3, 1 / 3, 1 / 3])
@@ -515,6 +570,34 @@ def test_derivative_matches_finite_differences():
         assert der.plus == pytest.approx(der.plus_fd, abs=1e-4)
         assert der.minus == pytest.approx(der.minus_fd, abs=1e-4)
         assert der.minus <= der.plus + 1e-12
+
+
+def test_finite_differences_start_from_the_tangent_pressure(monkeypatch):
+    """Both sides take the pressure at phi from tangent_functionals, so
+    three pressures per side, bit for bit the differences that compute
+    their own base."""
+    rng = np.random.default_rng(69)
+    corr = random_relation(rng, 5)
+    phi, psi = random_potential(rng, corr), random_potential(rng, corr)
+    cache = corr.spectral_cache()
+    base = cache.pressure(phi.values)
+    expected = []
+    for sign in (1.0, -1.0):
+        fds = [(cache.pressure(phi.values + sign * t * psi.values) - base) / (sign * t)
+               for t in variational.FD_STEPS]
+        t1, t2 = variational.FD_STEPS[1:]
+        expected.append((t1 * fds[2] - t2 * fds[1]) / (t1 - t2))
+    calls = []
+    original = pressure.SpectralCache.pressure
+
+    def counting(self, values):
+        calls.append(1)
+        return original(self, values)
+
+    monkeypatch.setattr(pressure.SpectralCache, "pressure", counting)
+    der = directional_derivative(corr, phi, psi)
+    assert [der.plus_fd, der.minus_fd] == expected
+    assert len(calls) == 2 * len(variational.FD_STEPS)
 
 
 def test_derivative_builds_one_class_index(monkeypatch):
