@@ -268,33 +268,49 @@ def _int_rows(rows, inner):
             % tuple(rows.ravel().tolist()))
 
 
-def _json_text(obj, inner="\n"):
+def _json_text(obj):
     """obj as json.dumps(obj, indent=2, allow_nan=False) writes it; a
-    2-D int array is written as its nested lists.
+    2-D int array is written as its nested lists.  The pieces go into
+    one list, joined once."""
+    out = []
+    _json_pieces(obj, "\n", out)
+    return "".join(out)
 
-    inner is the newline and indentation of obj's own line.  Each
-    container is one join of its item texts; scalars go through the
-    C-level encoders json itself uses on them.
+
+def _json_pieces(obj, inner, out):
+    """Append the text of obj to out, piece by piece.
+
+    inner is the newline and indentation of obj's own line.  Scalars go
+    through the C-level encoders json itself uses on them.
     """
     text = _scalar_text(obj)
     if text is not None:
-        return text
-    deeper = inner + INDENT
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # report keys are strings; _quote raises TypeError on any other
-        body = ("," + deeper).join([_quote(k) + ": " + _json_text(v, deeper)
-                                    for k, v in obj.items()])
-        return "{" + deeper + body + inner + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "i":
-        body = _int_rows(obj, deeper)
-    elif isinstance(obj, list):
-        body = ("," + deeper).join([_json_text(v, deeper) for v in obj])
-    else:
+        out.append(text)
+        return
+    rows = (isinstance(obj, np.ndarray) and obj.ndim == 2
+            and obj.dtype.kind == "i")
+    if not (rows or isinstance(obj, (dict, list))):
         raise TypeError(f"Object of type {obj.__class__.__name__} "
                         "is not JSON serializable")
-    return "[" + deeper + body + inner + "]" if len(obj) else "[]"
+    is_dict = isinstance(obj, dict)
+    if not len(obj):
+        out.append("{}" if is_dict else "[]")
+        return
+    deeper = inner + INDENT
+    out.append(("{" if is_dict else "[") + deeper)
+    if rows:
+        out.append(_int_rows(obj, deeper))
+    elif is_dict:
+        for n, (k, v) in enumerate(obj.items()):
+            # report keys are strings; _quote raises TypeError on any other
+            out.append(("," + deeper if n else "") + _quote(k) + ": ")
+            _json_pieces(v, deeper, out)
+    else:
+        for n, v in enumerate(obj):
+            if n:
+                out.append("," + deeper)
+            _json_pieces(v, deeper, out)
+    out.append(inner + ("}" if is_dict else "]"))
 
 
 def _emit(command, inputs, results, output, status="ok", error=None):

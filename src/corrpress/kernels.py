@@ -180,7 +180,6 @@ def stationary_measures(kernel):
         if stationary_gap(mu, kernel) > 1e-10:
             raise NotStationary(stationary_gap(mu, kernel))
         out.append((states, mu))
-    out.sort(key=lambda pair: min(pair[0]))
     return out
 
 

@@ -23,7 +23,7 @@ is within BRACKET_TOL / 2 of the exact recursion, not bit for bit the
 stepped value.  A relation whose growth never settles (a period that
 does not divide SWEEP, tied dominant classes, a state at -inf) takes
 every step.  The period of a class, which the power iteration steps
-by, comes from the depths of Tarjan's depth-first search.
+by, comes from the depths of the search that found the class.
 """
 
 from __future__ import annotations
@@ -58,13 +58,26 @@ BRACKET_TOL = 1e-13
 SWEEP = 64
 PATH_MAX = 1_000_000
 
+# SpectralCache takes its classes from Tarjan alone on relations of
+# fewer than CLASS_MIN states and edges, and from reach_roots on larger
+# ones: timed on grid models and on random relations with 3 successors
+# per state, the two break even at 1000-2000.  The reach may take
+# (n_states + n_edges) // ROUND_SIZE levels; a level costs about as much
+# as Tarjan on 30 states and edges, so a reach that runs out of levels
+# adds at most about a quarter to Tarjan's time.
+CLASS_MIN = 2000
+ROUND_SIZE = 128
+
 
 def strongly_connected_components(offsets, targets):
     """Tarjan's algorithm, iterative, on a relation in CSR form: the
     successors of v are targets[offsets[v]:offsets[v + 1]]
     (FiniteCorrespondence.csr; Python lists walk fastest).  Returns the
     components in reverse topological order, each a sorted tuple, and
-    each state's depth in the depth-first forest.
+    each state's depth in the depth-first forest.  SpectralCache calls
+    it on relations of fewer than CLASS_MIN states and edges and on
+    what reach_roots leaves; the cycle and face code of polytope and
+    measure_pressure call it directly and depend on its order.
 
     A state whose component is complete gets the index n, above every
     low-link, so it never lowers one and no on-stack flag is kept; the
@@ -179,6 +192,27 @@ def _power_vector(src, dst, w, k, period, cap, segments):
     return None
 
 
+def _cycle_perron(succ, w, vectors):
+    """log rho, and the right and left Perron vectors when vectors
+    (else None), of a class that is one cycle: local state i's one
+    internal edge goes to succ[i] with weight w[i].  rho^k is the
+    product of the k edge weights, and M r = rho r steps along the cycle
+    as log r(succ i) = log r(i) + log rho - w[i]; l is 1 / r."""
+    k = w.size
+    logrho = float(np.mean(w))
+    if not vectors:
+        return logrho, None, None
+    if logrho == -np.inf:
+        raise ConvergenceFailure(0)
+    nxt = succ.tolist()
+    order = [0] * k
+    for t in range(1, k):
+        order[t] = nxt[order[t - 1]]
+    log_r = np.empty(k)
+    log_r[order] = np.concatenate([[0.0], np.cumsum(logrho - w[order[:-1]])])
+    return logrho, _unit(log_r), _unit(-log_r)
+
+
 def _unit(log_vec):
     x = np.exp(log_vec - np.max(log_vec))
     return x / float(np.sum(x))
@@ -203,31 +237,170 @@ def _perron_from(w, vecs, rho):
     return v / float(np.sum(v))
 
 
-def _class_edges(corr, components):
-    """Index the edges inside each class in one vectorized pass.
+class _Reach:
+    """A breadth-first reach from pivot over a CSR relation, one numpy
+    pass per level, entering no state marked in seen (which it marks as
+    it goes).  level is each state's level, -1 while unreached."""
 
-    Returns the state -> class label array, the class sizes, the local
-    source and target indices of the internal edges with their global
-    edge indices, each as one array grouped by class and in edge order
-    within a class, and the offsets of the classes' groups as an array:
-    class c owns the entries offsets[c]:offsets[c + 1].
+    def __init__(self, offsets, targets, pivot, seen):
+        self.offsets, self.targets, self.seen = offsets, targets, seen
+        self.level = np.full(seen.size, -1, dtype=np.int64)
+        self.slot = np.empty(seen.size, dtype=np.int64)
+        self.level[pivot] = 0
+        seen[pivot] = True
+        self.frontier = np.array([pivot])
+        self.depth = 0
+
+    def step(self):
+        """Reach the next level."""
+        heads = self.offsets[self.frontier]
+        counts = self.offsets[self.frontier + 1] - heads
+        ends = np.cumsum(counts)
+        succ = self.targets[np.arange(ends[-1])
+                            + np.repeat(heads - ends + counts, counts)]
+        succ = succ[~self.seen[succ]]
+        # one copy of each: the last write to slot[s] names one position
+        self.slot[succ] = np.arange(succ.size)
+        succ = succ[self.slot[succ] == np.arange(succ.size)]
+        self.depth += 1
+        self.seen[succ] = True
+        self.level[succ] = self.depth
+        self.frontier = succ
+
+    def confine(self, within):
+        """Enter no more states outside the mask within."""
+        self.seen |= ~within
+        self.frontier = self.frontier[within[self.frontier]]
+
+
+def _csr(n, src):
+    """CSR offsets of edges sorted by source, over n states."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets
+
+
+def _tarjan_roots(offsets, targets, states, root, depth):
+    """Tarjan on a CSR relation whose state k is states[k]; writes each
+    multi-state class's least state into root and Tarjan's depths into
+    depth."""
+    comps, tarjan_depth = strongly_connected_components(
+        offsets.tolist(), targets.tolist())
+    multi = [c for c in comps if len(c) > 1]
+    sizes = np.fromiter(map(len, multi), dtype=np.int64, count=len(multi))
+    members = np.fromiter(itertools.chain.from_iterable(multi),
+                          dtype=np.int64, count=int(sizes.sum()))
+    least = members[np.cumsum(sizes) - sizes]     # each class is sorted
+    root[states[members]] = np.repeat(states[least], sizes)
+    depth[states] = tarjan_depth
+
+
+def reach_roots(corr):
+    """Each state's class root, its class's least state, and depths
+    that give the class periods (see SpectralCache), by numpy passes
+    and Tarjan on what they leave.
+
+    One trim pass: a state with no in-edge or no out-edge besides its
+    loop is its own class.  The least state left is the pivot.  Two
+    breadth-first reaches from it, over the edges forwards and
+    backwards, step level by level in turn; once one ends, the other
+    keeps to the states the first reached.  The states both reach are
+    the pivot's class (McLendon, Hendrickson, Plimpton & Rauchwerger,
+    J. Parallel Distrib. Comput. 65, 2005), and the forward levels are
+    its depths.  Tarjan takes the states left after that, or every
+    state the trim left once the reaches have spent their budget of
+    (n + m) // ROUND_SIZE levels: a long cycle needs a level per state,
+    and a numpy pass costs about as much as Tarjan on a few dozen states
+    and edges.  The trim is not repeated: on a chain of loops each pass
+    would peel one state.
     """
-    sizes = np.fromiter(map(len, components), dtype=np.int64,
-                        count=len(components))
-    members = np.fromiter(itertools.chain.from_iterable(components),
-                          dtype=np.int64, count=corr.n_states)
-    label = np.empty(corr.n_states, dtype=np.int64)
-    local = np.empty(corr.n_states, dtype=np.int64)
+    n = corr.n_states
+    src, dst = corr.edge_arrays()
+    rounds = (n + src.size) // ROUND_SIZE
+    root = np.arange(n)
+    depth = np.zeros(n, dtype=np.int64)
+    other = src != dst
+    src, dst = src[other], dst[other]
+    left = ((np.bincount(src, minlength=n) > 0)
+            & (np.bincount(dst, minlength=n) > 0))
+    inside = left[src] & left[dst]
+    src, dst = src[inside], dst[inside]
+    if not left.any():
+        return root, depth
+    pivot = int(np.argmax(left))
+    order = np.argsort(dst, kind="stable")
+    ahead = _Reach(_csr(n, src), dst, pivot, ~left)
+    back = _Reach(_csr(n, dst[order]), src[order], pivot, ~left)
+    steps = 0
+    while ahead.frontier.size and back.frontier.size and steps < rounds:
+        ahead.step()
+        back.step()
+        steps += 2
+    # the class lies within whichever reach ended first
+    if not ahead.frontier.size:
+        back.confine(ahead.level >= 0)
+    elif not back.frontier.size:
+        ahead.confine(back.level >= 0)
+    rest = ahead if ahead.frontier.size else back
+    while rest.frontier.size and steps < rounds:
+        rest.step()
+        steps += 1
+    if not rest.frontier.size:
+        members = np.flatnonzero((ahead.level >= 0) & (back.level >= 0))
+        root[members] = pivot
+        depth[members] = ahead.level[members]
+        left[members] = False
+        inside = left[src] & left[dst]
+        src, dst = src[inside], dst[inside]
+    states = np.flatnonzero(left)
+    if states.size:
+        local = np.cumsum(left) - 1
+        _tarjan_roots(_csr(states.size, local[src]), local[dst], states,
+                      root, depth)
+    return root, depth
+
+
+def class_roots(corr):
+    """Each state's class root, the least state of its class, and the
+    depths SpectralCache takes class periods from: by Tarjan on a
+    relation of fewer than CLASS_MIN states and edges, by reach_roots
+    on a larger one."""
+    if corr.n_states + corr.n_edges >= CLASS_MIN:
+        return reach_roots(corr)
+    root = np.arange(corr.n_states)
+    depth = np.zeros(corr.n_states, dtype=np.int64)
+    _tarjan_roots(*corr.csr(), np.arange(corr.n_states), root, depth)
+    return root, depth
+
+
+def _class_edges(corr, root):
+    """Index the classes and the edges inside each in one vectorized
+    pass, from each state's class root.
+
+    The classes are numbered by their least state.  Returns them as
+    sorted tuples, the state -> class label array, the class sizes,
+    the local source and target indices of the internal edges with
+    their global edge indices, each as one array grouped by class and
+    in edge order within a class, and the offsets of the classes'
+    groups as an array: class c owns the entries offsets[c]:offsets[c + 1].
+    """
+    n = corr.n_states
+    roots = np.flatnonzero(root == np.arange(n))
+    label = np.searchsorted(roots, root)
+    sizes = np.bincount(label)
+    members = np.argsort(label, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    label[members] = np.repeat(np.arange(len(components)), sizes)
-    local[members] = np.arange(corr.n_states) - np.repeat(starts, sizes)
+    local = np.empty(n, dtype=np.int64)
+    local[members] = np.arange(n) - np.repeat(starts, sizes)
+    components = list(zip(roots.tolist()))
+    for c in np.flatnonzero(sizes > 1).tolist():
+        components[c] = tuple(members[starts[c]:starts[c] + sizes[c]].tolist())
     src, dst = corr.edge_arrays()
     inside = np.flatnonzero(label[src] == label[dst])
     inside = inside[np.argsort(label[src[inside]], kind="stable")]
-    offsets = np.zeros(len(components) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(label[src[inside]], minlength=len(components)),
-              out=offsets[1:])
-    return label, sizes, local[src[inside]], local[dst[inside]], inside, offsets
+    offsets = _csr(roots.size, label[src[inside]])
+    return (components, label, sizes, local[src[inside]], local[dst[inside]],
+            inside, offsets)
 
 
 class SpectralCache:
@@ -237,7 +410,12 @@ class SpectralCache:
     them and the target order of a power class's edges depend only on
     the support, so they are indexed once per relation
     (FiniteCorrespondence.spectral_cache); every quantity for a given
-    potential then comes from solve(), the one Perron routine.
+    potential then comes from solve(), the one Perron routine.  The
+    classes are numbered by their least state.  class_roots finds them
+    by Tarjan (strongly_connected_components) on a relation of fewer
+    than CLASS_MIN states and edges; on a larger one reach_roots peels
+    off the states a trim pass and one forward-backward reach settle
+    and leaves the rest to Tarjan.
     Classes of up to DENSE_MAX states take a dense eigensolve, larger
     ones a sparse power iteration.  The cache keeps no reference to the
     relation, so the relation it is memoised on is freed by reference
@@ -245,23 +423,24 @@ class SpectralCache:
     """
 
     def __init__(self, corr):
-        offsets, targets = (a.tolist() for a in corr.csr())
-        self.components, depth = strongly_connected_components(offsets, targets)
-        (self.class_of, sizes, self._rows, self._cols, self._eidx,
-         bounds) = _class_edges(corr, self.components)
+        root, depth = class_roots(corr)
+        (self.components, self.class_of, sizes, self._rows, self._cols,
+         self._eidx, bounds) = _class_edges(corr, root)
         self._offsets = bounds.tolist()
         # the one-state classes with a loop and their loops' edges; every
         # other one-state class has log rho = -inf (see log_radii)
         looped = np.flatnonzero((sizes == 1) & (bounds[1:] - bounds[:-1] == 1))
         self._loops = (looped, self._eidx[bounds[looped]])
         self._multi = np.flatnonzero(sizes > 1).tolist()
-        # A class is a subtree of the depth-first forest, entered at its
-        # root r, so for an edge (i, j) inside it depth(i) + 1 - depth(j)
-        # is the length of the closed walk r -> i -> j -> r less that of
-        # r -> j -> r: the period divides it.  A cycle's length is the
-        # sum of its edges' gaps, so their gcd is the period.
+        # The depths within a class are the lengths of paths inside it
+        # from one state r, shifted alike: Tarjan's class is a subtree
+        # of its depth-first forest, and the reach's levels count from
+        # the pivot.  So for an edge (i, j) inside the class
+        # depth(i) + 1 - depth(j) is the length of the closed walk
+        # r -> i -> j -> r less that of r -> j -> r: the period divides
+        # it.  A cycle's length is the sum of its edges' gaps, so their
+        # gcd is the period.
         src, dst = corr.edge_arrays()
-        depth = np.array(depth, dtype=np.int64)
         gaps = depth[src] + 1 - depth[dst]
         self.periods = {c: int(np.gcd.reduce(gaps[self.class_edges(c)[2]]))
                         for c in self._multi}
@@ -287,7 +466,9 @@ class SpectralCache:
         right and left are Perron vectors normalized to sum one, None
         when vectors is false.  bracket is the Collatz-Wielandt interval
         holding log rho that stopped the power iteration; it is exact on
-        one-state classes and None on the dense route, which also takes
+        one-state classes and on classes of more than DENSE_MAX states
+        that are one cycle, whose log rho is the mean of their weights,
+        and None on the dense route, which also takes
         large classes the power iteration cannot settle within its step
         budget; such a class skips the power iteration in every later
         call on this cache.  A class with no internal edge, or whose
@@ -308,6 +489,11 @@ class SpectralCache:
             one = np.ones(1) if vectors else None
             return shift, one, one, (shift, shift)
         rows, cols, eidx = self.class_edges(c)
+        if k > DENSE_MAX and eidx.size == k:
+            # one internal edge per state: one cycle, of period k, over
+            # which a power sweep would hold k vectors of k entries
+            logrho, right, left = _cycle_perron(cols, w, vectors)
+            return logrho, right, left, (logrho, logrho)
         if k > DENSE_MAX and c not in self.slow:
             # past about k^3 / edges steps a dense eigensolve is cheaper,
             # so a class that mixes too slowly falls through to it
@@ -367,7 +553,6 @@ class SpectralCache:
         if top == -np.inf:
             return top, [], radii
         dom = np.flatnonzero(top - np.array(radii) <= TIE_TOL).tolist()
-        dom.sort(key=lambda c: self.components[c][0])
         return top, dom, radii
 
 

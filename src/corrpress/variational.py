@@ -181,7 +181,8 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     every finite edge.  face_restricted says the face misses some edge
     between mu-positive states: one of weight -inf, or one that no
     coupling charges.  The flow has decided invariance, so a spent
-    budget is ScalingDiverged.
+    budget is ScalingDiverged, and so is a Newton system that turns
+    singular, as it can near rounding when tol is far below 1e-13.
     """
     mu = validate_measure(corr.n_states, mu)
     support = np.flatnonzero(mu > 0.0)
@@ -276,8 +277,15 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
             coupling = np.zeros((n, n))
             coupling[rows, cols] = nu
             scaled = coupling / mu_s[:, None]
-            dg = np.linalg.solve(
-                np.diag(b + mu_s + 1e-3 * err) - coupling.T @ scaled, -b)
+            try:
+                dg = np.linalg.solve(
+                    np.diag(b + mu_s + 1e-3 * err) - coupling.T @ scaled, -b)
+            except np.linalg.LinAlgError:
+                # near rounding the shift no longer keeps the Schur
+                # complement regular
+                raise ScalingDiverged(
+                    f"marginal error {err:.3e}: singular Newton system "
+                    f"at step {steps}") from None
             df = -(scaled @ dg)
             slope = float(np.dot(b, dg))
             for t in 0.5 ** np.arange(40):

@@ -141,6 +141,31 @@ def test_power_vector_is_bit_identical_to_the_scatter_reference(corr, phi, perio
         assert np.array_equal(got[1], ref[1])
 
 
+def test_a_cycle_class_is_solved_in_closed_form():
+    """A class of more than DENSE_MAX states that is one cycle: log rho
+    is its mean weight and the Perron vectors follow the cycle, with no
+    power sweep over its period of n steps."""
+    rng = np.random.default_rng(21)
+    n = 300
+    order = rng.permutation(n)
+    corr = FiniteCorrespondence(n, [(int(order[t]), int(order[(t + 1) % n]))
+                                    for t in range(n)])
+    phi = Potential(corr, rng.uniform(-1.0, 1.0, n))
+    cache = SpectralCache(corr)
+    logrho, right, left, bracket = cache.solve(0, phi.values)
+    m = np.zeros((n, n))
+    m[corr.edge_arrays()] = np.exp(phi.values)
+    assert logrho == pytest.approx(
+        math.log(float(np.max(np.abs(np.linalg.eigvals(m))))), abs=1e-10)
+    assert bracket == (logrho, logrho)
+    assert cache.solve(0, phi.values, vectors=False)[0] == logrho
+    rho = math.exp(logrho)
+    assert np.allclose(m @ right, rho * right, rtol=1e-12, atol=0.0)
+    assert np.allclose(left @ m, rho * left, rtol=1e-12, atol=0.0)
+    assert np.allclose(gibbs_equilibrium(corr, phi).measure, 1.0 / n,
+                       rtol=1e-12, atol=0.0)
+
+
 def cyclic_pieces(rng):
     """Up to four block-cyclic classes of periods 1-6 on 1-40 states,
     each strongly connected through a ring, with edges from earlier

@@ -423,6 +423,128 @@ def test_class_edges_match_a_per_class_loop():
             assert all(cache.class_of[s] == c for s in comp)
 
 
+def ring(rng, states, period=1, extra=2):
+    """A cycle through states, and extra successors of each state
+    period places on along it, plus whole turns: a class of that
+    period (at most) when period divides len(states)."""
+    k = len(states)
+    at = np.repeat(np.arange(k), extra + 1)
+    turns = rng.integers(0, k // period, at.size)
+    step = np.tile(np.arange(extra + 1) > 0, k) * period * turns
+    return np.stack((states[at], states[(at + 1 + step) % k]), axis=1)
+
+
+def class_shape(shape, rng):
+    """A relation of at least CLASS_MIN states and edges, its states
+    shuffled, in one of five shapes:
+    giant: one large class fed by transient states, as in a grid model;
+    classes: large classes in a row, which leave Tarjan a remainder;
+    cycle: one long cycle, on which the reach runs out of levels;
+    chain: states in a row with a loop each, peeled by the trim only at
+    the ends;
+    periods: classes of periods 2-6 in a row, with transient states."""
+    pieces, n = [], 0
+    if shape == "giant":
+        k, t = int(rng.integers(700, 1200)), int(rng.integers(300, 800))
+        pieces.append(ring(rng, np.arange(k)))
+        lower = k + np.arange(t)
+        pieces.append(np.stack((lower, rng.integers(0, k, t)), axis=1))
+        # a transient state may also feed a later one
+        later = lower[rng.random(t) < 0.5]
+        later = later[later < k + t - 1]
+        pieces.append(np.stack((later, rng.integers(later + 1, k + t)),
+                               axis=1))
+        n = k + t
+    elif shape in ("classes", "periods"):
+        for _ in range(int(rng.integers(3, 6))):
+            period = 1 if shape == "classes" else int(rng.integers(2, 7))
+            if shape == "periods":
+                # a transient state from the earlier classes into this one
+                pieces.append([[n, n + 1]])
+                if n:
+                    pieces.append([[int(rng.integers(n)), n]])
+                n += 1
+            size = period * int(rng.integers(300 // period, 600 // period))
+            states = n + np.arange(size)
+            pieces.append(ring(rng, states, period))
+            if n:
+                # edges from earlier states into this class
+                pieces.append(np.stack((rng.integers(0, n, 5),
+                                        rng.choice(states, 5)), axis=1))
+            n += size
+    elif shape == "cycle":
+        n = int(rng.integers(1000, 3000))
+        pieces.append(ring(rng, np.arange(n), extra=0))
+    else:
+        n = int(rng.integers(700, 2000))
+        pieces.append(np.repeat(np.arange(n), 2).reshape(-1, 2))
+        pieces.append(np.stack((np.arange(n - 1), np.arange(1, n)), axis=1))
+    shuffle = rng.permutation(n)
+    edges = np.unique(shuffle[np.concatenate(pieces)], axis=0)
+    return FiniteCorrespondence(n, edges)
+
+
+CLASS_SHAPES = ("giant", "classes", "cycle", "chain", "periods")
+
+
+@settings(deadline=None, max_examples=100)
+@given(shape=st.sampled_from(CLASS_SHAPES),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_reach_classes_match_tarjan(shape, seed):
+    """The classes of pressure.reach_roots against Tarjan's: each
+    state's root is the least state of its class, the classes come in
+    order of their least states, and the periods from the reach's
+    depths are those of a breadth-first search on each class alone."""
+    corr = class_shape(shape, np.random.default_rng(seed))
+    assert corr.n_states + corr.n_edges >= pressure.CLASS_MIN
+    comps = sorted(strongly_connected_components(*corr.csr())[0])
+    root, depth = pressure.reach_roots(corr)
+    label = np.empty(corr.n_states, dtype=np.int64)
+    for c, comp in enumerate(comps):
+        assert np.all(root[list(comp)] == comp[0])
+        label[list(comp)] = c
+    cache = SpectralCache(corr)
+    assert cache.components == comps
+    assert np.array_equal(cache.class_of, label)
+    src, dst = corr.edge_arrays()
+    gaps = depth[src] + 1 - depth[dst]
+    multi = [c for c, comp in enumerate(comps) if len(comp) > 1]
+    assert sorted(cache.periods) == multi
+    for c in multi:
+        rows, cols, eidx = cache.class_edges(c)
+        period = references.component_period(len(comps[c]), rows, cols)
+        assert int(np.gcd.reduce(gaps[eidx])) == cache.periods[c] == period
+    if shape == "periods":
+        assert all(cache.periods[c] > 1 for c in multi)
+
+
+def test_each_class_shape_takes_its_route(monkeypatch):
+    """What each shape leaves to Tarjan.  On this seed the least state
+    the trim leaves in the giant shape lies in the giant class, so
+    Tarjan sees only transient states; a long cycle spends the reach's
+    levels, so Tarjan sees every state; a chain loses only its two ends
+    to the trim."""
+    seen = []
+
+    def counting(offsets, targets):
+        seen.append(len(offsets) - 1)
+        return strongly_connected_components(offsets, targets)
+
+    monkeypatch.setattr(pressure, "strongly_connected_components", counting)
+    for shape in CLASS_SHAPES:
+        corr = class_shape(shape, np.random.default_rng(7))
+        seen.clear()
+        pressure.reach_roots(corr)
+        if shape == "giant":
+            assert sum(seen) < corr.n_states - 700
+        elif shape == "cycle":
+            assert seen == [corr.n_states]
+        elif shape == "chain":
+            assert seen[0] >= corr.n_states - 3
+        else:
+            assert 0 < sum(seen) < corr.n_states
+
+
 def test_the_class_index_is_built_once_per_relation():
     corr = golden_mean()
     cache = corr.spectral_cache()
@@ -460,10 +582,10 @@ def test_class_of_minus_infinity_weights_has_radius_minus_infinity():
         warnings.simplefilter("error")
         spec = spectral_pressure(corr, phi)
     assert spec.pressure == 0.0
-    assert spec.components == ((2,), (0, 1))
-    assert spec.log_radii == (0.0, -np.inf)
+    assert spec.components == ((0, 1), (2,))
+    assert spec.log_radii == (-np.inf, 0.0)
     with pytest.raises(ConvergenceFailure):
-        SpectralCache(corr).solve(1, phi.values)
+        SpectralCache(corr).solve(0, phi.values)
 
 
 def loopy_relation(rng, n):

@@ -12,6 +12,7 @@ from corrpress import (
     NotInvariant,
     NotStationary,
     Potential,
+    ScalingDiverged,
     ShapeMismatch,
     SolverConfig,
     abstract_kernel_entropy,
@@ -254,6 +255,22 @@ def test_measure_pressure_on_the_certified_face_matches_all_edge_newton(seed):
         value, pair, err, steps = all_edge_newton(corr, phi, mu, 1e-10, 100)
         assert (res.value, res.marginal_error, res.iterations) == (value, err, steps)
         assert np.array_equal(res.pair, pair)
+
+
+def test_measure_pressure_singular_newton_system_is_scaling_diverged():
+    """At tol 1e-14 the shift 1e-3 * err falls below rounding and the
+    Schur complement of this face turns singular; that is a solver
+    failure with its marginal error, not numpy's LinAlgError."""
+    corr = FiniteCorrespondence(4, [(0, 0), (0, 3), (1, 0), (1, 1), (1, 2),
+                                    (2, 1), (3, 0), (3, 1)])
+    phi = Potential(corr, [-0.2780460540038887, 0.6214632310186019,
+                           0.19305321248451635, 0.10063074793794291,
+                           -0.3757489391853086, 0.48282814974099453,
+                           -0.7276043361137094, -0.619936502599252])
+    mu = [0.7928780542169386, 0.15410752906871972, 0.05301441671434165, 0.0]
+    assert measure_pressure(corr, phi, mu, tol=1e-13).marginal_error <= 1e-13
+    with pytest.raises(ScalingDiverged, match="marginal error .* singular"):
+        measure_pressure(corr, phi, mu, tol=1e-14)
 
 
 def test_measure_pressure_below_the_flow_resolution_runs_on_every_edge():
