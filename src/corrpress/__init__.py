@@ -19,10 +19,8 @@ from .errors import (
     MisalignedBreakpoints,
     ModeUnsupported,
     NonUniqueDominantClass,
-    NotAFunctionOnBlock,
     NotBijective,
     NotInvariant,
-    NotInvariantOnBlock,
     NotMarkov,
     NotStationary,
     NotSurjective,
@@ -62,10 +60,8 @@ from .kernels import (
     validate_measure,
 )
 from .polytope import (
-    HatLift,
     InvarianceCheck,
     extremal_decomposition,
-    hat_lift,
     invariant_polytope_extremes,
     is_invariant,
 )

@@ -92,18 +92,6 @@ class NotInvariant(InputError):
         super().__init__(f"measure is not invariant (witness subset {witness})")
 
 
-class NotAFunctionOnBlock(InputError):
-    def __init__(self, state, successors):
-        self.state = state
-        self.successors = successors
-        super().__init__(
-            f"state {state} has {len(successors)} block successors, expected 1")
-
-
-class NotInvariantOnBlock(InputError):
-    pass
-
-
 class MisalignedBreakpoints(InputError):
     def __init__(self, points, resolution):
         self.points = list(points)

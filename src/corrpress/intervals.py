@@ -33,8 +33,9 @@ from .relations import (
 )
 
 # Resolutions are powers of two in [GRID_MIN, GRID_MAX].  At GRID_MAX
-# = 2^18, discretize --method grid takes about 2-2.7 s end to end and
-# peaks near 300 MB (one core, numpy 2.4); 2^19 takes about 6 s.
+# = 2^18, discretize --method grid takes about 0.6-1.0 s end to end and
+# peaks near 270 MB (one core, one BLAS thread, numpy 2.4); 2^19 takes
+# about 1.7 s and 450 MB, so the cap now bounds memory more than time.
 GRID_MIN = 4
 GRID_MAX = 2 ** 18
 # a piece's cell ranges go through int64 below this bound (_piece_cells)

@@ -17,18 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ModeUnsupported,
-    NotAFunctionOnBlock,
-    NotInvariant,
-    NotInvariantOnBlock,
-    NotSurjective,
-    TooLarge,
-)
+from .errors import ModeUnsupported, NotInvariant, TooLarge
 from .kernels import TransitionKernel, kernel_from_pair, validate_measure
 from .pressure import strongly_connected_components
 
-WITNESS_TOL = 1e-10
 # the mass a coupling may miss, and a subset may exceed its preimage by
 FEAS_TOL = 1e-9
 # a float residual at or below this counts as saturated in the flow
@@ -381,63 +373,3 @@ def gauss_solve(A, b, exact=True):
     for i, col in enumerate(pivots):
         x[col] = rows[i][-1]
     return ("unique" if r == n else "many"), x
-
-
-@dataclass(frozen=True, eq=False)
-class HatLift:
-    measure: np.ndarray
-    kernel: TransitionKernel
-    block_map: dict
-
-
-def hat_lift(corr, block, mu_block, variant="forward"):
-    """Extend a measure invariant on a block to the whole space.
-
-    Forward variant: the correspondence restricted to the block is the
-    graph of a map f, and mu_block must be f-invariant.  Inverse
-    variant: the restriction is the inverse graph of a map g (each
-    block state has exactly one block predecessor) and the whole
-    correspondence must be surjective; mu_block must be g-invariant.
-    The extension by zero is invariant, witnessed by the returned
-    kernel.
-    """
-    block = sorted(set(block))
-    bset = set(block)
-    mu_block = validate_measure(len(block), mu_block)
-    local = {s: k for k, s in enumerate(block)}
-    n = corr.n_states
-    if variant not in ("forward", "inverse"):
-        raise ModeUnsupported(f"unknown variant {variant!r}")
-    missing = [j for j in range(n) if not corr.predecessors(j)]
-    if variant == "inverse" and missing:
-        raise NotSurjective(missing)
-    step = corr.successors if variant == "forward" else corr.predecessors
-    fmap = {}
-    for y in block:
-        inside = [x for x in step(y) if x in bset]
-        if len(inside) != 1:
-            raise NotAFunctionOnBlock(y, inside)
-        fmap[y] = inside[0]
-    push = np.zeros(len(block))
-    for y in block:
-        push[local[fmap[y]]] += mu_block[local[y]]
-    gap = float(np.max(np.abs(push - mu_block)))
-    if gap > WITNESS_TOL:
-        raise NotInvariantOnBlock(f"block map does not fix the measure (gap {gap:.3e})")
-    mu_hat = np.zeros(n)
-    for y in block:
-        mu_hat[y] = mu_block[local[y]]
-    index = corr.edge_index()
-    q = np.zeros(corr.n_edges)
-    for x in range(n):
-        if variant == "forward" and x in bset:
-            q[index[(x, fmap[x])]] = 1.0
-        elif variant == "inverse" and x in bset and mu_hat[x] > 0.0:
-            ys = [y for y in block if fmap[y] == x]
-            row = [index[(x, y)] for y in ys]
-            q[row] = mu_hat[ys] / mu_hat[x]
-            # rounding headroom: renormalize the row exactly
-            q[row] /= np.sum(q[row])
-        else:
-            q[index[(x, corr.successors(x)[0])]] = 1.0
-    return HatLift(mu_hat, TransitionKernel(corr, q), fmap)

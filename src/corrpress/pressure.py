@@ -28,7 +28,6 @@ by, comes from the depths of the search that found the class.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, InvalidDecomposition, ShapeMismatch,
                      SolverError, TooLarge)
-from .relations import Decomposition, decomposition_validate
+from .relations import Decomposition, csr_offsets, decomposition_validate
 
 # Spectral classes whose log radius lies within this distance of the
 # maximum count as dominant (SpectralCache.dominant).
@@ -58,9 +57,9 @@ BRACKET_TOL = 1e-13
 SWEEP = 64
 PATH_MAX = 1_000_000
 
-# SpectralCache takes its classes from Tarjan alone on relations of
-# fewer than CLASS_MIN states and edges, and from reach_roots on larger
-# ones: timed on grid models and on random relations with 3 successors
+# class_roots takes the classes from Tarjan alone on graphs of fewer
+# than CLASS_MIN states and edges, and from reach_roots on larger ones:
+# timed on grid models and on random relations with 3 successors
 # per state, the two break even at 1000-2000.  The reach may take
 # (n_states + n_edges) // ROUND_SIZE levels; a level costs about as much
 # as Tarjan on 30 states and edges, so a reach that runs out of levels
@@ -74,10 +73,13 @@ def strongly_connected_components(offsets, targets):
     successors of v are targets[offsets[v]:offsets[v + 1]]
     (FiniteCorrespondence.csr; Python lists walk fastest).  Returns the
     components in reverse topological order, each a sorted tuple, and
-    each state's depth in the depth-first forest.  SpectralCache calls
-    it on relations of fewer than CLASS_MIN states and edges and on
-    what reach_roots leaves; the cycle and face code of polytope and
-    measure_pressure call it directly and depend on its order.
+    each state's depth in the depth-first forest.  No caller depends on
+    that order.  The numpy callers reach it through class_roots, which
+    labels each state by its class's least state.  Johnson's component
+    splits and the sole-cover test in polytope call it directly on
+    Python lists: on the polytope benchmark they make about 22 calls a
+    request, nine in ten on graphs of at most 3 states, where this
+    costs 3-6 us a call against 13-20 us through class_roots.
 
     A state whose component is complete gets the index n, above every
     low-link, so it never lowers one and no on-stack flag is kept; the
@@ -273,32 +275,22 @@ class _Reach:
         self.frontier = self.frontier[within[self.frontier]]
 
 
-def _csr(n, src):
-    """CSR offsets of edges sorted by source, over n states."""
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets
-
-
-def _tarjan_roots(offsets, targets, states, root, depth):
-    """Tarjan on a CSR relation whose state k is states[k]; writes each
-    multi-state class's least state into root and Tarjan's depths into
-    depth."""
-    comps, tarjan_depth = strongly_connected_components(
-        offsets.tolist(), targets.tolist())
+def _tarjan_roots(offsets, targets):
+    """Each state's class root and Tarjan's depths, on a CSR relation."""
+    comps, depth = strongly_connected_components(offsets.tolist(),
+                                                 targets.tolist())
+    root = np.arange(len(depth))
     multi = [c for c in comps if len(c) > 1]
-    sizes = np.fromiter(map(len, multi), dtype=np.int64, count=len(multi))
-    members = np.fromiter(itertools.chain.from_iterable(multi),
-                          dtype=np.int64, count=int(sizes.sum()))
-    least = members[np.cumsum(sizes) - sizes]     # each class is sorted
-    root[states[members]] = np.repeat(states[least], sizes)
-    depth[states] = tarjan_depth
+    # each class is sorted, so its least state comes first
+    root[[v for c in multi for v in c]] = [c[0] for c in multi for _ in c]
+    return root, np.array(depth)
 
 
-def reach_roots(corr):
+def reach_roots(n, src, dst):
     """Each state's class root, its class's least state, and depths
     that give the class periods (see SpectralCache), by numpy passes
-    and Tarjan on what they leave.
+    and Tarjan on what they leave, for the edges src -> dst over n
+    states sorted by source.
 
     One trim pass: a state with no in-edge or no out-edge besides its
     loop is its own class.  The least state left is the pivot.  Two
@@ -314,8 +306,6 @@ def reach_roots(corr):
     and edges.  The trim is not repeated: on a chain of loops each pass
     would peel one state.
     """
-    n = corr.n_states
-    src, dst = corr.edge_arrays()
     rounds = (n + src.size) // ROUND_SIZE
     root = np.arange(n)
     depth = np.zeros(n, dtype=np.int64)
@@ -329,8 +319,8 @@ def reach_roots(corr):
         return root, depth
     pivot = int(np.argmax(left))
     order = np.argsort(dst, kind="stable")
-    ahead = _Reach(_csr(n, src), dst, pivot, ~left)
-    back = _Reach(_csr(n, dst[order]), src[order], pivot, ~left)
+    ahead = _Reach(csr_offsets(src, n), dst, pivot, ~left)
+    back = _Reach(csr_offsets(dst[order], n), src[order], pivot, ~left)
     steps = 0
     while ahead.frontier.size and back.frontier.size and steps < rounds:
         ahead.step()
@@ -355,22 +345,25 @@ def reach_roots(corr):
     states = np.flatnonzero(left)
     if states.size:
         local = np.cumsum(left) - 1
-        _tarjan_roots(_csr(states.size, local[src]), local[dst], states,
-                      root, depth)
+        rest, depth[states] = _tarjan_roots(
+            csr_offsets(local[src], states.size), local[dst])
+        root[states] = states[rest]
     return root, depth
 
 
-def class_roots(corr):
+def class_roots(n, src, dst):
     """Each state's class root, the least state of its class, and the
-    depths SpectralCache takes class periods from: by Tarjan on a
-    relation of fewer than CLASS_MIN states and edges, by reach_roots
-    on a larger one."""
-    if corr.n_states + corr.n_edges >= CLASS_MIN:
-        return reach_roots(corr)
-    root = np.arange(corr.n_states)
-    depth = np.zeros(corr.n_states, dtype=np.int64)
-    _tarjan_roots(*corr.csr(), np.arange(corr.n_states), root, depth)
-    return root, depth
+    depths SpectralCache takes class periods from, for the edges
+    src -> dst over n states, in any order; a state may have no edge
+    out.  The edges are sorted by source once, unless they already are
+    (as a relation's are), then go to Tarjan when there are fewer than
+    CLASS_MIN states and edges, and to reach_roots otherwise."""
+    if np.any(src[1:] < src[:-1]):
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+    if n + src.size >= CLASS_MIN:
+        return reach_roots(n, src, dst)
+    return _tarjan_roots(csr_offsets(src, n), dst)
 
 
 def _class_edges(corr, root):
@@ -398,7 +391,7 @@ def _class_edges(corr, root):
     src, dst = corr.edge_arrays()
     inside = np.flatnonzero(label[src] == label[dst])
     inside = inside[np.argsort(label[src[inside]], kind="stable")]
-    offsets = _csr(roots.size, label[src[inside]])
+    offsets = csr_offsets(label[src[inside]], roots.size)
     return (components, label, sizes, local[src[inside]], local[dst[inside]],
             inside, offsets)
 
@@ -423,7 +416,7 @@ class SpectralCache:
     """
 
     def __init__(self, corr):
-        root, depth = class_roots(corr)
+        root, depth = class_roots(corr.n_states, *corr.edge_arrays())
         (self.components, self.class_of, sizes, self._rows, self._cols,
          self._eidx, bounds) = _class_edges(corr, root)
         self._offsets = bounds.tolist()

@@ -85,7 +85,7 @@ class FiniteCorrespondence:
             if twice.any():
                 raise DuplicateEdge(_pairs(*np.divmod(sorted_unique(keys[1:][twice]), n)))
             src, dst = np.divmod(keys, n)
-        offsets = _offsets(src, n)
+        offsets = csr_offsets(src, n)
         if not (offsets[1:] > offsets[:-1]).all():
             empty = np.flatnonzero(offsets[1:] == offsets[:-1])
             raise EmptySuccessor(empty[:EmptySuccessor.LISTED].tolist(), empty.size)
@@ -118,7 +118,7 @@ class FiniteCorrespondence:
         if self._pred is None:
             # a stable sort by target keeps each target's sources in order
             order = np.argsort(self._dst, kind="stable")
-            self._pred = _rows(_offsets(self._dst[order], self.n_states),
+            self._pred = _rows(csr_offsets(self._dst[order], self.n_states),
                                self._src[order])
         return self._pred[j]
 
@@ -218,9 +218,10 @@ def _rows(offsets, targets):
     return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def _offsets(index, n):
-    """CSR offsets of the rows 0..n-1 of a sorted index array."""
-    return np.searchsorted(index, np.arange(n + 1))
+def csr_offsets(index, n):
+    """CSR offsets of the rows 0..n-1 of a sorted index array: row i
+    holds the entries offsets[i]:offsets[i + 1]."""
+    return np.bincount(index + 1, minlength=n + 1).cumsum()
 
 
 def _edge_columns(edges, n):

@@ -38,7 +38,7 @@ from .kernels import (
     validate_measure,
 )
 from .polytope import SATURATED, _hall_flow, is_invariant
-from .pressure import spectral_pressure, strongly_connected_components
+from .pressure import class_roots, spectral_pressure
 from .relations import whole_number
 
 
@@ -225,15 +225,9 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     # the residual graph on i and j' = n + j; every coupling of mu has
     # the flow's marginals, so no residual cycle passes s or t
     charged = np.array(flow) > SATURATED
-    tails = np.concatenate([rows, n + cols[charged]])
-    heads = np.concatenate([n + cols, rows[charged]])
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=2 * n))])
-    comps, _ = strongly_connected_components(
-        offsets.tolist(), heads[np.argsort(tails, kind="stable")].tolist())
-    label = np.empty(2 * n, dtype=np.int64)
-    for k, c in enumerate(comps):
-        label[list(c)] = k
-    face = label[rows] == label[n + cols]
+    root, _ = class_roots(2 * n, np.concatenate([rows, n + cols[charged]]),
+                          np.concatenate([n + cols, rows[charged]]))
+    face = root[rows] == root[n + cols]
     face_restricted = not (finite.all() and face.all())
     if not (np.all(np.bincount(rows[face], minlength=n))
             and np.all(np.bincount(cols[face], minlength=n))):

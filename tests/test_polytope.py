@@ -5,16 +5,10 @@ import pytest
 
 from corrpress import (
     FiniteCorrespondence,
-    NotAFunctionOnBlock,
-    NotInvariantOnBlock,
-    NotSurjective,
-    ShapeMismatch,
     TooLarge,
     extremal_decomposition,
-    hat_lift,
     invariant_polytope_extremes,
     is_invariant,
-    pushforward,
 )
 from corrpress.polytope import CYCLE_WORK_CAP
 
@@ -178,37 +172,3 @@ def test_decomposition_searches_only_the_face_of_mu():
         idxs, weights, _ = extremal_decomposition(corr, mu, ext)
         assert idxs == [35, 36, 37, 38, 39]
         assert weights == [fifth] * 5
-
-
-def test_hat_lift_forward_extends_by_zero():
-    # block {0, 1} carries the swap map; state 2 is outside
-    corr = FiniteCorrespondence(3, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)])
-    lift = hat_lift(corr, [0, 1], [0.5, 0.5])
-    assert np.allclose(lift.measure, [0.5, 0.5, 0.0])
-    assert lift.block_map == {0: 1, 1: 0}
-    assert is_invariant(corr, lift.measure).invariant
-    gap = np.abs(pushforward(lift.measure, lift.kernel) - lift.measure).sum()
-    assert gap <= 1e-12
-
-
-def test_hat_lift_inverse_variant():
-    # on the block, each state has exactly one block predecessor
-    corr = FiniteCorrespondence(3, [(0, 1), (1, 0), (2, 0), (1, 2)])
-    lift = hat_lift(corr, [0, 1], [0.5, 0.5], variant="inverse")
-    assert np.allclose(lift.measure, [0.5, 0.5, 0.0])
-    assert is_invariant(corr, lift.measure).invariant
-
-
-def test_hat_lift_error_cases():
-    corr = FiniteCorrespondence(3, [(0, 1), (0, 2), (1, 0), (2, 0), (2, 2)])
-    with pytest.raises(NotAFunctionOnBlock):
-        hat_lift(corr, [0, 1, 2], [0.4, 0.3, 0.3])
-    swap = FiniteCorrespondence(3, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)])
-    with pytest.raises(NotInvariantOnBlock):
-        hat_lift(swap, [0, 1], [0.9, 0.1])
-    no_preimage = FiniteCorrespondence(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
-    with pytest.raises(NotSurjective):
-        hat_lift(no_preimage, [1], [1.0], variant="inverse")
-    # [nan, 1] once came back as the measure [nan, 1, 0]
-    with pytest.raises(ShapeMismatch):
-        hat_lift(swap, [0, 1], [np.nan, 1.0])

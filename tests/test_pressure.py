@@ -498,7 +498,7 @@ def test_reach_classes_match_tarjan(shape, seed):
     corr = class_shape(shape, np.random.default_rng(seed))
     assert corr.n_states + corr.n_edges >= pressure.CLASS_MIN
     comps = sorted(strongly_connected_components(*corr.csr())[0])
-    root, depth = pressure.reach_roots(corr)
+    root, depth = pressure.reach_roots(corr.n_states, *corr.edge_arrays())
     label = np.empty(corr.n_states, dtype=np.int64)
     for c, comp in enumerate(comps):
         assert np.all(root[list(comp)] == comp[0])
@@ -518,6 +518,34 @@ def test_reach_classes_match_tarjan(shape, seed):
         assert all(cache.periods[c] > 1 for c in multi)
 
 
+@settings(deadline=None, max_examples=100)
+@given(large=st.booleans(), seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_class_roots_match_tarjan_on_shuffled_edges(large, seed):
+    """pressure.class_roots on edge arrays in random order, with states
+    that no edge leaves and states that no edge enters, the shape of
+    measure_pressure's residual graph: each state's root is the least
+    state of its Tarjan class, below CLASS_MIN and above it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1500, 2500)) if large else int(rng.integers(1, 40))
+    m = int(n * rng.uniform(0.7, 3.0))
+    keys = np.unique(rng.integers(0, n, m) * n + rng.integers(0, n, m))
+    src, dst = np.divmod(keys, n)
+    sinks, sources = rng.random(n) < 0.1, rng.random(n) < 0.1
+    keep = ~sinks[src] & ~sources[dst]
+    order = rng.permutation(int(keep.sum()))
+    src, dst = src[keep][order], dst[keep][order]
+    assert (n + src.size >= pressure.CLASS_MIN) == large
+    succ = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        succ[i].append(j)
+    offsets = [0, *np.cumsum([len(s) for s in succ]).tolist()]
+    comps, _ = strongly_connected_components(offsets,
+                                             [j for s in succ for j in s])
+    root, _ = pressure.class_roots(n, src, dst)
+    for comp in comps:
+        assert np.all(root[list(comp)] == min(comp))
+
+
 def test_each_class_shape_takes_its_route(monkeypatch):
     """What each shape leaves to Tarjan.  On this seed the least state
     the trim leaves in the giant shape lies in the giant class, so
@@ -534,7 +562,7 @@ def test_each_class_shape_takes_its_route(monkeypatch):
     for shape in CLASS_SHAPES:
         corr = class_shape(shape, np.random.default_rng(7))
         seen.clear()
-        pressure.reach_roots(corr)
+        pressure.reach_roots(corr.n_states, *corr.edge_arrays())
         if shape == "giant":
             assert sum(seen) < corr.n_states - 700
         elif shape == "cycle":

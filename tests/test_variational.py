@@ -257,6 +257,40 @@ def test_measure_pressure_on_the_certified_face_matches_all_edge_newton(seed):
         assert np.array_equal(res.pair, pair)
 
 
+def test_measure_pressure_on_a_large_face_takes_the_reach_route(monkeypatch):
+    """Two blocks of 200 states, each with the shifts by 1, 2 and 7
+    around a ring, and an edge from each state of the first block into
+    the second.  The uniform measure is carried by every shift, and no
+    coupling charges an edge between the blocks.  The residual graph
+    has 800 states and over 2000 edges, so the face pass takes
+    reach_roots, not Tarjan alone; the value is that of Newton over
+    every edge."""
+    k = 200
+    edges = [(b + i, b + (i + s) % k) for b in (0, k) for i in range(k)
+             for s in (1, 2, 7)]
+    edges += [(i, k + 3 * i % k) for i in range(k)]
+    corr = FiniteCorrespondence(2 * k, sorted(edges))
+    phi = Potential(corr, np.random.default_rng(0).uniform(-1.0, 1.0, corr.n_edges))
+    mu = np.full(2 * k, 1.0 / (2 * k))
+    sizes = []
+    reach_roots = pressure.reach_roots
+
+    def counting(n, src, dst):
+        sizes.append(n)
+        return reach_roots(n, src, dst)
+
+    monkeypatch.setattr(pressure, "reach_roots", counting)
+    res = measure_pressure(corr, phi, mu)
+    assert sizes == [2 * corr.n_states]
+    assert res.face_restricted and res.marginal_error <= 1e-10
+    src, dst = corr.edge_arrays()
+    across = (src < k) & (dst >= k)
+    assert np.all(res.pair[across] == 0.0) and np.all(res.pair[~across] > 0.0)
+    value, _, err, _ = all_edge_newton(corr, phi, mu, 1e-13, 200)
+    assert err <= 1e-11
+    assert res.value == pytest.approx(value, abs=1e-8)
+
+
 def test_measure_pressure_singular_newton_system_is_scaling_diverged():
     """At tol 1e-14 the shift 1e-3 * err falls below rounding and the
     Schur complement of this face turns singular; that is a solver
