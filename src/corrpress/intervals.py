@@ -33,9 +33,11 @@ from .relations import (
 )
 
 # Resolutions are powers of two in [GRID_MIN, GRID_MAX].  At GRID_MAX
-# = 2^18, discretize --method grid takes about 0.6-1.0 s end to end and
-# peaks near 270 MB (one core, one BLAS thread, numpy 2.4); 2^19 takes
-# about 1.7 s and 450 MB, so the cap now bounds memory more than time.
+# = 2^18, discretize --method grid takes about 0.75-0.9 s end to end and
+# peaks near 265 MB of RSS, 194 MB by tracemalloc; the example route
+# takes 0.6-0.8 s and 143 MB, 101 MB traced (one core, one BLAS thread,
+# numpy 2.4).  2^19 takes about 1.7 s and 450 MB by the grid route, so
+# the cap now bounds memory more than time.
 GRID_MIN = 4
 GRID_MAX = 2 ** 18
 # a piece's cell ranges go through int64 below this bound (_piece_cells)

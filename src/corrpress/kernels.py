@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from .errors import IndexOutOfRange, NotStationary, ShapeMismatch, TooLarge
-from .relations import FiniteCorrespondence, Potential, whole_number
+from .pressure import SpectralCache
+from .relations import Potential, whole_number
 
 DENSE_PATH_LIMIT = 10 ** 7
 
@@ -165,9 +166,13 @@ def stationary_measures(kernel):
     src, dst = corr.edge_arrays()
     q = kernel.probs
     on = q > 0.0
-    src, dst, logq = src[on], dst[on], np.log(q[on])   # the support's edges, sorted
-    support = FiniteCorrespondence(corr.n_states, np.stack((src, dst), axis=1))
-    cache = support.spectral_cache()
+    if on.all():
+        # the support is the relation, whose class index other solvers share
+        cache = corr.spectral_cache()
+    else:
+        src, dst = src[on], dst[on]
+        cache = SpectralCache(corr.n_states, src, dst)
+    logq = np.log(q[on])
     label = cache.class_of
     leaving = set(label[src][label[src] != label[dst]].tolist())
     out = []

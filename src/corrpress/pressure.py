@@ -366,18 +366,18 @@ def class_roots(n, src, dst):
     return _tarjan_roots(csr_offsets(src, n), dst)
 
 
-def _class_edges(corr, root):
+def _class_edges(n, src, dst, root):
     """Index the classes and the edges inside each in one vectorized
-    pass, from each state's class root.
+    pass, from each state's class root, for the edges src -> dst over n
+    states.
 
     The classes are numbered by their least state.  Returns them as
     sorted tuples, the state -> class label array, the class sizes,
     the local source and target indices of the internal edges with
-    their global edge indices, each as one array grouped by class and
+    their indices in src and dst, each as one array grouped by class and
     in edge order within a class, and the offsets of the classes'
     groups as an array: class c owns the entries offsets[c]:offsets[c + 1].
     """
-    n = corr.n_states
     roots = np.flatnonzero(root == np.arange(n))
     label = np.searchsorted(roots, root)
     sizes = np.bincount(label)
@@ -388,7 +388,6 @@ def _class_edges(corr, root):
     components = list(zip(roots.tolist()))
     for c in np.flatnonzero(sizes > 1).tolist():
         components[c] = tuple(members[starts[c]:starts[c] + sizes[c]].tolist())
-    src, dst = corr.edge_arrays()
     inside = np.flatnonzero(label[src] == label[dst])
     inside = inside[np.argsort(label[src[inside]], kind="stable")]
     offsets = csr_offsets(label[src[inside]], roots.size)
@@ -397,7 +396,9 @@ def _class_edges(corr, root):
 
 
 class SpectralCache:
-    """Perron data of the spectral classes of a fixed edge graph.
+    """Perron data of the spectral classes of a fixed edge graph, the
+    edges src -> dst over n states (in any order; a state may have no
+    edge out).  A weight vector is aligned with src and dst.
 
     The classes (strongly connected components), the edges inside
     them and the target order of a power class's edges depend only on
@@ -415,16 +416,16 @@ class SpectralCache:
     counting alone.
     """
 
-    def __init__(self, corr):
-        root, depth = class_roots(corr.n_states, *corr.edge_arrays())
-        (self.components, self.class_of, sizes, self._rows, self._cols,
-         self._eidx, bounds) = _class_edges(corr, root)
+    def __init__(self, n, src, dst):
+        root, depth = class_roots(n, src, dst)
+        (self.components, self.class_of, self.sizes, self._rows, self._cols,
+         self._eidx, bounds) = _class_edges(n, src, dst, root)
         self._offsets = bounds.tolist()
         # the one-state classes with a loop and their loops' edges; every
         # other one-state class has log rho = -inf (see log_radii)
-        looped = np.flatnonzero((sizes == 1) & (bounds[1:] - bounds[:-1] == 1))
+        looped = np.flatnonzero((self.sizes == 1) & (bounds[1:] - bounds[:-1] == 1))
         self._loops = (looped, self._eidx[bounds[looped]])
-        self._multi = np.flatnonzero(sizes > 1).tolist()
+        self._multi = np.flatnonzero(self.sizes > 1).tolist()
         # The depths within a class are the lengths of paths inside it
         # from one state r, shifted alike: Tarjan's class is a subtree
         # of its depth-first forest, and the reach's levels count from
@@ -433,14 +434,13 @@ class SpectralCache:
         # r -> i -> j -> r less that of r -> j -> r: the period divides
         # it.  A cycle's length is the sum of its edges' gaps, so their
         # gcd is the period.
-        src, dst = corr.edge_arrays()
         gaps = depth[src] + 1 - depth[dst]
         self.periods = {c: int(np.gcd.reduce(gaps[self.class_edges(c)[2]]))
                         for c in self._multi}
         # the target order of each power class, left and right
         self.segments = {}
         for c in self._multi:
-            if sizes[c] > DENSE_MAX:
+            if self.sizes[c] > DENSE_MAX:
                 rows, cols, _ = self.class_edges(c)
                 self.segments[c] = (_target_segments(cols),
                                     _target_segments(rows))
@@ -650,14 +650,47 @@ class DecompositionPressure:
 
 
 def decomposition_pressure(corr, phi, decomp):
-    """Max of the block pressures of a valid generating cover."""
+    """Max of the block pressures of a valid generating cover.
+
+    A block's pressure is the largest log radius over the classes of
+    the relation induced on it, read off the relation's own class index:
+    no restricted relation is built.  The classes of an induced relation
+    refine those of the whole one.  A class wholly inside the block is a
+    class of the block's relation with the same class matrix, local
+    order, edge order and period, so its radius is bit for bit the one a
+    restricted solve gives.  A class can straddle a block only when
+    blocks overlap; the block's states in such classes get one class
+    index of their own over the edges among them.  In a valid cover the
+    last block holding a state never decreases along an edge, so every
+    class lies wholly inside some block and log_radii solves none for
+    nothing.
+    """
     if not isinstance(decomp, Decomposition):
         decomp = Decomposition(decomp)
     report = decomposition_validate(corr, decomp)
     if not report["valid"]:
         raise InvalidDecomposition(report)
+    cache = corr.spectral_cache()
+    radii = np.array(cache.log_radii(phi.values))
+    src, dst = corr.edge_arrays()
     vals = []
     for block in decomp.blocks:
-        sub, order = corr.restrict(block)
-        vals.append(spectral_pressure(sub, phi.restrict(sub, order)).pressure)
+        states = np.array(block, dtype=np.int64)
+        label = cache.class_of[states]
+        # each state carries its class's radius; in state order the
+        # first maximal entry lies in the maximal class of least first
+        # state, the one max over a restricted index returns (which
+        # fixes the sign of a zero)
+        r = radii[label]
+        held = np.bincount(label, minlength=cache.sizes.size)
+        split = held[label] < cache.sizes[label]
+        if split.any():
+            part = states[split]
+            pos = np.full(corr.n_states, -1, dtype=np.int64)
+            pos[part] = np.arange(part.size)
+            a, b = pos[src], pos[dst]
+            keep = (a >= 0) & (b >= 0)
+            sub = SpectralCache(part.size, a[keep], b[keep])
+            r[split] = np.array(sub.log_radii(phi.values[keep]))[sub.class_of]
+        vals.append(float(r[np.argmax(r)]))
     return DecompositionPressure(float(max(vals)), tuple(vals))

@@ -144,7 +144,7 @@ class FiniteCorrespondence:
         relation; built once per relation and shared by every solver."""
         if self._spectral is None:
             from .pressure import SpectralCache
-            self._spectral = SpectralCache(self)
+            self._spectral = SpectralCache(self.n_states, self._src, self._dst)
         return self._spectral
 
     def edge_index(self):
@@ -153,17 +153,6 @@ class FiniteCorrespondence:
         if self._index is None:
             self._index = MappingProxyType({e: k for k, e in enumerate(self.edges)})
         return self._index
-
-    def _induced(self, order):
-        """The edges with both ends in order (sorted states, a list):
-        their sources and targets as positions in order, and their mask
-        in self.edges."""
-        pos = np.full(self.n_states, -1, dtype=np.int64)
-        lo, hi = bisect_left(order, 0), bisect_left(order, self.n_states)
-        pos[order[lo:hi]] = np.arange(lo, hi)
-        src, dst = pos[self._src], pos[self._dst]
-        keep = (src >= 0) & (dst >= 0)
-        return src[keep], dst[keep], keep
 
     def restrict(self, states):
         """Sub-relation induced on the given states.
@@ -174,7 +163,12 @@ class FiniteCorrespondence:
         outside 0..n_states-1 has none.
         """
         order = sorted(set(states))
-        src, dst, _ = self._induced(order)
+        pos = np.full(self.n_states, -1, dtype=np.int64)
+        lo, hi = bisect_left(order, 0), bisect_left(order, self.n_states)
+        pos[order[lo:hi]] = np.arange(lo, hi)
+        src, dst = pos[self._src], pos[self._dst]
+        keep = (src >= 0) & (dst >= 0)
+        src, dst = src[keep], dst[keep]
         labels = None
         if self.labels is not None:
             labels = [self.labels[s] for s in order]
@@ -359,10 +353,6 @@ class Potential:
             return Potential(self.corr, self.values + other.values)
         return self.shift(other)
 
-    def restrict(self, sub, order):
-        """Transport onto a sub-relation produced by corr.restrict."""
-        return Potential(sub, self.values[self.corr._induced(order)[2]])
-
     def relabel(self, theta):
         relabeled = self.corr.relabel(theta)
         # the relabeled keys, sorted, give the new edge order
@@ -419,8 +409,10 @@ def decomposition_validate(corr, decomp):
     n = corr.n_states
     src, dst = corr.edge_arrays()
     report = {"valid": True, "covers": True, "block_rows": [], "forbidden_edges": []}
-    outside = sorted({s for b in blocks for s in b if not 0 <= s < n})
-    members = [np.array([s for s in b if 0 <= s < n], dtype=np.int64) for b in blocks]
+    # each block is sorted, so its states outside 0..n-1 are its two ends
+    ends = [(b, bisect_left(b, 0), bisect_left(b, n)) for b in blocks]
+    outside = sorted({s for b, lo, hi in ends for s in b[:lo] + b[hi:]})
+    members = [np.array(b[lo:hi], dtype=np.int64) for b, lo, hi in ends]
     covered = np.zeros(n, dtype=bool)
     for b in members:
         covered[b] = True

@@ -19,7 +19,9 @@ law is enumerated path by path, and the entropy of its coarsening is
 walked afresh for each length, as references for corrpress.kernels.
 The measure pressure runs its Newton solve on every finite edge
 between mu-positive states, without the face the flow certifies, as
-the reference for corrpress.variational.measure_pressure.
+the reference for corrpress.variational.measure_pressure.  Each block
+pressure is the spectral pressure of the relation restricted to the
+block, as the reference for corrpress.pressure.decomposition_pressure.
 """
 
 import itertools
@@ -32,7 +34,8 @@ from corrpress.errors import (DuplicateEdge, EmptySuccessor,
                               IndexOutOfRange)
 from corrpress.kernels import pushforward
 from corrpress.polytope import FEAS_TOL
-from corrpress.pressure import BRACKET_TOL
+from corrpress.pressure import BRACKET_TOL, spectral_pressure
+from corrpress.relations import Potential
 
 def relation(n_states, edges):
     """(edges, successor tuples, predecessor tuples) of a relation, or
@@ -275,6 +278,17 @@ def component_period(k, rows, cols):
                 queue.append(w)
     level = np.array(level)
     return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+
+
+def block_pressures(corr, phi, decomp):
+    """spectral_pressure on corr.restrict(block) for each block, with
+    phi carried onto the restricted relation edge by edge."""
+    out = []
+    for block in decomp.blocks:
+        sub, order = corr.restrict(block)
+        values = [phi[(order[i], order[j])] for i, j in sub.edges]
+        out.append(spectral_pressure(sub, Potential(sub, values)).pressure)
+    return tuple(out)
 
 
 def power_vector(src, dst, w, k, period, cap):

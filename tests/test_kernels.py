@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corrpress.kernels
+import corrpress.pressure
 from corrpress import (
     FiniteCorrespondence,
     NotStationary,
@@ -259,6 +260,52 @@ def test_stationary_measures_one_per_recurrent_class():
     assert len(out) == 2
     assert out[0][0] == (0,) and out[1][0] == (2,)
     assert np.allclose(out[0][1], [1.0, 0.0, 0.0])
+
+
+def test_stationary_measures_of_a_full_support_kernel_share_the_index(monkeypatch):
+    """A kernel that charges every edge has the relation as its support,
+    so stationary_measures reads the relation's own class index and
+    builds no second one."""
+    rng = np.random.default_rng(36)
+    corr = random_relation(rng, 6, 9)
+    ker = random_kernel(rng, corr)
+    cache = corr.spectral_cache()
+    built = []
+    original = corrpress.pressure._class_edges
+
+    def counting(*args):
+        built.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(corrpress.pressure, "_class_edges", counting)
+    out = stationary_measures(ker)
+    assert built == [] and corr._spectral is cache
+    assert [states for states, _ in out] == [
+        c for c in cache.components
+        if all(set(corr.successors(s)) <= set(c) for s in c)]
+
+
+def test_stationary_measures_with_zero_entries_match_the_support_route():
+    """With zero entries the support is a smaller relation: the measures
+    equal, to the bit, those of the same kernel on that relation."""
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        corr = random_relation(rng, 3, 10)
+        src, dst = corr.edge_arrays()
+        # drop about a third of the edges, keeping each state's first
+        keep = rng.random(corr.n_edges) < 0.65
+        keep[np.searchsorted(src, np.arange(corr.n_states))] = True
+        q = np.where(keep, rng.uniform(0.05, 1.0, corr.n_edges), 0.0)
+        q /= np.bincount(src, weights=q)[src]
+        ker = TransitionKernel(corr, q)
+        support = FiniteCorrespondence(corr.n_states,
+                                       np.stack((src[keep], dst[keep]), axis=1))
+        want = stationary_measures(TransitionKernel(support, q[keep]))
+        out = stationary_measures(ker)
+        assert [s for s, _ in out] == [s for s, _ in want]
+        assert all(np.array_equal(mu, nu) for (_, mu), (_, nu) in zip(out, want))
+        # only a kernel that charges every edge reads the relation's index
+        assert (corr._spectral is None) == (not keep.all())
 
 
 def test_pair_kernel_round_trip():

@@ -82,7 +82,7 @@ def large_cases():
 
 @pytest.mark.parametrize("corr, phi, period", large_cases())
 def test_power_route_is_bracketed_and_matches_dense_eig(corr, phi, period):
-    cache = SpectralCache(corr)
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
     assert len(cache.components) == 1
     assert corr.n_states > DENSE_MAX
     assert cache.periods[0] == period
@@ -151,7 +151,7 @@ def test_a_cycle_class_is_solved_in_closed_form():
     corr = FiniteCorrespondence(n, [(int(order[t]), int(order[(t + 1) % n]))
                                     for t in range(n)])
     phi = Potential(corr, rng.uniform(-1.0, 1.0, n))
-    cache = SpectralCache(corr)
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
     logrho, right, left, bracket = cache.solve(0, phi.values)
     m = np.zeros((n, n))
     m[corr.edge_arrays()] = np.exp(phi.values)
@@ -192,7 +192,7 @@ def test_periods_are_the_breadth_first_search_periods(seed):
     """The period of every class from Tarjan's depths, against a
     breadth-first search over the class alone."""
     corr = cyclic_pieces(np.random.default_rng(seed))
-    cache = SpectralCache(corr)
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
     multi = [c for c, comp in enumerate(cache.components) if len(comp) > 1]
     assert sorted(cache.periods) == multi
     for c in multi:
@@ -242,7 +242,8 @@ def slowly_mixing_class(n=80):
 def test_slowly_mixing_class_falls_back_to_dense():
     corr = slowly_mixing_class()
     phi = Potential.zero(corr)
-    logrho, right, left, bracket = SpectralCache(corr).solve(0, phi.values)
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
+    logrho, right, left, bracket = cache.solve(0, phi.values)
     assert bracket is None
     assert logrho == pytest.approx(dense_log_radius(corr, phi), abs=1e-10)
     eq = gibbs_equilibrium(corr, phi)

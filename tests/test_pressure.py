@@ -20,9 +20,11 @@ from corrpress import (
     grid_discretize,
     inverse_correspondence,
     path_pressure_sequence,
+    decomposition_validate,
     spectral_pressure,
 )
-from corrpress import pressure
+from corrpress.verify import random_block_relation
+from corrpress import pressure, relations
 from corrpress.pressure import (
     SWEEP,
     SpectralCache,
@@ -248,7 +250,7 @@ def test_spectral_pressure_matches_dense_eigenvalues():
 def test_two_cycle_period_is_handled():
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
     assert strongly_connected_components(*corr.csr()) == ([(0, 1)], [0, 1])
-    cache = SpectralCache(corr)
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
     rows, cols, _ = cache.class_edges(0)
     assert cache.periods == {0: 2}
     assert references.component_period(2, rows, cols) == 2
@@ -332,7 +334,8 @@ def test_coboundary_past_the_dense_range_is_a_solver_error():
             spectral_pressure(corr, Potential(corr, values))
         for vectors in (False, True):
             with pytest.raises(SolverError):
-                SpectralCache(corr).solve(0, values, vectors)
+                SpectralCache(corr.n_states, *corr.edge_arrays()).solve(
+                    0, values, vectors)
 
 
 def test_reversal_preserves_pressure():
@@ -399,12 +402,107 @@ def test_two_block_fixture():
     assert dp.block_values == pytest.approx((0.3, 0.7), abs=1e-15)
 
 
+def closed_block(rng, corr):
+    """A random set of states each of which keeps a successor in it,
+    as a list; it may be empty."""
+    src, dst = corr.edge_arrays()
+    keep = rng.random(corr.n_states) < 0.6
+    while True:
+        fed = keep & (np.bincount(src[keep[src] & keep[dst]],
+                                  minlength=corr.n_states) > 0)
+        if (fed == keep).all():
+            return np.flatnonzero(keep).tolist()
+        keep = fed
+
+
+def block_covers(rng):
+    """(relation, cover) pairs: block-triangular covers, the same with
+    two blocks merged into an overlapping one, and covers whose last
+    block is every state, after which the earlier blocks may cut
+    classes in two."""
+    for _ in range(60):
+        corr, dec = random_block_relation(rng)
+        b = dec.blocks
+        yield corr, dec
+        yield corr, Decomposition([b[0] + b[1]] + list(b[1:]))
+        yield corr, Decomposition([b[0], b[0] + b[1]] + list(b[2:]))
+    for _ in range(60):
+        corr = random_relation(rng, int(rng.integers(2, 14)))
+        blocks = [closed_block(rng, corr) for _ in range(2)]
+        blocks = [b for b in blocks if b] + [list(range(corr.n_states))]
+        while not decomposition_validate(corr, Decomposition(blocks))["valid"]:
+            blocks.pop(0)
+        yield corr, Decomposition(blocks)
+
+
+def test_block_values_are_bit_for_bit_the_restricted_solves():
+    """Block values read off the relation's own class index equal
+    spectral_pressure on each restricted block relation, to the bit
+    (the sign of a zero included), on random weights, on weights with
+    -inf edges and on signed zero weights, whose ties the first class
+    in the order of least states breaks."""
+    rng = np.random.default_rng(114)
+    split = 0
+    for t, (corr, dec) in enumerate(block_covers(rng)):
+        values = random_potential(rng, corr).values
+        gone = rng.random(corr.n_edges) < 0.3
+        if t % 3 == 1:
+            values[gone] = -np.inf
+        elif t % 3 == 2:
+            values = np.where(gone, -np.inf, np.where(rng.random(corr.n_edges)
+                                                      < 0.5, -0.0, 0.0))
+        phi = Potential(corr, values)
+        dp = decomposition_pressure(corr, phi, dec)
+        want = references.block_pressures(corr, phi, dec)
+        assert np.array(dp.block_values).tobytes() == np.array(want).tobytes()
+        assert dp.value == max(want)
+        cache = corr.spectral_cache()
+        split += any(not set(cache.components[c]) <= set(b)
+                     for b in dec.blocks for c in cache.class_of[list(b)].tolist())
+    assert split > 20
+
+
+def test_a_class_cut_by_an_earlier_block():
+    """On the edges {(0,0),(0,1),(1,1),(1,2),(2,1)} the class {1, 2}
+    straddles the block [0, 1]: that block's value is the loop at 1,
+    and the block [1, 2] takes log rho of the class."""
+    corr = FiniteCorrespondence(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
+    phi = Potential(corr, {(0, 0): -0.5, (0, 1): 0.1, (1, 1): 0.2,
+                           (1, 2): 0.5, (2, 1): 0.4})
+    dp = decomposition_pressure(corr, phi, Decomposition([[0, 1], [1, 2]]))
+    spec = spectral_pressure(corr, phi)
+    assert spec.components == ((0,), (1, 2))
+    assert dp.block_values == (0.2, spec.log_radii[1])
+    a, bc = math.exp(0.2), math.exp(0.9)
+    assert dp.value == pytest.approx(
+        math.log((a + math.sqrt(a * a + 4.0 * bc)) / 2.0), abs=1e-12)
+
+
+def test_decomposition_pressure_builds_no_relation(monkeypatch):
+    """The blocks are solved on the relation's own class index and on
+    index arrays for the states of cut classes: no FiniteCorrespondence
+    is constructed, not even for the relation's own index."""
+    corr = FiniteCorrespondence(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
+    phi = Potential(corr, [0.3, 0.1, -0.2, 0.5, 0.4])
+    built = []
+    original = relations.FiniteCorrespondence.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(relations.FiniteCorrespondence, "__init__", counting)
+    for blocks in ([[0, 1], [1, 2]], [[0], [1, 2]], [[0, 1, 2]]):
+        decomposition_pressure(corr, phi, Decomposition(blocks))
+    assert built == []
+
+
 def test_spectral_cache_agrees_with_power_iteration_route():
     rng = np.random.default_rng(111)
     for _ in range(20):
         corr = random_relation(rng, int(rng.integers(2, 9)))
         phi = random_potential(rng, corr)
-        cache = SpectralCache(corr)
+        cache = SpectralCache(corr.n_states, *corr.edge_arrays())
         assert cache.pressure(phi.values) \
             == pytest.approx(spectral_pressure(corr, phi).pressure, abs=1e-9)
 
@@ -413,7 +511,7 @@ def test_class_edges_match_a_per_class_loop():
     rng = np.random.default_rng(112)
     for _ in range(20):
         corr = random_relation(rng, int(rng.integers(2, 12)))
-        cache = SpectralCache(corr)
+        cache = SpectralCache(corr.n_states, *corr.edge_arrays())
         for c, comp in enumerate(cache.components):
             pos = {s: k for k, s in enumerate(comp)}
             loop = [(pos[i], pos[j], k) for k, (i, j) in enumerate(corr.edges)
@@ -503,7 +601,7 @@ def test_reach_classes_match_tarjan(shape, seed):
     for c, comp in enumerate(comps):
         assert np.all(root[list(comp)] == comp[0])
         label[list(comp)] = c
-    cache = SpectralCache(corr)
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
     assert cache.components == comps
     assert np.array_equal(cache.class_of, label)
     src, dst = corr.edge_arrays()
@@ -613,7 +711,7 @@ def test_class_of_minus_infinity_weights_has_radius_minus_infinity():
     assert spec.components == ((0, 1), (2,))
     assert spec.log_radii == (-np.inf, 0.0)
     with pytest.raises(ConvergenceFailure):
-        SpectralCache(corr).solve(0, phi.values)
+        SpectralCache(corr.n_states, *corr.edge_arrays()).solve(0, phi.values)
 
 
 def loopy_relation(rng, n):
@@ -646,7 +744,7 @@ def test_one_state_log_radii_are_the_per_class_solves_bit_for_bit():
     cases.append((corr, np.array([-np.inf, 0.5, 0.25, -0.75])))
     kinds = set()
     for corr, values in cases:
-        cache = SpectralCache(corr)
+        cache = SpectralCache(corr.n_states, *corr.edge_arrays())
         radii = cache.log_radii(values)
         assert radii == per_class_radii(cache, values)
         assert all(type(r) is float for r in radii)

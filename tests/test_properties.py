@@ -263,7 +263,7 @@ def test_power_bracket_holds_the_dense_log_radius(seed, period):
     rng = np.random.default_rng(seed)
     corr = large_class(rng, period)
     values = rng.uniform(-1.0, 1.0, corr.n_edges)
-    cache = SpectralCache(corr)
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
     assert len(cache.components) == 1 and corr.n_states > DENSE_MAX
     logrho, _, _, (lo, hi) = cache.solve(0, values, vectors=False)
     m = np.zeros((corr.n_states, corr.n_states))

@@ -197,6 +197,17 @@ def test_decomposition_validation_conditions():
     assert rep["block_rows"] == [] and rep["forbidden_edges"] == []
 
 
+def test_block_states_past_int64_are_listed_as_outside():
+    """A block is read as an int array only between its ends outside
+    0..n-1, so indices no int64 holds are listed, not an OverflowError."""
+    corr = FiniteCorrespondence(2, [(0, 0), (1, 1)])
+    rep = decomposition_validate(
+        corr, Decomposition([[-(10 ** 30), 0, 1, 10 ** 30], [1, 2 ** 63]]))
+    assert rep["outside"] == [-(10 ** 30), 2 ** 63, 10 ** 30]
+    assert rep["missing"] == [] and not rep["valid"]
+    assert rep["block_rows"] == [] and rep["forbidden_edges"] == []
+
+
 def test_restrict_to_a_state_outside_the_relation_leaves_it_empty():
     corr = FiniteCorrespondence(2, [(0, 0), (0, 1), (1, 1)])
     with pytest.raises(EmptySuccessor) as err:
