@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, InvalidDecomposition, ShapeMismatch,
-                     SolverError, TooLarge)
+from .errors import (ConvergenceFailure, IndexOutOfRange, InvalidDecomposition,
+                     ShapeMismatch, SolverError, TooLarge)
 from .relations import Decomposition, csr_offsets, decomposition_validate
 
 # Spectral classes whose log radius lies within this distance of the
@@ -663,7 +663,10 @@ def decomposition_pressure(corr, phi, decomp):
     index of their own over the edges among them.  In a valid cover the
     last block holding a state never decreases along an edge, so every
     class lies wholly inside some block and log_radii solves none for
-    nothing.
+    nothing.  The bit-for-bit parity holds while the shared index has
+    no class marked slow: a class an earlier call sent to the dense
+    eigensolve gives its radius within the solver's tolerance.  An
+    empty block is IndexOutOfRange, as the relation on no states is.
     """
     if not isinstance(decomp, Decomposition):
         decomp = Decomposition(decomp)
@@ -675,6 +678,8 @@ def decomposition_pressure(corr, phi, decomp):
     src, dst = corr.edge_arrays()
     vals = []
     for block in decomp.blocks:
+        if not block:
+            raise IndexOutOfRange([], 0)
         states = np.array(block, dtype=np.int64)
         label = cache.class_of[states]
         # each state carries its class's radius; in state order the

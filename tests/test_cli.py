@@ -736,6 +736,16 @@ def test_decompose_lists_block_states_outside_the_relation(tmp_path, capsys):
     assert doc["results"]["validation"]["outside"] == [5]
 
 
+def test_decompose_of_an_empty_block_is_an_input_error(tmp_path, capsys):
+    corr = write(tmp_path, "tri.json",
+                 {"n_states": 2, "edges": [[0, 0], [0, 1], [1, 1]]})
+    blocks = write(tmp_path, "blocks.json", {"blocks": [[], [0, 1]]})
+    code, doc = run(capsys, ["decompose", "--input", corr, "--config", blocks])
+    assert code == 2
+    assert doc["error"] == {"type": "IndexOutOfRange",
+                            "message": "edges outside 0..-1: []"}
+
+
 def test_an_edge_index_past_int64_is_an_input_error(tmp_path, capsys):
     corr = write(tmp_path, "big.json",
                  {"n_states": 2, "edges": [[0, 0], [1, 0], [0, 2 ** 70]]})

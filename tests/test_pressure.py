@@ -11,6 +11,7 @@ from corrpress import (
     ConvergenceFailure,
     Decomposition,
     FiniteCorrespondence,
+    IndexOutOfRange,
     InvalidDecomposition,
     Potential,
     SolverError,
@@ -495,6 +496,57 @@ def test_decomposition_pressure_builds_no_relation(monkeypatch):
     for blocks in ([[0, 1], [1, 2]], [[0], [1, 2]], [[0, 1, 2]]):
         decomposition_pressure(corr, phi, Decomposition(blocks))
     assert built == []
+
+
+def test_an_empty_block_is_index_out_of_range():
+    """A cover may name an empty block; its relation has no states, so
+    its pressure is IndexOutOfRange, as restricting to it is."""
+    corr = FiniteCorrespondence(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+    phi = Potential.zero(corr)
+    for blocks in ([[], [0, 1, 2]], [[0, 1, 2], []]):
+        dec = Decomposition(blocks)
+        assert decomposition_validate(corr, dec)["valid"]
+        with pytest.raises(IndexOutOfRange, match=r"edges outside 0\.\.-1: \[\]"):
+            decomposition_pressure(corr, phi, dec)
+
+
+def two_power_classes(rng, k=80):
+    """Two classes of k > DENSE_MAX states each, a k-cycle with a loop
+    and random chords, joined by one edge from the first to the second,
+    with random weights."""
+    edges = set()
+    for base in (0, k):
+        for i in range(k):
+            edges.add((base + i, base + (i + 1) % k))
+            for j in rng.choice(k, size=3, replace=False).tolist():
+                edges.add((base + i, base + j))
+        edges.add((base, base))
+    edges.add((k - 1, k))
+    corr = FiniteCorrespondence(2 * k, sorted(edges))
+    return corr, random_potential(rng, corr)
+
+
+def test_block_values_of_classes_marked_slow_hold_within_tolerance():
+    """The block values come from the relation's shared index.  On a
+    fresh index the power classes match the restricted solves bit for
+    bit; once an earlier call has sent them to the dense eigensolve
+    (SpectralCache.slow), they match within the solver's tolerance."""
+    rng = np.random.default_rng(116)
+    k = pressure.DENSE_MAX + 16
+    corr, phi = two_power_classes(rng, k)
+    covers = (Decomposition([list(range(k)), list(range(k, 2 * k))]),
+              Decomposition([list(range(k + 1)), list(range(k, 2 * k))]))
+    want = [references.block_pressures(corr, phi, dec) for dec in covers]
+    for dec, ref in zip(covers, want):
+        assert decomposition_pressure(corr, phi, dec).block_values == ref
+    cache = corr.spectral_cache()
+    big = [c for c, comp in enumerate(cache.components) if len(comp) > k // 2]
+    assert len(big) == 2
+    cache.slow.update(big)
+    assert all(cache.solve(c, phi.values, vectors=False)[3] is None for c in big)
+    for dec, ref in zip(covers, want):
+        got = decomposition_pressure(corr, phi, dec).block_values
+        assert got == pytest.approx(ref, abs=1e-10)
 
 
 def test_spectral_cache_agrees_with_power_iteration_route():

@@ -655,16 +655,21 @@ def test_derivative_builds_one_class_index(monkeypatch):
     built = []
     original = pressure._class_edges
 
-    def counting(*args):
-        built.append(args[0])
-        return original(*args)
+    def counting(n, src, dst, root):
+        built.append((n, src, dst))
+        return original(n, src, dst, root)
 
     monkeypatch.setattr(pressure, "_class_edges", counting)
     rng = np.random.default_rng(70)
     corr = random_relation(rng, 6)
     directional_derivative(corr, random_potential(rng, corr),
                            random_potential(rng, corr))
-    assert built == [corr.n_states]
+    # one index, built over corr's own edge arrays and kept on corr
+    src, dst = corr.edge_arrays()
+    assert len(built) == 1
+    assert built[0][0] == corr.n_states
+    assert built[0][1] is src and built[0][2] is dst
+    assert corr._spectral is not None
 
 
 def test_two_loop_fixture_has_one_sided_derivatives():
