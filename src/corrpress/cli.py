@@ -53,7 +53,6 @@ from .variational import (
     directional_derivative,
     gibbs_equilibrium,
     measure_pressure,
-    tangent_functionals,
 )
 from .intervals import (
     IntervalCorrespondence,
@@ -509,7 +508,6 @@ def cmd_derivative(args):
         raise ShapeMismatch("derivative needs a direction document via --nu")
     psi = _potential_from(corr, psi_doc)
     der = directional_derivative(corr, phi, psi, side=args.method)
-    tset = tangent_functionals(corr, phi)
     results = {
         "side": args.method,
         "plus": der.plus,
@@ -517,8 +515,8 @@ def cmd_derivative(args):
         "plus_fd": der.plus_fd,
         "minus_fd": der.minus_fd,
         "is_gateaux": der.is_gateaux,
-        "tangent_count": len(tset.tangents),
-        "unique_tangent": tset.is_unique,
+        "tangent_count": len(der.tangent_set.tangents),
+        "unique_tangent": der.tangent_set.is_unique,
     }
     _emit("derivative", inputs, results, args.output)
     return 0

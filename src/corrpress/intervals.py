@@ -121,10 +121,6 @@ class GridRelation:
     resolution: int
     corr: FiniteCorrespondence
 
-    def cell(self, k):
-        n = self.resolution
-        return Fraction(k, n), Fraction(k + 1, n), k == n - 1
-
 
 def grid_discretize(system, resolution):
     """Transition relation of the branches at a dyadic resolution.

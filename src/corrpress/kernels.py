@@ -125,10 +125,6 @@ class Partition:
             raise ShapeMismatch("cells do not partition the state set")
         self.n_states = n_states
         self.cells = cells
-        self.cell_of = {}
-        for k, c in enumerate(cells):
-            for s in c:
-                self.cell_of[s] = k
 
     def indicator(self, k):
         v = np.zeros(self.n_states)

@@ -6,7 +6,8 @@ a_n = (1/n) log sum over length-(n+1) walks of exp(S_n phi); with the
 discrete metric every set of walks is separated, so no net is needed.
 The spectral route computes log of the spectral radius of the edge
 weight matrix M_ij = exp(phi(i, j)), class by class, with one Perron
-solver: dense eig on small classes, power iteration on large ones.
+solver: the mean weight on a class that is one cycle, dense eig on
+other small classes, power iteration on large ones.
 
 Both the orbit route and the power iteration step with one log-domain
 edge operator (_edge_operator): the edges are sorted stably by target
@@ -41,10 +42,10 @@ from .relations import Decomposition, csr_offsets, decomposition_validate
 # maximum count as dominant (SpectralCache.dominant).
 TIE_TOL = 1e-9
 
-# Classes of up to DENSE_MAX states take the dense eigensolver, larger
-# ones the sparse power iteration (see SpectralCache.solve).  Timed on
-# random sparse primitive classes, the two routes break even at about
-# 50-100 states.  POWER_CAP bounds the power steps on any class.
+# Classes of up to DENSE_MAX states that are not one cycle take the dense
+# eigensolver, larger ones the power iteration (SpectralCache.solve).
+# Timed on random sparse primitive classes, the two routes break even at
+# about 50-100 states.  POWER_CAP bounds the power steps on any class.
 DENSE_MAX = 64
 POWER_CAP = 100000
 BRACKET_TOL = 1e-13
@@ -196,12 +197,16 @@ def _power_vector(src, dst, w, k, period, cap, segments):
 
 def _cycle_perron(succ, w, vectors):
     """log rho, and the right and left Perron vectors when vectors
-    (else None), of a class that is one cycle: local state i's one
-    internal edge goes to succ[i] with weight w[i].  rho^k is the
-    product of the k edge weights, and M r = rho r steps along the cycle
-    as log r(succ i) = log r(i) + log rho - w[i]; l is 1 / r."""
+    (else None), of a class that is one cycle (a loop if k = 1): local
+    state i's one internal edge goes to succ[i] with weight w[i].  rho^k
+    is the product of the k edge weights (Seneta 1981, 1.3), so log rho
+    is their mean.  It sums the quotients w / k, which cannot overflow,
+    in one reduceat segment as SpectralCache.log_radii does, bit for
+    bit, so a loop keeps its weight, -0.0 included.  M r = rho r steps
+    along the cycle as log r(succ i) = log r(i) + log rho - w[i]; l is
+    1 / r."""
     k = w.size
-    logrho = float(np.mean(w))
+    logrho = float(np.add.reduceat(w / k, [0])[0])
     if not vectors:
         return logrho, None, None
     if logrho == -np.inf:
@@ -410,10 +415,10 @@ class SpectralCache:
     than CLASS_MIN states and edges; on a larger one reach_roots peels
     off the states a trim pass and one forward-backward reach settle
     and leaves the rest to Tarjan.
-    Classes of up to DENSE_MAX states take a dense eigensolve, larger
-    ones a sparse power iteration.  The cache keeps no reference to the
-    relation, so the relation it is memoised on is freed by reference
-    counting alone.
+    A class that is one cycle takes a closed form, other classes of up
+    to DENSE_MAX states a dense eigensolve, larger ones a sparse power
+    iteration.  The cache keeps no reference to the relation, so the
+    relation it is memoised on is freed by reference counting alone.
     """
 
     def __init__(self, n, src, dst):
@@ -421,11 +426,17 @@ class SpectralCache:
         (self.components, self.class_of, self.sizes, self._rows, self._cols,
          self._eidx, bounds) = _class_edges(n, src, dst, root)
         self._offsets = bounds.tolist()
-        # the one-state classes with a loop and their loops' edges; every
-        # other one-state class has log rho = -inf (see log_radii)
-        looped = np.flatnonzero((self.sizes == 1) & (bounds[1:] - bounds[:-1] == 1))
-        self._loops = (looped, self._eidx[bounds[looped]])
-        self._multi = np.flatnonzero(self.sizes > 1).tolist()
+        # a class with as many internal edges as states is one cycle, a
+        # loop if it has one state: its edges, the cycle lengths and the
+        # heads of their groups give log_radii every cycle's mean at once
+        counts = bounds[1:] - bounds[:-1]
+        cycle = counts == self.sizes
+        lengths = self.sizes[cycle]
+        self._cycles = (np.flatnonzero(cycle),
+                        self._eidx[np.repeat(cycle, counts)],
+                        np.repeat(lengths, lengths),
+                        np.cumsum(lengths) - lengths)
+        self._others = np.flatnonzero(~cycle & (self.sizes > 1)).tolist()
         # The depths within a class are the lengths of paths inside it
         # from one state r, shifted alike: Tarjan's class is a subtree
         # of its depth-first forest, and the reach's levels count from
@@ -436,10 +447,10 @@ class SpectralCache:
         # gcd is the period.
         gaps = depth[src] + 1 - depth[dst]
         self.periods = {c: int(np.gcd.reduce(gaps[self.class_edges(c)[2]]))
-                        for c in self._multi}
+                        for c in np.flatnonzero(self.sizes > 1).tolist()}
         # the target order of each power class, left and right
         self.segments = {}
-        for c in self._multi:
+        for c in self._others:
             if self.sizes[c] > DENSE_MAX:
                 rows, cols, _ = self.class_edges(c)
                 self.segments[c] = (_target_segments(cols),
@@ -457,36 +468,30 @@ class SpectralCache:
         """(log rho, right, left, bracket) of the weight matrix on class c.
 
         right and left are Perron vectors normalized to sum one, None
-        when vectors is false.  bracket is the Collatz-Wielandt interval
-        holding log rho that stopped the power iteration; it is exact on
-        one-state classes and on classes of more than DENSE_MAX states
-        that are one cycle, whose log rho is the mean of their weights,
-        and None on the dense route, which also takes
-        large classes the power iteration cannot settle within its step
-        budget; such a class skips the power iteration in every later
-        call on this cache.  A class with no internal edge, or whose
-        internal weights are all -inf, has log rho = -inf and no Perron
-        vectors.
+        when vectors is false.  A class that is one cycle, a loop
+        included, takes _cycle_perron at any size and weight span, with
+        the exact bracket (log rho, log rho).  Other classes of up to
+        DENSE_MAX states take a dense eigensolve, with bracket None;
+        larger ones a power iteration, whose bracket is the
+        Collatz-Wielandt interval that stopped it, or the dense route
+        if it cannot settle within its step budget, in this and every
+        later call on this cache.  A class with no internal edge, or
+        whose internal weights are all -inf, has log rho = -inf and no
+        Perron vectors.
         """
-        lo, hi = self._offsets[c], self._offsets[c + 1]
-        w = values[self._eidx[lo:hi]]
-        # most classes of a grid model are one loop: skip the reduction
-        shift = float(w[0]) if hi - lo == 1 else float(w.max(initial=-np.inf))
+        rows, cols, eidx = self.class_edges(c)
+        w = values[eidx]
+        k = len(self.components[c])
+        if eidx.size == k:
+            # one internal edge per state: one cycle, a loop when k == 1
+            logrho, right, left = _cycle_perron(cols, w, vectors)
+            return logrho, right, left, (logrho, logrho)
+        shift = float(w.max(initial=-np.inf))
         if shift == -np.inf:
             # -inf weights are absent edges: the class matrix is zero
             if vectors:
                 raise ConvergenceFailure(0)
             return -np.inf, None, None, (-np.inf, -np.inf)
-        k = len(self.components[c])
-        if k == 1:
-            one = np.ones(1) if vectors else None
-            return shift, one, one, (shift, shift)
-        rows, cols, eidx = self.class_edges(c)
-        if k > DENSE_MAX and eidx.size == k:
-            # one internal edge per state: one cycle, of period k, over
-            # which a power sweep would hold k vectors of k entries
-            logrho, right, left = _cycle_perron(cols, w, vectors)
-            return logrho, right, left, (logrho, logrho)
         if k > DENSE_MAX and c not in self.slow:
             # past about k^3 / edges steps a dense eigensolve is cheaper,
             # so a class that mixes too slowly falls through to it
@@ -527,13 +532,14 @@ class SpectralCache:
         return shift + math.log(rho), right, left, None
 
     def log_radii(self, values):
-        """log rho of every class, as a list: the one-state classes in
-        one vector operation, each a loop's weight or -inf as solve()
-        gives it, and solve() on the others."""
+        """log rho of every class, as a list: the cycle classes in one
+        segment sum of their weights over their lengths, bit for bit
+        solve()'s, -inf on one-state classes with no loop, and solve()
+        on the others."""
         radii = np.full(len(self.components), -np.inf)
-        looped, loops = self._loops
-        radii[looped] = values[loops]
-        for c in self._multi:
+        cycles, edges, lengths, heads = self._cycles
+        radii[cycles] = np.add.reduceat(values[edges] / lengths, heads)
+        for c in self._others:
             radii[c] = self.solve(c, values, vectors=False)[0]
         return radii.tolist()
 

@@ -19,6 +19,7 @@ from .errors import (
     EmptySuccessor,
     IndexOutOfRange,
     InvalidPath,
+    ModeUnsupported,
     NotBijective,
     NotSurjective,
     ShapeMismatch,
@@ -272,7 +273,7 @@ def from_map(n_states, images, direction="forward"):
         if missed:
             raise NotSurjective(missed)
         return FiniteCorrespondence(n_states, [(j, i) for i, j in edges])
-    raise ValueError(f"unknown direction {direction!r}")
+    raise ModeUnsupported(f"unknown direction {direction!r}")
 
 
 def inverse_correspondence(corr):

@@ -401,6 +401,7 @@ class DirectionalDerivative:
     plus_fd: float | None
     minus_fd: float | None
     is_gateaux: bool
+    tangent_set: TangentSet
 
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
@@ -440,7 +441,7 @@ def directional_derivative(corr, phi, psi, side="both"):
         minus_fd = _one_sided_fd(cache, phi.values, psi.values, -1.0, tset.pressure)
     gateaux = tset.is_unique or (
         plus is not None and minus is not None and abs(plus - minus) <= 1e-8)
-    return DirectionalDerivative(plus, minus, plus_fd, minus_fd, gateaux)
+    return DirectionalDerivative(plus, minus, plus_fd, minus_fd, gateaux, tset)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrpress import ConvergenceFailure
+from corrpress import ConvergenceFailure, cli, variational
 from corrpress.cli import _build_parser, _sanitize, main
 from corrpress.pressure import PATH_MAX, SpectralCache
 
@@ -420,6 +420,21 @@ def test_underflowing_class_weights_are_exit_three(tmp_path, capsys, a):
     assert doc["error"]["type"] == "SolverError"
 
 
+def test_a_long_cycle_of_the_largest_weights_has_a_finite_pressure(
+        tmp_path, capsys):
+    n = 100
+    corr = write(tmp_path, "corr.json", {
+        "n_states": n, "edges": [[i, (i + 1) % n] for i in range(n)]})
+    phi = write(tmp_path, "phi.json", {
+        "edges": [[i, (i + 1) % n, 1e308] for i in range(n)]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run(capsys, ["pressure", "--method", "spectral",
+                                 "--input", corr, "--phi", phi])
+    assert code == 0
+    assert doc["results"]["spectral"]["pressure"] == 1e308
+
+
 def test_class_of_minus_infinity_weights_is_no_solver_error(tmp_path, capsys):
     corr = write(tmp_path, "corr.json",
                  {"n_states": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 2]]})
@@ -616,6 +631,28 @@ def test_derivative_at_a_primitive_relation(tmp_path, capsys):
     assert res["tangent_count"] == 1 and res["unique_tangent"] is True
 
 
+def test_derivative_builds_the_tangent_set_once(tmp_path, capsys, monkeypatch):
+    """The report's tangent fields come from the tangent set that
+    directional_derivative built, not from a second build."""
+    corr = golden_corr(tmp_path)
+    direction = write(tmp_path, "dir.json",
+                      {"edges": [[0, 0, 1.0], [0, 1, 0.0], [1, 0, 0.0]]})
+    calls = []
+    build = variational.tangent_functionals
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    # patched wherever the command could reach it from
+    monkeypatch.setattr(variational, "tangent_functionals", counted)
+    monkeypatch.setattr(cli, "tangent_functionals", counted, raising=False)
+    code, doc = run(capsys, ["derivative", "--input", corr, "--nu", direction])
+    assert code == 0
+    assert len(calls) == 1
+    assert doc["results"]["tangent_count"] == 1
+
+
 def test_discretize_builtin_fixture(tmp_path, capsys):
     code, doc = run(capsys, ["discretize", "--input", "interval-example",
                              "--grid", "8"])
@@ -642,6 +679,14 @@ def test_discretize_map_documents(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["n_states"] == 2
     assert doc["results"]["pressure"] == pytest.approx(math.log(2.0), abs=1e-12)
+
+    # a cell [a, b] with a >= b has no interior
+    flat_doc = write(tmp_path, "tent_flat.json",
+                     dict(tent, cells=[["0", "1/2"], ["1", "1/2"]]))
+    code, doc = run(capsys, ["discretize", "--method", "markov",
+                             "--input", flat_doc])
+    assert code == 2
+    assert doc["error"]["type"] == "DegenerateCell"
 
 
 def test_relabel_preserves_pressure(tmp_path, capsys):

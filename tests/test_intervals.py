@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrpress import (
+    DegenerateCell,
     FiniteCorrespondence,
     IntervalCorrespondence,
     MisalignedBreakpoints,
@@ -101,10 +102,12 @@ def test_worked_example_grid_at_resolution_eight():
 
 
 def test_grid_cells_are_half_open():
-    grid = grid_discretize(example_branches(), 8)
-    lo, hi, is_last = grid.cell(0)
-    assert (lo, hi, is_last) == (F(0), F(1, 8), False)
-    assert grid.cell(7) == (F(7, 8), F(1), True)
+    # the tent maps cell 1 = [1/8, 1/4) onto [1/4, 1/2), the cells 2 and
+    # 3; cell 4 = [1/2, 5/8) meets only the image's closure
+    grid = grid_discretize(IntervalCorrespondence([tent()]), 8)
+    assert grid.corr.successors(1) == (2, 3)
+    # cell 7 = [7/8, 1) maps onto (0, 1/4], the cells 0 and 1, not 2
+    assert grid.corr.successors(7) == (0, 1)
 
 
 def test_markov_model_of_the_inner_maps():
@@ -124,6 +127,12 @@ def test_markov_model_of_the_inner_maps():
                                  (2, 2), (2, 3), (3, 0), (3, 1))
     p = spectral_pressure(model4.corr, Potential.zero(model4.corr)).pressure
     assert p == pytest.approx(LOG2, abs=1e-12)
+
+
+@pytest.mark.parametrize("cell", [("1/2", "1/2"), ("3/4", "1/2")])
+def test_markov_cell_without_interior_is_degenerate(cell):
+    with pytest.raises(DegenerateCell, match=r"cell \["):
+        markov_model(tent(), [("0", "1/2"), cell])
 
 
 def test_markov_model_rejects_non_markov_partitions():

@@ -204,10 +204,11 @@ def test_partition_entropy_matches_dense_enumeration():
     part = Partition(3, [(0, 1), (2,)])
     seq, value = kernel_entropy(mu, ker, 4, part)
     assert value == seq[-1]
+    cell_of = {s: k for k, cell in enumerate(part.cells) for s in cell}
     for n in range(1, 5):
         by_walk = {}
         for path, w in chain_paths(mu, ker, n).items():
-            key = tuple(part.cell_of[x] for x in path)
+            key = tuple(cell_of[x] for x in path)
             by_walk[key] = by_walk.get(key, 0.0) + w
         direct = -sum(w * math.log(w) for w in by_walk.values() if w > 0.0)
         assert n * seq[n - 1] == pytest.approx(direct, abs=1e-12)

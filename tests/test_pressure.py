@@ -339,6 +339,41 @@ def test_coboundary_past_the_dense_range_is_a_solver_error():
                     0, values, vectors)
 
 
+def test_a_two_cycle_is_exact_at_any_weight_span():
+    """phi = (a, -a) on the 2-cycle is a coboundary: pressure 0 and the
+    uniform Gibbs measure for every a.  A cycle's log rho is its mean
+    weight, so no weight underflows as on the dense route."""
+    corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
+    for a in (400.0, 1000.0, 1e308):
+        phi = Potential(corr, [a, -a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_pressure(corr, phi).pressure == 0.0
+            assert cache.solve(0, phi.values, vectors=False)[3] == (0.0, 0.0)
+    phi = Potential(corr, [400.0, -400.0])
+    logrho, _, _, bracket = cache.solve(0, phi.values)
+    assert logrho == 0.0 and bracket == (0.0, 0.0)
+    assert gibbs_equilibrium(corr, phi).measure.tolist() == [0.5, 0.5]
+
+
+def test_a_cycle_mean_cannot_overflow():
+    """The mean sums the weights over k, so a cycle of weights near the
+    largest float keeps a finite radius, equal to that weight up to the
+    rounding of the sum, and opposite weights cancel exactly."""
+    n = 100
+    ring = FiniteCorrespondence(n, [(i, (i + 1) % n) for i in range(n)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = spectral_pressure(ring, Potential(ring, np.full(n, 1e308)))
+        assert top.pressure == pytest.approx(1e308, rel=1e-15)
+        for k in (2, 3, 4):
+            corr = FiniteCorrespondence(k, [(i, (i + 1) % k) for i in range(k)])
+            values = np.zeros(k)
+            values[:2] = (1e308, -1e308)
+            assert spectral_pressure(corr, Potential(corr, values)).pressure == 0.0
+
+
 def test_reversal_preserves_pressure():
     rng = np.random.default_rng(707)
     for _ in range(20):
@@ -804,3 +839,45 @@ def test_one_state_log_radii_are_the_per_class_solves_bit_for_bit():
                      for c, comp in enumerate(cache.components) if len(comp) == 1)
     assert kinds == {0, 1}      # one-state classes without and with a loop
     assert radii[cache.class_of[0]] == -np.inf
+
+
+def cycle_pieces(rng):
+    """A chain of classes: loops, cycles of 2-10 and of 65-80 states,
+    states with no loop, and 2-6 state classes with chords, each joined
+    to the next by one edge, with the states shuffled."""
+    sizes = [1, int(rng.integers(2, 11)), int(rng.integers(65, 81))]
+    sizes += rng.integers(1, 7, size=int(rng.integers(0, 6))).tolist()
+    rng.shuffle(sizes)
+    edges, n = set(), 0
+    for size in sizes:
+        if size > 1 or rng.random() < 0.7:
+            edges.update((n + t, n + (t + 1) % size) for t in range(size))
+        if 2 < size < 7:
+            edges.add((n, n + int(rng.integers(2, size))))
+        n += size
+        edges.add((n - 1, n))
+    edges.add((n, n))
+    shuffle = rng.permutation(n + 1)
+    return FiniteCorrespondence(n + 1, [(int(shuffle[i]), int(shuffle[j]))
+                                        for i, j in edges])
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cycle_log_radii_are_the_per_class_solves_bit_for_bit(seed):
+    """log_radii takes every class that is one cycle in one segment sum;
+    each value is bit for bit solve()'s, the sign of a zero included,
+    under weights of -0.0 and -inf."""
+    rng = np.random.default_rng(seed)
+    corr = cycle_pieces(rng)
+    values = rng.uniform(-3.0, 3.0, corr.n_edges)
+    draw = rng.random(corr.n_edges)
+    values[draw < 0.3] = -0.0
+    values[draw > 0.9] = -np.inf
+    cache = SpectralCache(corr.n_states, *corr.edge_arrays())
+    radii = np.array(cache.log_radii(values))
+    solved = np.array(per_class_radii(cache, values))
+    assert radii.tobytes() == solved.tobytes()
+    lengths = [len(comp) for c, comp in enumerate(cache.components)
+               if cache.class_edges(c)[2].size == len(comp)]
+    assert min(lengths) == 1 and max(lengths) > pressure.DENSE_MAX

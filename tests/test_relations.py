@@ -12,6 +12,7 @@ from corrpress import (
     FiniteCorrespondence,
     IndexOutOfRange,
     InvalidPath,
+    ModeUnsupported,
     NotSurjective,
     Potential,
     ShapeMismatch,
@@ -79,6 +80,12 @@ def test_from_map_and_inverse():
     assert inv.edges == ((0, 2), (1, 0), (2, 1))
     with pytest.raises(NotSurjective):
         from_map(3, [1, 1, 2], direction="inverse")
+
+
+def test_from_map_refuses_an_unknown_direction():
+    # an input error, as is_invariant's unknown mode, not a bare ValueError
+    with pytest.raises(ModeUnsupported, match="'backward'"):
+        from_map(3, [1, 2, 0], direction="backward")
 
 
 def test_inverse_correspondence_is_transpose():
