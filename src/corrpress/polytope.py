@@ -178,8 +178,19 @@ def _simple_cycles(corr):
     """
     size = corr.n_states + corr.n_edges
     cycles, work = [], [list(range(corr.n_states))]
+
+    def add(cycle):
+        cycles.append(cycle)
+        if len(cycles) * size > CYCLE_WORK_CAP:
+            raise TooLarge(f"{len(cycles)} cycles x {size} > {CYCLE_WORK_CAP}")
+
     while work:
         states = work.pop()
+        if len(states) <= 1:
+            # a lone state is a cycle exactly when it has a loop
+            if states and states[0] in corr.successors(states[0]):
+                add((states[0],))
+            continue
         local = {v: k for k, v in enumerate(states)}
         succ = [[local[w] for w in corr.successors(v) if w in local]
                 for v in states]
@@ -206,9 +217,7 @@ def _simple_cycles(corr):
                     release |= waiting[u] & blocked
                     waiting[u].clear()
             elif w == 0:
-                cycles.append(tuple(states[f[0]] for f in stack))
-                if len(cycles) * size > CYCLE_WORK_CAP:
-                    raise TooLarge(f"{len(cycles)} cycles x {size} > {CYCLE_WORK_CAP}")
+                add(tuple(states[f[0]] for f in stack))
             elif w not in blocked:
                 blocked.add(w)
                 stack.append((w, iter(succ[w]), len(cycles)))
@@ -269,7 +278,13 @@ def invariant_polytope_extremes(corr):
     )
 
 
-DECOMP_SUBSET_CAP = 200000
+# bound on (states + 1) x subset size, summed over the subsets the
+# search solves: about 3 s of float solves, more with Fraction weights
+DECOMP_WORK_CAP = 1_500_000
+# a float weight of the face solve above the zero test (1e-11) but at
+# most this is too close to zero to rule out a smaller subset that fits
+# within rounding
+DECOMP_CLEAR = 1e-8
 
 
 def extremal_decomposition(corr, mu, extremes=None):
@@ -278,15 +293,24 @@ def extremal_decomposition(corr, mu, extremes=None):
     Among all feasible combinations the one with the fewest atoms is
     returned, ties resolved by lexicographic order of the index set.
     Only extremes supported inside supp mu can carry weight, since
-    {nu : supp nu in supp mu} is a face, so the search runs on those;
-    the returned indices refer to the full returned pool.  Exact
-    arithmetic is used when mu is given in rationals.
+    {nu : supp nu in supp mu} is a face, so only those are tried; the
+    returned indices refer to the full returned pool.  Exact arithmetic
+    is used when mu is given in rationals.
+
+    One solve of the face system decides most inputs: when the face
+    extremes are affinely independent its solution is unique, so mu has
+    one decomposition, and its support is the fewest atoms.  The support
+    is solved again on its own, the system the search below would solve
+    for that subset.  Otherwise, or when a float weight is nonzero but
+    at most DECOMP_CLEAR, the subsets are searched by size, then
+    lexicographically; TooLarge once (states + 1) x subset size, summed
+    over the subsets solved, passes DECOMP_WORK_CAP.
     """
     exact = all(isinstance(v, (int, Fraction)) for v in mu)
     if extremes is None:
         extremes = invariant_polytope_extremes(corr)
-    pool = extremes.extremes_exact if exact else [tuple(map(float, p))
-                                                 for p in extremes.extremes_exact]
+    pool = (extremes.extremes_exact if exact
+            else [tuple(e.tolist()) for e in extremes.extremes])
     n = corr.n_states
     face = [k for k, p in enumerate(pool)
             if all(mu[i] > 0 for i in range(n) if p[i] != 0)]
@@ -300,21 +324,33 @@ def extremal_decomposition(corr, mu, extremes=None):
     rows_full = [[pool[k][i] for k in face] for i in range(n)]
     rows_full.append([1] * len(face) if exact else [1.0] * len(face))
     tol = 0 if exact else 1e-9
-    tried = 0
+
+    def solve(combo):
+        kind, lam = gauss_solve([[row[c] for c in combo] for row in rows_full],
+                                target, exact=exact)
+        if kind == "unique" and all(v >= -tol for v in lam):
+            return [face[c] for c in combo], [max(v, 0) for v in lam], pool
+        return None
+
+    kind, lam = gauss_solve(rows_full, target, exact=exact)
+    if kind == "unique":
+        support = [c for c, v in enumerate(lam) if abs(v) > (0 if exact else 1e-11)]
+        if exact or all(abs(lam[c]) > DECOMP_CLEAR for c in support):
+            found = solve(support)
+            if found is not None:
+                return found
+    work = 0
     for s in range(1, len(face) + 1):
         for combo in itertools.combinations(range(len(face)), s):
-            tried += 1
-            if tried > DECOMP_SUBSET_CAP:
-                raise TooLarge("atom-minimal search budget exhausted")
-            sub = [[rows_full[r][c] for c in combo] for r in range(n + 1)]
-            kind, lam = gauss_solve(sub, target, exact=exact)
+            work += (n + 1) * s
+            if work > DECOMP_WORK_CAP:
+                raise TooLarge(f"atom-minimal search: {work} (states + 1) x "
+                               f"subset size > {DECOMP_WORK_CAP}")
             # a feasible dependent subset has a basic solution on a
             # smaller independent one (Caratheodory), tried before it
-            if kind != "unique":
-                continue
-            if all(v >= -tol for v in lam):
-                weights = [max(v, 0) for v in lam]
-                return [face[c] for c in combo], weights, pool
+            found = solve(combo)
+            if found is not None:
+                return found
     raise NotInvariant()
 
 

@@ -78,8 +78,8 @@ def strongly_connected_components(offsets, targets):
     that order.  The numpy callers reach it through class_roots, which
     labels each state by its class's least state.  Johnson's component
     splits and the sole-cover test in polytope call it directly on
-    Python lists: on the polytope benchmark they make about 22 calls a
-    request, nine in ten on graphs of at most 3 states, where this
+    Python lists: on the polytope benchmark they make about 9 calls a
+    request, eight in ten on graphs of at most 3 states, where this
     costs 3-6 us a call against 13-20 us through class_roots.
 
     A state whose component is complete gets the index n, above every

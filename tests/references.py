@@ -16,7 +16,11 @@ iteration step by an np.logaddexp.at scatter onto -inf, one edge at a
 time in edge order, and the period of a class comes from a
 breadth-first search, as references for corrpress.pressure.  The chain
 law is enumerated path by path, and the entropy of its coarsening is
-walked afresh for each length, as references for corrpress.kernels.
+walked afresh for each length, and each closed class's stationary
+measure is checked against the whole relation by its own pushforward,
+as references for corrpress.kernels.  The extremal decomposition tries
+every subset of the face extremes, smallest first, with one solve per
+subset, as the reference for corrpress.polytope.extremal_decomposition.
 The measure pressure runs its Newton solve on every finite edge
 between mu-positive states, without the face the flow certifies, as
 the reference for corrpress.variational.measure_pressure.  Each block
@@ -31,10 +35,10 @@ from fractions import Fraction
 import numpy as np
 
 from corrpress.errors import (DuplicateEdge, EmptySuccessor,
-                              IndexOutOfRange)
-from corrpress.kernels import pushforward
-from corrpress.polytope import FEAS_TOL
-from corrpress.pressure import BRACKET_TOL, spectral_pressure
+                              IndexOutOfRange, NotInvariant, NotStationary)
+from corrpress.kernels import pushforward, stationary_gap
+from corrpress.polytope import FEAS_TOL, _hall_flow, gauss_solve
+from corrpress.pressure import BRACKET_TOL, SpectralCache, spectral_pressure
 from corrpress.relations import Potential
 
 def relation(n_states, edges):
@@ -236,6 +240,34 @@ def chargeable_edges(corr, mu, tol):
                      for i, j in corr.edges])
 
 
+def extremal_decomposition(corr, mu, extremes):
+    """The fewest-atom convex combination of the face extremes equal to
+    mu, ties broken by the lexicographic order of the index set: every
+    subset is solved, by size and then lexicographically, until one has
+    a unique solution with weights at least -tol."""
+    exact = all(isinstance(v, (int, Fraction)) for v in mu)
+    pool = extremes.extremes_exact if exact else [tuple(map(float, p))
+                                                 for p in extremes.extremes_exact]
+    n = corr.n_states
+    face = [k for k, p in enumerate(pool)
+            if all(mu[i] > 0 for i in range(n) if p[i] != 0)]
+    invariant, _, subset = _hall_flow(
+        n, corr.edges, list(mu) if exact else [float(v) for v in mu], exact)
+    if not invariant:
+        raise NotInvariant(subset)
+    target = list(mu) + [1 if exact else 1.0]
+    rows_full = [[pool[k][i] for k in face] for i in range(n)]
+    rows_full.append([1] * len(face) if exact else [1.0] * len(face))
+    tol = 0 if exact else 1e-9
+    for s in range(1, len(face) + 1):
+        for combo in itertools.combinations(range(len(face)), s):
+            sub = [[rows_full[r][c] for c in combo] for r in range(n + 1)]
+            kind, lam = gauss_solve(sub, target, exact=exact)
+            if kind == "unique" and all(v >= -tol for v in lam):
+                return [face[c] for c in combo], [max(v, 0) for v in lam], pool
+    raise NotInvariant()
+
+
 def log_matvec(v, src, dst, weights, size):
     """(log sum over the edges into each target of exp(v_src + w)), by
     scattering the edges onto -inf in edge order."""
@@ -350,6 +382,28 @@ def cell_entropy(start, kernel, partition, length):
         for m in masks:
             stack.append((depth + 1, nxt * m))
     return total
+
+
+def stationary_measures(kernel):
+    """(class states, stationary measure) for each closed class of the
+    kernel's support, each measure checked by stationary_gap over the
+    whole relation."""
+    corr = kernel.corr
+    on = kernel.probs > 0.0
+    src, dst = (a[on] for a in corr.edge_arrays())
+    cache = SpectralCache(corr.n_states, src, dst)
+    label = cache.class_of
+    leaving = set(label[src][label[src] != label[dst]].tolist())
+    out = []
+    for c, states in enumerate(cache.components):
+        if c in leaving:
+            continue
+        mu = np.zeros(corr.n_states)
+        mu[list(states)] = cache.solve(c, np.log(kernel.probs[on]))[2]
+        if stationary_gap(mu, kernel) > 1e-10:
+            raise NotStationary(stationary_gap(mu, kernel))
+        out.append((states, mu))
+    return out
 
 
 def all_edge_newton(corr, phi, mu, tol, max_iter):

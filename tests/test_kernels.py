@@ -28,6 +28,7 @@ from corrpress import (
 from corrpress.intervals import example_branches, grid_discretize
 from corrpress.kernels import measure_entropy, stationary_gap, stationary_measures
 from corrpress.verify import random_relation
+import references
 from references import cell_entropy, chain_paths
 
 
@@ -284,6 +285,46 @@ def test_stationary_measures_of_a_full_support_kernel_share_the_index(monkeypatc
     assert [states for states, _ in out] == [
         c for c in cache.components
         if all(set(corr.successors(s)) <= set(c) for s in c)]
+
+
+def test_stationary_measures_match_the_whole_relation_gap_check():
+    """Each closed class is checked on its own states: the same classes
+    and measures, to the bit, as checking each against the whole
+    relation, on the identity relation (every state a closed loop) and
+    on kernels with several closed classes, transient states and zero
+    entries."""
+    identity = FiniteCorrespondence(300, [(i, i) for i in range(300)])
+    kernels = [TransitionKernel(identity, np.ones(300))]
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        # closed blocks, each a cycle plus chords, then transient states
+        # with edges into the blocks and among themselves
+        sizes = rng.integers(1, 5, int(rng.integers(2, 6)))
+        edges, base = set(), 0
+        for k in sizes:
+            block = range(base, base + k)
+            edges |= {(i, base + (i - base + 1) % k) for i in block}
+            edges |= {(int(i), int(j)) for i in block for j in block
+                      if rng.random() < 0.3}
+            base += k
+        n = base + int(rng.integers(1, 5))
+        for i in range(base, n):
+            edges |= {(i, int(j)) for j in rng.choice(n, 2, replace=False)}
+            edges.add((i, int(rng.integers(base))))
+        corr = FiniteCorrespondence(n, sorted(edges))
+        src = corr.edge_arrays()[0]
+        q = rng.uniform(0.05, 1.0, corr.n_edges)
+        # zero out edges at random, keeping each state's first
+        drop = rng.random(corr.n_edges) < 0.2
+        drop[np.searchsorted(src, np.arange(n))] = False
+        q[drop] = 0.0
+        kernels.append(TransitionKernel(corr, q / np.bincount(src, weights=q)[src]))
+    for ker in kernels:
+        out = stationary_measures(ker)
+        want = references.stationary_measures(ker)
+        assert len(out) >= 2
+        assert [s for s, _ in out] == [s for s, _ in want]
+        assert all(np.array_equal(mu, nu) for (_, mu), (_, nu) in zip(out, want))
 
 
 def test_stationary_measures_with_zero_entries_match_the_support_route():

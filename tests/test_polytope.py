@@ -3,14 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import corrpress.polytope
+import references
 from corrpress import (
     FiniteCorrespondence,
+    NotInvariant,
     TooLarge,
     extremal_decomposition,
     invariant_polytope_extremes,
     is_invariant,
 )
-from corrpress.polytope import CYCLE_WORK_CAP
+from corrpress.polytope import CYCLE_WORK_CAP, gauss_solve
+from corrpress.verify import (random_invariant_measure, random_map_block_relation,
+                              random_relation as verify_relation)
 
 
 def full_shift(m):
@@ -124,12 +129,26 @@ def test_a_chord_keeps_the_uniform_measure_of_its_cycle_extreme():
     assert ext.extremes_exact == ((third, third, third), (half, zero, half))
 
 
+def loops_and_lone_states(rng, n):
+    """Loops on most states and forward edges, so that most strong
+    components are one state, plus a few back edges."""
+    edges = {(i, i) for i in range(n) if rng.random() < 0.6}
+    edges |= {(i, j) for i in range(n) for j in range(n)
+              if rng.random() < (0.3 if i < j else 0.04)}
+    edges |= {(i, (i + 1) % n) for i in range(n) if not any(e[0] == i for e in edges)}
+    return FiniteCorrespondence(n, sorted(edges))
+
+
 def test_pair_vertices_are_exactly_the_uniform_cycle_measures():
     rng = np.random.default_rng(51)
-    for _ in range(18):
-        corr = random_relation(rng, int(rng.integers(2, 6)))
+    relations = [random_relation(rng, int(rng.integers(2, 6))) for _ in range(18)]
+    relations += [loops_and_lone_states(rng, int(rng.integers(1, 13)))
+                  for _ in range(30)]
+    for corr in relations:
         ext = invariant_polytope_extremes(corr)
-        expected = {cycle_pair_measure(corr, c) for c in simple_cycles(corr)}
+        cycles = simple_cycles(corr)
+        expected = {cycle_pair_measure(corr, c) for c in cycles}
+        assert len(ext.pair_vertices) == len(cycles)
         assert set(ext.pair_vertices) == expected
 
 
@@ -172,3 +191,75 @@ def test_decomposition_searches_only_the_face_of_mu():
         idxs, weights, _ = extremal_decomposition(corr, mu, ext)
         assert idxs == [35, 36, 37, 38, 39]
         assert weights == [fifth] * 5
+
+
+def decomposition_outcome(corr, mu, ext, decompose):
+    try:
+        idxs, weights, pool = decompose(corr, mu, ext)
+    except NotInvariant:
+        return "NotInvariant"
+    return idxs, [(type(w), w) for w in weights], pool
+
+
+def test_decomposition_matches_the_subset_search():
+    """The one solve on an independent face, and the search on a
+    dependent one, give the reference search's indices and weights,
+    values and types, for float and Fraction measures: extremes,
+    Dirichlet mixtures (one with a weight near the zero test) and
+    random invariant measures."""
+    rng = np.random.default_rng(53)
+    faces = set()
+    for k in range(60):
+        if k % 2:
+            corr = verify_relation(rng, 2, 7)
+        else:
+            corr = random_map_block_relation(rng, 3, 3)[0]
+        ext = invariant_polytope_extremes(corr)
+        m = len(ext.extremes)
+        if m > 10:
+            continue
+        rows = [list(col) for col in zip(*ext.extremes_exact)] + [[1] * m]
+        faces.add(gauss_solve(rows, [0] * len(rows))[0])
+        lam = rng.dirichlet(np.ones(m))
+        tiny = rng.dirichlet(np.ones(m))
+        tiny[0] = 10.0 ** rng.uniform(-12, -7)
+        tiny /= tiny.sum()
+        ints = [int(v) for v in rng.integers(0, 4, m)]
+        ints[0] += 1
+        mus = [*ext.extremes, *ext.extremes_exact,
+               sum(w * e for w, e in zip(lam, ext.extremes)),
+               sum(w * e for w, e in zip(tiny, ext.extremes)),
+               [sum(Fraction(w, sum(ints)) * p[i] for w, p in zip(ints, ext.extremes_exact))
+                for i in range(corr.n_states)],
+               random_invariant_measure(rng, corr)]
+        for mu in mus:
+            assert (decomposition_outcome(corr, mu, ext, extremal_decomposition)
+                    == decomposition_outcome(corr, mu, ext,
+                                             references.extremal_decomposition))
+    # both routes ran
+    assert faces == {"unique", "many"}
+
+
+@pytest.mark.parametrize("k", [18, 40])
+def test_disjoint_loops_decompose_by_one_solve(k):
+    # the subset search would try 2^k - 1 subsets
+    corr = FiniteCorrespondence(k, [(i, i) for i in range(k)])
+    ext = invariant_polytope_extremes(corr)
+    for w in (1.0 / k, Fraction(1, k)):
+        idxs, weights, _ = extremal_decomposition(corr, [w] * k, ext)
+        assert idxs == list(range(k))
+        assert [(type(v), v) for v in weights] == [(type(w), w)] * k
+
+
+def test_a_dependent_face_past_the_work_cap_is_too_large(monkeypatch):
+    # 31 extremes of rank 9 on 9 states: their mean has many
+    # decompositions, so the subsets are searched
+    corr = verify_relation(np.random.default_rng(979), 9, 9)
+    ext = invariant_polytope_extremes(corr)
+    assert len(ext.extremes) == 31
+    mu = np.mean(ext.extremes, axis=0)
+    monkeypatch.setattr(corrpress.polytope, "DECOMP_WORK_CAP", 1000)
+    # 31 singletons cost 31 x 10 = 310; each pair costs 10 x 2 = 20 more,
+    # so the 35th pair passes the cap at 1010
+    with pytest.raises(TooLarge, match="atom-minimal search: 1010 .* > 1000"):
+        extremal_decomposition(corr, mu, ext)
