@@ -463,7 +463,7 @@ def cmd_extremes(args):
     results = {
         "n_extremes": len(ext.extremes),
         "extremes": ext.extremes,
-        "n_pair_vertices": len(ext.pair_vertices),
+        "n_pair_vertices": len(ext.cycles),
     }
     mu_doc = inputs.load("mu", args.mu)
     if mu_doc is not None:

@@ -10,9 +10,11 @@ of the relation on their states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -172,12 +174,14 @@ def _simple_cycles(corr):
     Johnson's algorithm (SIAM J. Comput. 4(1), 1975) without recursion:
     a search lists the cycles through the least state s of a strong
     component, keeping a state blocked until a cycle closes below it;
-    then the component without s is split again.  Time O((states +
+    then the component without s is split again.  A component that a
+    split produced is searched with no second split.  Time O((states +
     edges)(cycles + 1)); TooLarge as soon as cycles x (states + edges)
     passes CYCLE_WORK_CAP.
     """
     size = corr.n_states + corr.n_edges
-    cycles, work = [], [list(range(corr.n_states))]
+    # state lists, each flagged when it is known to be one strong component
+    cycles, work = [], [(list(range(corr.n_states)), False)]
 
     def add(cycle):
         cycles.append(cycle)
@@ -185,7 +189,7 @@ def _simple_cycles(corr):
             raise TooLarge(f"{len(cycles)} cycles x {size} > {CYCLE_WORK_CAP}")
 
     while work:
-        states = work.pop()
+        states, strong = work.pop()
         if len(states) <= 1:
             # a lone state is a cycle exactly when it has a loop
             if states and states[0] in corr.successors(states[0]):
@@ -194,11 +198,12 @@ def _simple_cycles(corr):
         local = {v: k for k, v in enumerate(states)}
         succ = [[local[w] for w in corr.successors(v) if w in local]
                 for v in states]
-        comps = strongly_connected_components(*_csr(succ))[0]
-        if len(comps) != 1:
-            work.extend([states[k] for k in c] for c in comps)
-            continue
-        work.append(states[1:])    # one strong component; s = states[0]
+        if not strong:
+            comps = strongly_connected_components(*_csr(succ))[0]
+            if len(comps) != 1:
+                work.extend(([states[k] for k in c], True) for c in comps)
+                continue
+        work.append((states[1:], False))   # one strong component; s = states[0]
         blocked, waiting = {0}, [set() for _ in states]
         stack = [(0, iter(succ[0]), len(cycles))]  # state, successors, count
         while stack:
@@ -230,22 +235,80 @@ def _sole_cycle_cover(corr, cycle):
     That is, the perfect matching i -> next(i) has no alternating cycle:
     the arcs i -> pred(j), one per edge (i, j) inside the states and off
     the cycle, close none.  pred(j) = i makes (i, j) a cycle edge, so no
-    arc is a self-arc and acyclic means all strong components are single.
+    arc is a self-arc and acyclic means all strong components are single;
+    with no arc at all, as on a loop or a chordless cycle, it is so.
     """
     pos = {v: k for k, v in enumerate(cycle)}
     m = len(cycle)
     arcs = [[(pos[j] - 1) % m for j in corr.successors(v)
              if j in pos and pos[j] != (k + 1) % m]
             for k, v in enumerate(cycle)]
-    return len(strongly_connected_components(*_csr(arcs))[0]) == m
+    return not any(arcs) or len(strongly_connected_components(*_csr(arcs))[0]) == m
+
+
+def _share_rows(size, rows, zero, share):
+    """One tuple of size entries per list of cells: share(len(cells)) at
+    the cells, zero elsewhere."""
+    table = []
+    for cells in rows:
+        value = share(len(cells))
+        row = [zero] * size
+        for i in cells:
+            row[i] = value
+        table.append(tuple(row))
+    return table
+
+
+def _float_rows(size, rows):
+    return _share_rows(size, rows, 0.0, lambda k: 1.0 / k)
+
+
+def _fraction_rows(size, rows):
+    # one Fraction per cycle length, and one shared zero, which keeps
+    # tuple comparisons cheap
+    return tuple(_share_rows(size, rows, Fraction(0),
+                             functools.cache(lambda k: Fraction(1, k))))
 
 
 @dataclass(frozen=True, eq=False)
 class PolytopeExtremes:
-    pair_vertices: tuple       # exact edge vectors (tuples of Fraction)
-    projections: tuple         # exact state marginals of the vertices
-    extremes_exact: tuple      # surviving extreme marginals, exact
-    extremes: tuple            # same, as float arrays
+    """The simple cycles of a relation and its extreme invariant measures.
+
+    Built up front: cycles, the simple cycles as state tuples in the
+    order Johnson's search finds them (one pair vertex each), and
+    extremes, the marginals of the cycles that are the only cycle cover
+    of their states, as float arrays in ascending order.  Built on first
+    access and then kept, as tuples of Fraction: pair_vertices, the
+    uniform measure on each cycle's edges, ascending; projections, their
+    state marginals in the same order; and extremes_exact, the extremes.
+    Every entry is 0 or 1/len(cycle), and 1/k falls as k grows in floats
+    as in fractions, so the float tables give both orders.
+    """
+    corr: object = field(repr=False)
+    cycles: tuple
+    extreme_cycles: tuple      # the cycles of the extremes, in their order
+    extremes: tuple
+
+    @functools.cached_property
+    def _by_vertex(self):
+        """(cycle, its edge indices) of every cycle, in pair-vertex order."""
+        index = self.corr.edge_index()
+        cells = [(c, [index[e] for e in zip(c, c[1:] + c[:1])])
+                 for c in self.cycles]
+        keys = _float_rows(self.corr.n_edges, [e for _, e in cells])
+        return [cells[k] for k in sorted(range(len(cells)), key=keys.__getitem__)]
+
+    @functools.cached_property
+    def pair_vertices(self):
+        return _fraction_rows(self.corr.n_edges, [e for _, e in self._by_vertex])
+
+    @functools.cached_property
+    def projections(self):
+        return _fraction_rows(self.corr.n_states, [c for c, _ in self._by_vertex])
+
+    @functools.cached_property
+    def extremes_exact(self):
+        return _fraction_rows(self.corr.n_states, self.extreme_cycles)
 
 
 def invariant_polytope_extremes(corr):
@@ -258,24 +321,16 @@ def invariant_polytope_extremes(corr):
     covers (Birkhoff-von Neumann), and a second cover has an edge off C
     closing a shorter cycle inside S.  So a state set carried by two
     cycles is dropped for both.  Raises TooLarge when cycles x (states
-    + edges) passes CYCLE_WORK_CAP.
+    + edges) passes CYCLE_WORK_CAP.  Only the float extremes are built
+    here; the exact tables wait for their first reader (see
+    PolytopeExtremes).
     """
-    index = corr.edge_index()
-    zero = Fraction(0)   # one shared zero keeps tuple comparisons cheap
-    found = []
-    for cycle in _simple_cycles(corr):
-        vertex, marg = [zero] * corr.n_edges, [zero] * corr.n_states
-        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-            vertex[index[(i, j)]] = marg[i] = Fraction(1, len(cycle))
-        found.append((tuple(vertex), tuple(marg), cycle))
-    found.sort()
-    keep = sorted(p for _, p, c in found if _sole_cycle_cover(corr, c))
-    return PolytopeExtremes(
-        tuple(f[0] for f in found),
-        tuple(f[1] for f in found),
-        tuple(keep),
-        tuple(np.array([float(v) for v in p]) for p in keep),
-    )
+    cycles = tuple(_simple_cycles(corr))
+    sole = [c for c in cycles if _sole_cycle_cover(corr, c)]
+    rows = _float_rows(corr.n_states, sole)
+    order = sorted(range(len(sole)), key=rows.__getitem__)
+    return PolytopeExtremes(corr, cycles, tuple(sole[k] for k in order),
+                            tuple(np.array([rows[k] for k in order])))
 
 
 # bound on (states + 1) x subset size, summed over the subsets the
@@ -299,12 +354,21 @@ def extremal_decomposition(corr, mu, extremes=None):
 
     One solve of the face system decides most inputs: when the face
     extremes are affinely independent its solution is unique, so mu has
-    one decomposition, and its support is the fewest atoms.  The support
-    is solved again on its own, the system the search below would solve
-    for that subset.  Otherwise, or when a float weight is nonzero but
-    at most DECOMP_CLEAR, the subsets are searched by size, then
-    lexicographically; TooLarge once (states + 1) x subset size, summed
-    over the subsets solved, passes DECOMP_WORK_CAP.
+    one decomposition, and its support is the fewest atoms.  Its weights
+    are those of the support's own system, which the search below would
+    solve for that subset: the same numbers when they are exact or the
+    support is the whole face, else that system is solved.  Accepted
+    weights, all above DECOMP_CLEAR, certify invariance with no flow:
+    they mix invariant extremes, and their mix is mu exactly, or within
+    FEAS_TOL / 2 in l1 norm in floats.  Past that distance the flow
+    decides before the weights are returned.  Otherwise, or when a float
+    weight is nonzero but at most DECOMP_CLEAR, the invariance flow runs
+    (NotInvariant with its subset), then the subsets are searched by
+    size, then lexicographically.  A subset whose extremes miss a state
+    where mu passes the solves' zero test leaves that row of its system
+    all zero, so it is not solved.  TooLarge once (states + 1) x subset
+    size, summed over the subsets searched, solved or not, passes
+    DECOMP_WORK_CAP.
     """
     exact = all(isinstance(v, (int, Fraction)) for v in mu)
     if extremes is None:
@@ -314,31 +378,47 @@ def extremal_decomposition(corr, mu, extremes=None):
     n = corr.n_states
     face = [k for k, p in enumerate(pool)
             if all(mu[i] > 0 for i in range(n) if p[i] != 0)]
+    target = list(mu) + [1 if exact else 1.0]
+    rows_full = [[pool[k][i] for k in face] for i in range(n)]
+    rows_full.append([1] * len(face) if exact else [1.0] * len(face))
+    tol = 0 if exact else 1e-9
+
+    def accept(combo, kind, lam):
+        if kind == "unique" and all(v >= -tol for v in lam):
+            return [face[c] for c in combo], [max(v, 0) for v in lam], pool
+        return None
+
+    def solve(combo):
+        return accept(combo, *gauss_solve(
+            [[row[c] for c in combo] for row in rows_full], target, exact=exact))
+
+    kind, lam = gauss_solve(rows_full, target, exact=exact)
+    found = None
+    if kind == "unique":
+        support = [c for c, v in enumerate(lam) if abs(v) > (0 if exact else 1e-11)]
+        if exact or all(abs(lam[c]) > DECOMP_CLEAR for c in support):
+            # independent columns: the support's system has the unique
+            # solution lam on the support, bit for bit when exact, and
+            # in floats when it is the whole system
+            if exact or len(support) == len(face):
+                found = accept(support, kind, [lam[c] for c in support])
+            else:
+                found = solve(support)
+        # a nonnegative mix of invariant extremes is invariant, and the
+        # deficiency of mu exceeds its own by at most their l1 distance
+        if found is not None and (exact or _l1_gap(mu, *found) <= FEAS_TOL / 2):
+            return found
     # mu mixes extremes exactly when it is invariant: the polytope is
     # their hull, and only the face extremes can carry weight
     invariant, _, subset = _hall_flow(
         n, corr.edges, list(mu) if exact else [float(v) for v in mu], exact)
     if not invariant:
         raise NotInvariant(subset)
-    target = list(mu) + [1 if exact else 1.0]
-    rows_full = [[pool[k][i] for k in face] for i in range(n)]
-    rows_full.append([1] * len(face) if exact else [1.0] * len(face))
-    tol = 0 if exact else 1e-9
-
-    def solve(combo):
-        kind, lam = gauss_solve([[row[c] for c in combo] for row in rows_full],
-                                target, exact=exact)
-        if kind == "unique" and all(v >= -tol for v in lam):
-            return [face[c] for c in combo], [max(v, 0) for v in lam], pool
-        return None
-
-    kind, lam = gauss_solve(rows_full, target, exact=exact)
-    if kind == "unique":
-        support = [c for c, v in enumerate(lam) if abs(v) > (0 if exact else 1e-11)]
-        if exact or all(abs(lam[c]) > DECOMP_CLEAR for c in support):
-            found = solve(support)
-            if found is not None:
-                return found
+    if found is not None:
+        return found
+    need = sum(1 << i for i in range(n)
+               if (mu[i] != 0 if exact else abs(mu[i]) > 1e-11))
+    masks = [sum(1 << i for i in range(n) if pool[k][i] != 0) for k in face]
     work = 0
     for s in range(1, len(face) + 1):
         for combo in itertools.combinations(range(len(face)), s):
@@ -346,12 +426,20 @@ def extremal_decomposition(corr, mu, extremes=None):
             if work > DECOMP_WORK_CAP:
                 raise TooLarge(f"atom-minimal search: {work} (states + 1) x "
                                f"subset size > {DECOMP_WORK_CAP}")
+            if need & ~functools.reduce(operator.or_, map(masks.__getitem__, combo)):
+                continue
             # a feasible dependent subset has a basic solution on a
             # smaller independent one (Caratheodory), tried before it
             found = solve(combo)
             if found is not None:
                 return found
     raise NotInvariant()
+
+
+def _l1_gap(mu, indices, weights, pool):
+    """sum_i |mu_i - sum_k weights_k pool[indices_k]_i|, in floats."""
+    mix = np.asarray(weights, dtype=float) @ np.array([pool[k] for k in indices])
+    return float(np.abs(np.asarray(mu, dtype=float) - mix).sum())
 
 
 def gauss_solve(A, b, exact=True):
@@ -365,14 +453,7 @@ def gauss_solve(A, b, exact=True):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    if exact:
-        conv = Fraction
-        def nonzero(v):
-            return v != 0
-    else:
-        conv = float
-        def nonzero(v):
-            return abs(v) > 1e-11
+    conv = Fraction if exact else float
     rows = [[conv(v) for v in A[i]] + [conv(b[i])] for i in range(m)]
     pivots = []
     r = 0
@@ -380,30 +461,31 @@ def gauss_solve(A, b, exact=True):
         sel = -1
         if exact:
             for i in range(r, m):
-                if nonzero(rows[i][col]):
+                if rows[i][col] != 0:
                     sel = i
                     break
         else:
-            best = 0.0
+            best = 1e-11
             for i in range(r, m):
-                if abs(rows[i][col]) > max(best, 1e-11):
+                if abs(rows[i][col]) > best:
                     best = abs(rows[i][col])
                     sel = i
         if sel < 0:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         piv = rows[r][col]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(m):
-            if i != r and nonzero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [a - f * bv for a, bv in zip(rows[i], rows[r])]
+        pivot = rows[r] = [v / piv for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and (f != 0 if exact else abs(f) > 1e-11):
+                rows[i] = [a - f * bv for a, bv in zip(row, pivot)]
         pivots.append(col)
         r += 1
         if r == m:
             break
     for i in range(r, m):
-        if nonzero(rows[i][-1]):
+        v = rows[i][-1]
+        if v != 0 if exact else abs(v) > 1e-11:
             return "none", None
     x = [conv(0)] * n
     for i, col in enumerate(pivots):

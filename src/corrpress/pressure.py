@@ -22,9 +22,10 @@ growth over a sweep of SWEEP steps is narrower than BRACKET_TOL per
 step, and fills the rest of the horizon from it: each a_n of that tail
 is within BRACKET_TOL / 2 of the exact recursion, not bit for bit the
 stepped value.  A relation whose growth never settles (a period that
-does not divide SWEEP, tied dominant classes, a state at -inf) takes
-every step.  The period of a class, which the power iteration steps
-by, comes from the depths of the search that found the class.
+does not divide SWEEP, tied dominant classes, a state at -inf, a state
+no dominant class reaches) takes every step.  The period of a class,
+which the power iteration steps by, comes from the depths of the search
+that found the class.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def strongly_connected_components(offsets, targets):
     that order.  The numpy callers reach it through class_roots, which
     labels each state by its class's least state.  Johnson's component
     splits and the sole-cover test in polytope call it directly on
-    Python lists: on the polytope benchmark they make about 9 calls a
-    request, eight in ten on graphs of at most 3 states, where this
+    Python lists: on the polytope benchmark they make about 3 calls a
+    request, four in ten on graphs of at most 3 states, where this
     costs 3-6 us a call against 13-20 us through class_roots.
 
     A state whose component is complete gets the index n, above every
@@ -196,28 +197,60 @@ def _power_vector(src, dst, w, k, period, cap, segments):
 
 
 def _cycle_perron(succ, w, vectors):
-    """log rho, and the right and left Perron vectors when vectors
-    (else None), of a class that is one cycle (a loop if k = 1): local
-    state i's one internal edge goes to succ[i] with weight w[i].  rho^k
-    is the product of the k edge weights (Seneta 1981, 1.3), so log rho
-    is their mean.  It sums the quotients w / k, which cannot overflow,
-    in one reduceat segment as SpectralCache.log_radii does, bit for
-    bit, so a loop keeps its weight, -0.0 included.  M r = rho r steps
-    along the cycle as log r(succ i) = log r(i) + log rho - w[i]; l is
-    1 / r."""
+    """(log rho, right, left, bracket) of a class that is one cycle (a
+    loop if k = 1): local state i's one internal edge goes to succ[i]
+    with weight w[i].  rho^k is the product of the k edge weights
+    (Seneta 1981, 1.3), so log rho is their mean.  It sums the quotients
+    w / k, which cannot overflow, in one reduceat segment as
+    SpectralCache.log_radii does, bit for bit, so a loop keeps its
+    weight, -0.0 included.  The bracket encloses the exact mean: log rho
+    widened by its rounding error (_mean_gap), so it has width 0 exactly
+    when the rounded mean is exact, as on every loop.  right and left
+    are the Perron vectors when vectors, else None: M r = rho r steps
+    along the cycle as log r(succ i) = log r(i) + log rho - w[i], summed
+    from state 0 in the order of a cumulative sum, and l is 1 / r."""
     k = w.size
-    logrho = float(np.add.reduceat(w / k, [0])[0])
+    x = w / k
+    logrho = float(np.add.reduceat(x, [0])[0])
+    # a loop's mean is its one weight
+    gap = _mean_gap(w, x, logrho) if k > 1 and math.isfinite(logrho) else 0.0
+    bracket = ((math.nextafter(logrho - gap, -math.inf),
+                math.nextafter(logrho + gap, math.inf)) if gap
+               else (logrho, logrho))
     if not vectors:
-        return logrho, None, None
+        return logrho, None, None, bracket
     if logrho == -np.inf:
         raise ConvergenceFailure(0)
-    nxt = succ.tolist()
-    order = [0] * k
-    for t in range(1, k):
-        order[t] = nxt[order[t - 1]]
-    log_r = np.empty(k)
-    log_r[order] = np.concatenate([[0.0], np.cumsum(logrho - w[order[:-1]])])
-    return logrho, _unit(log_r), _unit(-log_r)
+    nxt, steps = succ.tolist(), (logrho - w).tolist()
+    log_r, i = [0.0] * k, 0
+    for _ in range(k - 1):
+        log_r[nxt[i]] = log_r[i] + steps[i]
+        i = nxt[i]
+    log_r = np.array(log_r)
+    right = np.exp(log_r - log_r.max())
+    left = np.exp(log_r.min() - log_r)
+    return logrho, right / right.sum(), left / left.sum(), bracket
+
+
+def _mean_gap(w, x, mean):
+    """A bound on |sum(w) / k - mean| for the k finite floats w and
+    their quotients x = w / k, 0 only when mean is the exact mean.
+
+    The gap is (sum(x) - mean) + sum(w - k x) / k.  Each remainder
+    w - k x is a float, and the split of x into x_hi, its top 26 bits,
+    and x - x_hi makes it exactly (w - k x_hi) - k (x - x_hi) for
+    k < 2**26 (Dekker 1971, Numer. Math. 18; Higham 2002, ch. 4).
+    math.fsum rounds each sum once, so the two divisions and sums add
+    at most 4 units of roundoff, which the factor 1 + 2**-50 and one
+    subnormal cover.
+    """
+    k = w.size
+    x_hi = (x.view(np.int64) & np.int64(-(1 << 27))).view(np.float64)
+    rem = (w - k * x_hi) - k * (x - x_hi)
+    a, b = math.fsum([*x.tolist(), -mean]), math.fsum(rem.tolist())
+    if a == 0.0 and b == 0.0:
+        return 0.0
+    return (abs(a) + abs(b) / k) * (1.0 + 2.0 ** -50) + 5e-324
 
 
 def _unit(log_vec):
@@ -470,8 +503,8 @@ class SpectralCache:
         right and left are Perron vectors normalized to sum one, None
         when vectors is false.  A class that is one cycle, a loop
         included, takes _cycle_perron at any size and weight span, with
-        the exact bracket (log rho, log rho).  Other classes of up to
-        DENSE_MAX states take a dense eigensolve, with bracket None;
+        a bracket that encloses its exact mean weight.  Other classes of
+        up to DENSE_MAX states take a dense eigensolve, with bracket None;
         larger ones a power iteration, whose bracket is the
         Collatz-Wielandt interval that stopped it, or the dense route
         if it cannot settle within its step budget, in this and every
@@ -484,8 +517,7 @@ class SpectralCache:
         k = len(self.components[c])
         if eidx.size == k:
             # one internal edge per state: one cycle, a loop when k == 1
-            logrho, right, left = _cycle_perron(cols, w, vectors)
-            return logrho, right, left, (logrho, logrho)
+            return _cycle_perron(cols, w, vectors)
         shift = float(w.max(initial=-np.inf))
         if shift == -np.inf:
             # -inf weights are absent edges: the class matrix is zero
@@ -608,7 +640,11 @@ def path_pressure_sequence(corr, phi, n_max):
     (lo + hi) / 2, so each a_m of the tail lies within BRACKET_TOL / 2
     of the exact recursion, not bit for bit.  A relation whose growth
     never settles takes every step: a period that does not divide
-    SWEEP, dominant classes that tie, a state stuck at -inf.
+    SWEEP, dominant classes that tie, a state stuck at -inf, or a state
+    that no dominant class reaches.  On {(0, 0), (1, 0), (1, 1)} with
+    weights (1, 0, 0), state 1 feeds only the dominant loop at 0: its
+    own walks grow by 0 a step against 1 at state 0, so the bracket
+    stays SWEEP wide.
     """
     if n_max < 1:
         raise ShapeMismatch("n_max must be at least 1")

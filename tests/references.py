@@ -20,7 +20,10 @@ walked afresh for each length, and each closed class's stationary
 measure is checked against the whole relation by its own pushforward,
 as references for corrpress.kernels.  The extremal decomposition tries
 every subset of the face extremes, smallest first, with one solve per
-subset, as the reference for corrpress.polytope.extremal_decomposition.
+subset and the flow first, as the reference for
+corrpress.polytope.extremal_decomposition, and the polytope's tables are
+built eagerly in Fractions and sorted as such, as the reference for
+corrpress.polytope.PolytopeExtremes.
 The measure pressure runs its Newton solve on every finite edge
 between mu-positive states, without the face the flow certifies, as
 the reference for corrpress.variational.measure_pressure.  Each block
@@ -35,9 +38,11 @@ from fractions import Fraction
 import numpy as np
 
 from corrpress.errors import (DuplicateEdge, EmptySuccessor,
-                              IndexOutOfRange, NotInvariant, NotStationary)
+                              IndexOutOfRange, NotInvariant, NotStationary,
+                              TooLarge)
 from corrpress.kernels import pushforward, stationary_gap
-from corrpress.polytope import FEAS_TOL, _hall_flow, gauss_solve
+from corrpress.polytope import (FEAS_TOL, _hall_flow, _simple_cycles,
+                                _sole_cycle_cover, gauss_solve)
 from corrpress.pressure import BRACKET_TOL, SpectralCache, spectral_pressure
 from corrpress.relations import Potential
 
@@ -240,11 +245,30 @@ def chargeable_edges(corr, mu, tol):
                      for i, j in corr.edges])
 
 
-def extremal_decomposition(corr, mu, extremes):
+def polytope_tables(corr):
+    """(pair_vertices, projections, extremes_exact, extremes): one
+    Fraction edge vector and marginal per simple cycle, sorted together
+    as Fraction tuples, and the sorted marginals of the sole-cover
+    cycles, exact and as float arrays."""
+    index = corr.edge_index()
+    found = []
+    for cycle in _simple_cycles(corr):
+        vertex, marg = [Fraction(0)] * corr.n_edges, [Fraction(0)] * corr.n_states
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            vertex[index[(i, j)]] = marg[i] = Fraction(1, len(cycle))
+        found.append((tuple(vertex), tuple(marg), cycle))
+    found.sort()
+    keep = sorted(p for _, p, c in found if _sole_cycle_cover(corr, c))
+    return (tuple(f[0] for f in found), tuple(f[1] for f in found), tuple(keep),
+            tuple(np.array([float(v) for v in p]) for p in keep))
+
+
+def extremal_decomposition(corr, mu, extremes, cap=None):
     """The fewest-atom convex combination of the face extremes equal to
     mu, ties broken by the lexicographic order of the index set: every
     subset is solved, by size and then lexicographically, until one has
-    a unique solution with weights at least -tol."""
+    a unique solution with weights at least -tol.  With a cap, TooLarge
+    once (states + 1) x subset size, summed over the subsets, passes it."""
     exact = all(isinstance(v, (int, Fraction)) for v in mu)
     pool = extremes.extremes_exact if exact else [tuple(map(float, p))
                                                  for p in extremes.extremes_exact]
@@ -259,8 +283,13 @@ def extremal_decomposition(corr, mu, extremes):
     rows_full = [[pool[k][i] for k in face] for i in range(n)]
     rows_full.append([1] * len(face) if exact else [1.0] * len(face))
     tol = 0 if exact else 1e-9
+    work = 0
     for s in range(1, len(face) + 1):
         for combo in itertools.combinations(range(len(face)), s):
+            work += (n + 1) * s
+            if cap is not None and work > cap:
+                raise TooLarge(f"atom-minimal search: {work} (states + 1) x "
+                               f"subset size > {cap}")
             sub = [[rows_full[r][c] for c in combo] for r in range(n + 1)]
             kind, lam = gauss_solve(sub, target, exact=exact)
             if kind == "unique" and all(v >= -tol for v in lam):

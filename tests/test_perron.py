@@ -1,6 +1,7 @@
 """The power route of the Perron solver, on classes above DENSE_MAX."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,7 +158,11 @@ def test_a_cycle_class_is_solved_in_closed_form():
     m[corr.edge_arrays()] = np.exp(phi.values)
     assert logrho == pytest.approx(
         math.log(float(np.max(np.abs(np.linalg.eigvals(m))))), abs=1e-10)
-    assert bracket == (logrho, logrho)
+    # the bracket encloses the exact mean, a few ulps around the rounded one
+    lo, hi = bracket
+    exact = sum(map(Fraction, phi.values.tolist())) / n
+    assert lo <= exact <= hi and lo <= logrho <= hi
+    assert hi - lo <= 6 * math.ulp(logrho)
     assert cache.solve(0, phi.values, vectors=False)[0] == logrho
     rho = math.exp(logrho)
     assert np.allclose(m @ right, rho * right, rtol=1e-12, atol=0.0)

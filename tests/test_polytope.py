@@ -263,3 +263,120 @@ def test_a_dependent_face_past_the_work_cap_is_too_large(monkeypatch):
     # so the 35th pair passes the cap at 1010
     with pytest.raises(TooLarge, match="atom-minimal search: 1010 .* > 1000"):
         extremal_decomposition(corr, mu, ext)
+
+
+def typed(table):
+    return [[(type(v), v) for v in row] for row in table]
+
+
+def test_tables_built_on_first_use_match_the_eager_tables():
+    """pair_vertices, projections and extremes_exact wait for their first
+    reader, then equal the tables built eagerly in Fractions in value,
+    type and order; extremes, built up front from floats, equal theirs."""
+    rng = np.random.default_rng(54)
+    relations = [full_shift(3), FiniteCorrespondence(3, [(0, 1), (1, 2), (2, 0), (0, 2)])]
+    relations += [loops_and_lone_states(rng, int(rng.integers(1, 10))) for _ in range(20)]
+    relations += [random_relation(rng, int(rng.integers(2, 6))) for _ in range(15)]
+    relations += [random_map_block_relation(rng, 3, 3)[0] for _ in range(15)]
+    lengths = set()
+    for corr in relations:
+        ext = invariant_polytope_extremes(corr)
+        assert not {"pair_vertices", "projections", "extremes_exact"} & set(vars(ext))
+        pair_vertices, projections, extremes_exact, extremes = references.polytope_tables(corr)
+        assert len(ext.cycles) == len(pair_vertices)
+        assert [e.tolist() for e in ext.extremes] == [e.tolist() for e in extremes]
+        assert all(e.dtype == float for e in ext.extremes)
+        assert typed(ext.extremes_exact) == typed(extremes_exact)
+        assert typed(ext.pair_vertices) == typed(pair_vertices)
+        assert typed(ext.projections) == typed(projections)
+        assert ext.pair_vertices is ext.pair_vertices
+        lengths |= {len(c) for c in ext.cycles}
+    assert {1, 2, 3, 4} <= lengths
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the calls to the polytope's flow and solves, and to
+    the reference search's solves, from here on."""
+    count = {"flow": 0, "solve": 0, "reference solve": 0}
+
+    def counting(key, func):
+        def call(*args, **kwargs):
+            count[key] += 1
+            return func(*args, **kwargs)
+        return call
+    monkeypatch.setattr(corrpress.polytope, "_hall_flow",
+                        counting("flow", corrpress.polytope._hall_flow))
+    monkeypatch.setattr(corrpress.polytope, "gauss_solve",
+                        counting("solve", gauss_solve))
+    monkeypatch.setattr(references, "gauss_solve",
+                        counting("reference solve", gauss_solve))
+    return count
+
+
+def test_an_accepted_face_solve_runs_no_flow(counted):
+    """An invariant mu on an independent face is a positive mix of
+    invariant extremes by its one solve, so no flow runs; a measure
+    that is not invariant still gets the flow and its subset."""
+    k = 18
+    corr = FiniteCorrespondence(k, [(i, i) for i in range(k)])
+    ext = invariant_polytope_extremes(corr)
+    for w in (1.0 / k, Fraction(1, k)):
+        assert extremal_decomposition(corr, [w] * k, ext)[0] == list(range(k))
+    assert counted == {"flow": 0, "solve": 2, "reference solve": 0}
+    rng = np.random.default_rng(55)
+    for _ in range(10):
+        corr = random_map_block_relation(rng, 3, 3)[0]
+        ext = invariant_polytope_extremes(corr)
+        mu = rng.dirichlet(np.ones(len(ext.extremes))) @ np.array(ext.extremes)
+        assert (decomposition_outcome(corr, mu, ext, extremal_decomposition)
+                == decomposition_outcome(corr, mu, ext, references.extremal_decomposition))
+    assert counted["flow"] == 0
+    corr = FiniteCorrespondence(2, [(0, 1), (1, 1)])
+    with pytest.raises(NotInvariant) as caught:
+        extremal_decomposition(corr, [0.5, 0.5])
+    with pytest.raises(NotInvariant) as expected:
+        references.extremal_decomposition(corr, [0.5, 0.5], invariant_polytope_extremes(corr))
+    assert caught.value.args == expected.value.args and counted["flow"] == 1
+
+
+def test_a_dependent_face_solves_fewer_systems(counted, monkeypatch):
+    """On a dependent face the search skips the subsets whose extremes
+    miss a state of mu, so it solves fewer systems than the reference
+    search, for the same atoms and weights, and counts the skipped
+    subsets' work alike: TooLarge names the same count."""
+    corr = verify_relation(np.random.default_rng(67), 6, 10)
+    ext = invariant_polytope_extremes(corr)
+    mu = np.mean(ext.extremes, axis=0)
+    for m in (mu, [sum(p[i] for p in ext.extremes_exact) / len(ext.extremes)
+                   for i in range(corr.n_states)]):
+        assert (decomposition_outcome(corr, m, ext, extremal_decomposition)
+                == decomposition_outcome(corr, m, ext, references.extremal_decomposition))
+    assert counted["flow"] == 2
+    assert 0 < counted["solve"] < counted["reference solve"] / 4
+    for cap in (300, 1000, 3000):
+        monkeypatch.setattr(corrpress.polytope, "DECOMP_WORK_CAP", cap)
+        with pytest.raises(TooLarge) as caught:
+            extremal_decomposition(corr, mu, ext)
+        with pytest.raises(TooLarge) as expected:
+            references.extremal_decomposition(corr, mu, ext, cap=cap)
+        assert str(caught.value) == str(expected.value)
+
+
+def test_a_float_mix_past_the_flow_tolerance_gets_the_flow(counted):
+    """On the 2000-cycle, mu = 1/n -+ 4e-12 passes the solves' zero test
+    in every row, so the one extreme fits, but its l1 distance from mu
+    is 8e-9, past FEAS_TOL: the flow decides, and refuses mu as the
+    reference does.  At -+ 1e-13 the solve alone certifies it."""
+    n = 2000
+    corr = FiniteCorrespondence(n, [(i, (i + 1) % n) for i in range(n)])
+    ext = invariant_polytope_extremes(corr)
+    wiggle = (-1.0) ** np.arange(n)
+    mu = np.full(n, 1.0 / n) + 4e-12 * wiggle
+    with pytest.raises(NotInvariant) as caught:
+        extremal_decomposition(corr, mu, ext)
+    with pytest.raises(NotInvariant) as expected:
+        references.extremal_decomposition(corr, mu, ext)
+    assert caught.value.args == expected.value.args and counted["flow"] == 1
+    assert extremal_decomposition(corr, mu - 3.9e-12 * wiggle, ext)[:2] == ([0], [1.0])
+    assert counted["flow"] == 1

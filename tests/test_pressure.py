@@ -2,6 +2,7 @@ import gc
 import math
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,23 @@ def test_three_cycle_path_sums_take_every_step(steps_taken):
     assert np.max(np.abs(seq - ref)) <= 1e-12
 
 
+def test_a_state_upstream_of_the_dominant_loop_takes_every_step(steps_taken):
+    """{(0, 0), (1, 0), (1, 1)} with weights (1, 0, 0): state 1 feeds
+    only the dominant loop at 0, and the walks that end at 1 stay on its
+    loop of weight 0.  Over a sweep state 0 grows by 64 and state 1 by
+    0, so no bracket closes.  The total weight of the walks of n steps
+    is e^n + (e^n - 1) / (e - 1) + 1."""
+    corr = FiniteCorrespondence(2, [(0, 0), (1, 0), (1, 1)])
+    phi = Potential(corr, [1.0, 0.0, 0.0])
+    seq = path_pressure_sequence(corr, phi, 1000)
+    assert steps_taken[0] == 1001
+    n = np.arange(1, 1001)
+    exact = (n + np.log1p((1.0 - np.exp(-n)) / (math.e - 1.0) + np.exp(-n))) / n
+    assert np.max(np.abs(seq - exact)) <= 1e-13
+    ref = references.path_pressure_sequence(corr, phi, 1000)
+    assert np.max(np.abs(seq - ref)) <= 1e-12
+
+
 @settings(deadline=None, max_examples=100)
 @given(case=weighted_relations(), data=st.data())
 def test_edge_operator_is_bit_identical_to_the_scatter(case, data):
@@ -372,6 +390,36 @@ def test_a_cycle_mean_cannot_overflow():
             values = np.zeros(k)
             values[:2] = (1e308, -1e308)
             assert spectral_pressure(corr, Potential(corr, values)).pressure == 0.0
+
+
+def test_a_cycle_bracket_encloses_the_exact_mean():
+    """A cycle class's bracket holds the exact mean of its weights, in
+    Fractions, while log rho stays the segment sum, bit for bit.  The
+    cases are seeded cycles of 1-400 states with weights of every scale,
+    cycles whose mean is exact, and the 100-cycle of weights 1e308,
+    whose rounded mean lies 2 ulps below 1e308.  The width is 0 exactly
+    when the rounded mean is exact, as on every loop."""
+    rng = np.random.default_rng(61)
+    cases = [np.full(100, 1e308), np.array([-0.0]), np.array([1e308, -1e308])]
+    cases += [rng.normal(0.0, 10.0 ** rng.uniform(-300, 300), int(rng.integers(1, 400)))
+              for _ in range(60)]
+    cases += [np.round(rng.normal(0.0, 8.0, k)) for k in (1, 2, 4, 8, 64)]
+    widths = []
+    for values in cases:
+        k = values.size
+        cache = SpectralCache(k, np.arange(k), (np.arange(k) + 1) % k)
+        logrho, _, _, (lo, hi) = cache.solve(0, values)
+        assert cache.solve(0, values, vectors=False)[3] == (lo, hi)
+        assert logrho == cache.log_radii(values)[0]
+        exact = sum(map(Fraction, values.tolist())) / k
+        assert Fraction(lo) <= exact <= Fraction(hi)
+        assert (lo == hi) == (exact == logrho)
+        widths.append(lo == hi)
+    assert widths[1:3] == [True, True] and 0 < sum(widths) < len(widths)
+    logrho, _, _, (lo, hi) = SpectralCache(100, np.arange(100),
+                                           (np.arange(100) + 1) % 100).solve(0, cases[0])
+    assert logrho == 9.999999999999998e307 and lo < 1e308 < hi
+    assert hi - lo <= 8 * math.ulp(1e308)
 
 
 def test_reversal_preserves_pressure():
