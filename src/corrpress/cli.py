@@ -78,7 +78,7 @@ def _sanitize(obj):
     None, as JSON has no -inf (a report whose value is -inf also says
     minus_infinity); NaN and +inf are refused.  numpy scalars, tuples
     and arrays become JSON values, except a 2-D int array, which the
-    writer prints from one template.
+    writer prints from its digit tables.
     """
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -259,12 +259,72 @@ def _scalar_text(x):
     return None
 
 
-def _int_rows(rows, inner):
-    """The joined row texts of a 2-D int array, from one %d template."""
+def _digit_words():
+    """The 4-digit groups 0..9999 as two tables of uint32 words, four
+    ASCII bytes each: zero-padded ("0042"), and with the leading zeros
+    as NUL bytes, which the writer deletes (two NULs, then "42"; 0 keeps
+    its one digit).  Filled by broadcasting, not formatting, as this
+    runs at import."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    chars = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        chars[..., place] = digits.reshape((10,) + (1,) * (3 - place))
+    chars = chars.reshape(10000, 4)
+    lead = chars.copy()
+    for place, below in enumerate((1000, 100, 10)):
+        lead[:below, place] = 0
+    return chars.view(np.uint32).ravel(), lead.view(np.uint32).ravel()
+
+
+_INNER, _LEAD = _digit_words()
+_MINUS, _COMMA, _SEMI = (np.frombuffer(c.ljust(4, b"\0"), np.uint32)[0]
+                         for c in (b"-", b",", b";"))
+
+
+def _int_rows(rows, inner, out):
+    """Append the rows of a 2-D int array to out, as json.dumps writes
+    its nested lists at indentation inner.
+
+    Each value takes a fixed number of uint32 words, four ASCII bytes
+    each, in one grid: a sign word ("-" or NUL) when any value is
+    negative, the value's 4-digit groups (the leading one from _LEAD,
+    the ones above it NUL, the rest from _INNER) and one separator, ","
+    inside a row and ";" at its end.  The magnitudes are taken as
+    uint64, so the int64 minimum is exact.  Deleting the NUL bytes
+    leaves "v,v;v,v", and two replaces put in the indentation.
+    """
+    n, k = rows.shape
+    if not rows.size:
+        out.append(("," + inner).join(["[]"] * n))
+        return
     deeper = inner + INDENT
-    row = "[" + deeper + ("," + deeper).join(["%d"] * rows.shape[1]) + inner + "]"
-    return ((("," + inner + row) * len(rows))[len(inner) + 1:]
-            % tuple(rows.ravel().tolist()))
+    mag = np.abs(rows.astype(np.int64, copy=False)).view(np.uint64)
+    groups = (len(str(int(mag.max()))) + 3) // 4
+    sign = int(rows.min() < 0)
+    words = np.empty((n, k, sign + groups + 1), np.uint32)
+    if sign:
+        words[..., 0] = np.where(rows < 0, _MINUS, 0)
+    rest, last = mag, sign + groups - 1
+    for col in range(last, sign - 1, -1):
+        prefix = rest
+        if col > sign:
+            rest, q = np.divmod(prefix, 10000)
+            q = q.view(np.int64)
+            word = np.where(rest > 0, _INNER[q], _LEAD[q])
+        else:
+            # the top group has no digit above it
+            word = _LEAD[prefix.view(np.int64)]
+        if col < last:
+            word[prefix == 0] = 0
+        words[..., col] = word
+    words[..., -1] = _COMMA
+    words[:, -1, -1] = _SEMI
+    words[-1, -1, -1] = 0
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    out += ["[" + deeper,
+            text.replace(",", "," + deeper).replace(
+                ";", inner + "]," + inner + "[" + deeper),
+            inner + "]"]
 
 
 def _json_text(obj):
@@ -298,7 +358,7 @@ def _json_pieces(obj, inner, out):
     deeper = inner + INDENT
     out.append(("{" if is_dict else "[") + deeper)
     if rows:
-        out.append(_int_rows(obj, deeper))
+        _int_rows(obj, deeper, out)
     elif is_dict:
         for n, (k, v) in enumerate(obj.items()):
             # report keys are strings; _quote raises TypeError on any other

@@ -208,7 +208,10 @@ def _cycle_perron(succ, w, vectors):
     when the rounded mean is exact, as on every loop.  right and left
     are the Perron vectors when vectors, else None: M r = rho r steps
     along the cycle as log r(succ i) = log r(i) + log rho - w[i], summed
-    from state 0 in the order of a cumulative sum, and l is 1 / r."""
+    from state 0 in the order of a cumulative sum, and l is 1 / r.  The
+    steps are taken as mean(d) - d[i] with d = w - w[0], not from the
+    rounded log rho, whose error at the weights' scale (about 1e84 at
+    1e100) would dwarf them, so equal weights give r = 1 exactly."""
     k = w.size
     x = w / k
     logrho = float(np.add.reduceat(x, [0])[0])
@@ -221,7 +224,9 @@ def _cycle_perron(succ, w, vectors):
         return logrho, None, None, bracket
     if logrho == -np.inf:
         raise ConvergenceFailure(0)
-    nxt, steps = succ.tolist(), (logrho - w).tolist()
+    # halved, so that no difference overflows where no step does
+    d = w / 2 - w[0] / 2
+    nxt, steps = succ.tolist(), (2 * (np.sum(d / k) - d)).tolist()
     log_r, i = [0.0] * k, 0
     for _ in range(k - 1):
         log_r[nxt[i]] = log_r[i] + steps[i]

@@ -90,7 +90,12 @@ def _gibbs_on_class(corr, c, values):
         raise ConvergenceFailure(0)
     rows, cols, eidx = cache.class_edges(c)
     weights = np.zeros(corr.n_edges)
-    weights[eidx] = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
+    if eidx.size == parry.size:
+        # one cycle: Q is 1 on its edges, where exp(values - logrho)
+        # alone can overflow at the weights' scale
+        weights[eidx] = 1.0
+    else:
+        weights[eidx] = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
     mu = np.zeros(corr.n_states)
     mu[list(cache.components[c])] = parry / float(np.sum(parry))
     return logrho, kernel_from_pair(corr, weights), mu

@@ -663,6 +663,18 @@ def test_discretize_builtin_fixture(tmp_path, capsys):
     assert abs(res["gap_b"]) <= 0.35  # coarse grid, wide band
 
 
+@pytest.mark.parametrize("grid", [1024, 4096])
+def test_discretize_grid_report_is_the_stdlib_text(capsys, grid):
+    """The grid report's edge rows, written from the digit tables, are
+    the text json.dumps gives for the same document."""
+    assert main(["discretize", "--input", "interval-example",
+                 "--method", "grid", "--grid", str(grid)]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert len(doc["results"]["correspondence"]["edges"]) > grid
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
 def test_discretize_map_documents(tmp_path, capsys):
     tent = {"breakpoints": ["0", "1/2", "1"],
             "pieces": [{"slope": "2", "intercept": "0"},
@@ -914,7 +926,7 @@ def test_the_converter_makes_report_values():
             "sub": 5e-324, "m": -math.inf, "s": "x", "n": None,
             "rows": np.array([[1, 2]])}
     out = _sanitize(tree)
-    assert out["rows"] is tree["rows"]      # left to the writer's template
+    assert out["rows"] is tree["rows"]      # left to the writer's tables
     del out["rows"]
     assert out == {"f": 0.333333333333, "i": 7, "b": True, "t": [1, 2.0],
                    "a": [0.333333333333, None], "z": 0.0, "sub": 5e-324,

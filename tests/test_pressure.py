@@ -392,6 +392,21 @@ def test_a_cycle_mean_cannot_overflow():
             assert spectral_pressure(corr, Potential(corr, values)).pressure == 0.0
 
 
+def test_an_equal_weight_cycle_has_the_uniform_gibbs_state_at_any_scale():
+    """Equal weights on a cycle give r = 1 exactly, whatever their scale:
+    the steps of log r are differences from one weight, not from the
+    rounded mean, which at 1e100 is off by about 1e84.  The Gibbs kernel
+    is 1 on every cycle edge."""
+    n = 100
+    ring = FiniteCorrespondence(n, [(i, (i + 1) % n) for i in range(n)])
+    for a in (1e20, 1e100, 1e200, 1e300, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eq = gibbs_equilibrium(ring, Potential(ring, np.full(n, a)))
+        assert eq.measure.tolist() == [1.0 / n] * n
+        assert eq.kernel.probs.tolist() == [1.0] * n
+
+
 def test_a_cycle_bracket_encloses_the_exact_mean():
     """A cycle class's bracket holds the exact mean of its weights, in
     Fractions, while log rho stays the segment sum, bit for bit.  The

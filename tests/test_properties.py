@@ -439,6 +439,14 @@ def emitted(results):
     return _json_text(doc) + "\n"
 
 
+def dumped(results):
+    """json.dumps's text for the same report, int arrays as lists."""
+    doc = {"command": "probe", "inputs": {}, "results": results,
+           "status": "ok", "error": None}
+    return json.dumps(doc, indent=2, allow_nan=False,
+                      default=lambda a: a.tolist()) + "\n"
+
+
 @settings(deadline=None, max_examples=300)
 @given(results=JSON_TREES)
 def test_report_writer_matches_the_stdlib_encoder(results):
@@ -452,6 +460,30 @@ def test_report_writer_matches_the_stdlib_encoder(results):
 def test_report_writer_writes_int_arrays_as_their_nested_lists(rows, width, seed):
     a = np.random.default_rng(seed).integers(-2 ** 62, 2 ** 62, size=(rows, width))
     assert emitted({"edges": a, "n": 1}) == emitted({"edges": a.tolist(), "n": 1})
+
+
+I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[9999, 10000, 10 ** 8 - 1, 10 ** 8]]),          # group bounds
+    np.array([[10 ** 12 - 1, 10 ** 12, 10 ** 16, 10 ** 18]]),
+    np.array([[-100000005, -10000, 0], [-1, -9999, 100000005]]),  # inner zeros
+    np.array([[I64.min, I64.max], [I64.max, I64.min]]),
+    np.array([[-128, 127, 0], [5, -5, 10]], dtype=np.int8),
+    np.array([[-2 ** 31, 2 ** 31 - 1], [0, -7]], dtype=np.int32),
+    np.array([[0, 1, -1, 42, 1000]]),                          # one row
+    np.array([[0], [10 ** 9], [-3]]),                           # one column
+    np.array([[0]]),
+])
+def test_report_writer_writes_digit_groups_as_json_does(a):
+    assert emitted({"edges": a, "n": [a]}) == dumped({"edges": a, "n": [a]})
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (1, 0), (0, 3)])
+def test_report_writer_writes_empty_rows_as_json_does(shape):
+    a = np.zeros(shape, dtype=np.int64)
+    assert emitted([a, {"a": a}]) == dumped([a, {"a": a}])
 
 
 def test_report_writer_refuses_other_arrays():
