@@ -14,7 +14,6 @@ from .errors import (
     IndexOutOfRange,
     InputError,
     InvalidDecomposition,
-    InvalidPath,
     MinusInfinitePressure,
     MisalignedBreakpoints,
     ModeUnsupported,
@@ -34,11 +33,8 @@ from .relations import (
     Decomposition,
     FiniteCorrespondence,
     Potential,
-    birkhoff_sum,
     decomposition_validate,
-    from_map,
     inverse_correspondence,
-    validate_correspondence,
 )
 from .pressure import (
     SpectralResult,
@@ -53,10 +49,8 @@ from .kernels import (
     kernel_entropy,
     kernel_from_pair,
     pair_from_kernel,
-    pullback,
     pushforward,
     stationary_measures,
-    uniform_measure,
     validate_measure,
 )
 from .polytope import (
@@ -74,7 +68,6 @@ from .variational import (
     abstract_kernel_entropy,
     abstract_measure_pressure,
     directional_derivative,
-    equilibrium_check,
     gibbs_equilibrium,
     measure_pressure,
     tangent_functionals,

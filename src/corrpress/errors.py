@@ -55,13 +55,6 @@ class NotBijective(InputError):
     pass
 
 
-class InvalidPath(InputError):
-    def __init__(self, position, edge):
-        self.position = position
-        self.edge = edge
-        super().__init__(f"pair {edge} at position {position} is not an edge")
-
-
 class InvalidDecomposition(InputError):
     pass
 

@@ -33,9 +33,9 @@ from .relations import (
 )
 
 # Resolutions are powers of two in [GRID_MIN, GRID_MAX].  At GRID_MAX
-# = 2^18, discretize --method grid takes about 0.75-0.9 s end to end and
-# peaks near 265 MB of RSS, 194 MB by tracemalloc; the example route
-# takes 0.6-0.8 s and 143 MB, 101 MB traced (one core, one BLAS thread,
+# = 2^18, discretize --method grid takes about 0.55-0.6 s end to end and
+# peaks near 225 MB of RSS, 178 MB by tracemalloc; the example route
+# takes about 0.5 s and 146 MB, 95 MB traced (one core, one BLAS thread,
 # numpy 2.4).  2^19 takes about 1.7 s and 450 MB by the grid route, so
 # the cap now bounds memory more than time.
 GRID_MIN = 4

@@ -31,10 +31,6 @@ def validate_measure(n_states, weights):
     return np.where(w < 0.0, 0.0, w)
 
 
-def uniform_measure(n_states):
-    return np.full(n_states, 1.0 / n_states)
-
-
 class TransitionKernel:
     """Probabilities on the edges of a correspondence, one vector aligned
     with corr.edges, summing to one over the edges out of each state."""
@@ -101,13 +97,6 @@ def pushforward(mu, kernel):
     """Distribution after one step: (mu Q)(j) = sum_i mu(i) Q(i, j)."""
     src, dst = kernel.corr.edge_arrays()
     return np.bincount(dst, weights=np.asarray(mu, dtype=float)[src] * kernel.probs,
-                       minlength=kernel.corr.n_states)
-
-
-def pullback(kernel, f):
-    """Conditional expectation of an observable: (Q f)(i) = sum_j Q(i, j) f(j)."""
-    src, dst = kernel.corr.edge_arrays()
-    return np.bincount(src, weights=kernel.probs * np.asarray(f, dtype=float)[dst],
                        minlength=kernel.corr.n_states)
 
 

@@ -18,8 +18,6 @@ from .errors import (
     DuplicateEdge,
     EmptySuccessor,
     IndexOutOfRange,
-    InvalidPath,
-    ModeUnsupported,
     NotBijective,
     NotSurjective,
     ShapeMismatch,
@@ -122,9 +120,6 @@ class FiniteCorrespondence:
             self._pred = _rows(csr_offsets(self._dst[order], self.n_states),
                                self._src[order])
         return self._pred[j]
-
-    def has_edge(self, i, j):
-        return (i, j) in self.edge_index()
 
     @property
     def n_edges(self):
@@ -247,35 +242,6 @@ def _refuse_short(n, src, dst):
     raise EmptySuccessor(first[~np.isin(first, have)].tolist(), n - have.size)
 
 
-def validate_correspondence(n_states, edges, labels=None):
-    """Check and canonicalize raw edge data.
-
-    Raises IndexOutOfRange, DuplicateEdge or EmptySuccessor, each
-    listing every offending item.
-    """
-    return FiniteCorrespondence(n_states, edges, labels)
-
-
-def from_map(n_states, images, direction="forward"):
-    """Correspondence of a map i -> images[i], or of its inverse.
-
-    The inverse direction requires the map to be surjective; the graph
-    of the inverse then consists of the reversed edges.
-    """
-    images = list(images)
-    if len(images) != n_states:
-        raise IndexOutOfRange([], n_states)
-    edges = [(i, whole_number(images[i])) for i in range(n_states)]
-    if direction == "forward":
-        return FiniteCorrespondence(n_states, edges)
-    if direction == "inverse":
-        missed = sorted(set(range(n_states)) - set(j for _, j in edges))
-        if missed:
-            raise NotSurjective(missed)
-        return FiniteCorrespondence(n_states, [(j, i) for i, j in edges])
-    raise ModeUnsupported(f"unknown direction {direction!r}")
-
-
 def inverse_correspondence(corr):
     """Transpose relation; requires every state to have an incoming edge."""
     src, dst = corr.edge_arrays()
@@ -338,14 +304,8 @@ class Potential:
         idx = self.corr.edge_index()
         return float(self.values[idx[(edge[0], edge[1])]])
 
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values))) if self.corr.n_edges else 0.0
-
     def shift(self, c):
         return Potential(self.corr, self.values + float(c))
-
-    def scale(self, t):
-        return Potential(self.corr, self.values * float(t))
 
     def __add__(self, other):
         if isinstance(other, Potential):
@@ -361,29 +321,6 @@ class Potential:
         src, dst = self.corr.edge_arrays()
         moved = np.argsort(t[src] * self.corr.n_states + t[dst])
         return Potential(relabeled, self.values[moved])
-
-
-def birkhoff_sum(corr, phi, path):
-    """Sum of phi along consecutive pairs of a walk.
-
-    The walk (x_1, ..., x_{m+1}) must follow edges; a broken pair is
-    reported with its position.  Each entry is read by whole_number, so
-    a fractional value, a bool or NaN is ShapeMismatch.
-    """
-    path = [whole_number(x) for x in path]
-    if len(path) < 1:
-        raise InvalidPath(0, ())
-    for k, x in enumerate(path):
-        if not 0 <= x < corr.n_states:
-            raise InvalidPath(k, (x,))
-    idx = corr.edge_index()
-    total = 0.0
-    for k in range(len(path) - 1):
-        e = (path[k], path[k + 1])
-        if e not in idx:
-            raise InvalidPath(k, e)
-        total += phi.values[idx[e]]
-    return total
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .errors import (
     MinusInfinitePressure,
     NonUniqueDominantClass,
     NotInvariant,
-    NotStationary,
     ScalingDiverged,
     ShapeMismatch,
 )
@@ -34,11 +33,10 @@ from .kernels import (
     entropy_rate,
     kernel_from_pair,
     pair_from_kernel,
-    stationary_gap,
     validate_measure,
 )
 from .polytope import SATURATED, _hall_flow, is_invariant
-from .pressure import class_roots, spectral_pressure
+from .pressure import class_roots
 from .relations import whole_number
 
 
@@ -77,27 +75,32 @@ def _gibbs_on_class(corr, c, values):
     outside the class get the point mass at their lowest successor;
     the measure vanishes there, so those rows are a convention only.
     The pair weights mu_i Q_ij are the gradient of log rho with respect
-    to the potential entries.  The Perron vectors of a class are
+    to the potential entries.  A class that is one cycle takes these in
+    closed form at any weight span: Q is 1 on its edges and the measure
+    uniform on its states, where l r can underflow and exp(values -
+    log rho) overflow.  The Perron vectors of any other class are
     positive, so l_i r_i = 0 on a class state is an underflow: where
     r_i = 0 the kernel Q is undefined on row i, and in any case the
     measure misses part of its class, where it is not invariant.
     Either is a ConvergenceFailure.
     """
     cache = corr.spectral_cache()
-    logrho, right, left, _ = cache.solve(c, values)
-    parry = left * right
-    if not np.all(parry > 0.0):
-        raise ConvergenceFailure(0)
     rows, cols, eidx = cache.class_edges(c)
+    states = list(cache.components[c])
     weights = np.zeros(corr.n_edges)
-    if eidx.size == parry.size:
-        # one cycle: Q is 1 on its edges, where exp(values - logrho)
-        # alone can overflow at the weights' scale
-        weights[eidx] = 1.0
-    else:
-        weights[eidx] = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
     mu = np.zeros(corr.n_states)
-    mu[list(cache.components[c])] = parry / float(np.sum(parry))
+    if eidx.size == len(states):
+        # one internal edge per state: one cycle, a loop on one state
+        logrho = cache.solve(c, values, vectors=False)[0]
+        weights[eidx] = 1.0
+        mu[states] = 1.0 / len(states)
+    else:
+        logrho, right, left, _ = cache.solve(c, values)
+        parry = left * right
+        if not np.all(parry > 0.0):
+            raise ConvergenceFailure(0)
+        weights[eidx] = np.exp(values[eidx] - logrho) * right[cols] / right[rows]
+        mu[states] = parry / float(np.sum(parry))
     return logrho, kernel_from_pair(corr, weights), mu
 
 
@@ -409,17 +412,16 @@ class DirectionalDerivative:
     tangent_set: TangentSet
 
 
-FD_STEPS = (1e-3, 1e-4, 1e-5)
+FD_STEPS = (1e-4, 1e-5)
 
 
 def _one_sided_fd(cache, values, direction, sign, base):
     """Richardson-extrapolated one-sided difference of the pressure
     along direction, from base, the pressure at values."""
-    fds = []
-    for t in FD_STEPS:
-        fds.append((cache.pressure(values + sign * t * direction) - base) / (sign * t))
-    t1, t2 = FD_STEPS[1], FD_STEPS[2]
-    return (t1 * fds[2] - t2 * fds[1]) / (t1 - t2)
+    t1, t2 = FD_STEPS
+    fd1, fd2 = ((cache.pressure(values + sign * t * direction) - base) / (sign * t)
+                for t in FD_STEPS)
+    return (t1 * fd2 - t2 * fd1) / (t1 - t2)
 
 
 def directional_derivative(corr, phi, psi, side="both"):
@@ -447,43 +449,3 @@ def directional_derivative(corr, phi, psi, side="both"):
     gateaux = tset.is_unique or (
         plus is not None and minus is not None and abs(plus - minus) <= 1e-8)
     return DirectionalDerivative(plus, minus, plus_fd, minus_fd, gateaux, tset)
-
-
-@dataclass(frozen=True, eq=False)
-class EquilibriumVerdict:
-    kind: str
-    pressure: float
-    entropy: float
-    integral: float
-    gap: float
-    is_equilibrium: bool
-
-
-EQUILIBRIUM_TOL = 1e-6
-
-
-def equilibrium_check(corr, phi, kernel, mu, kind="one", config=None):
-    """Gap of a candidate (kernel, measure) pair against the pressure.
-
-    Kind "one" uses the entropy rate and requires mu stationary; kind
-    "two" uses the abstract entropy of the pair measure, which is
-    minus infinity for non-stationary input, so the gap is infinite
-    there.
-    """
-    mu = validate_measure(corr.n_states, mu)
-    pres = spectral_pressure(corr, phi).pressure
-    pair = pair_from_kernel(mu, kernel)
-    integral = float(np.dot(pair, phi.values))
-    if kind == "one":
-        gap_st = stationary_gap(mu, kernel)
-        if gap_st > 1e-9:
-            raise NotStationary(gap_st)
-        h = entropy_rate(mu, kernel)
-    elif kind == "two":
-        res = abstract_kernel_entropy(corr, pair, config)
-        h = res.value
-    else:
-        raise ShapeMismatch(f"unknown kind {kind!r}")
-    gap = pres - (h + integral)
-    return EquilibriumVerdict(kind, pres, h, integral, float(gap),
-                              bool(gap <= EQUILIBRIUM_TOL))

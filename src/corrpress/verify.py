@@ -21,7 +21,7 @@ from .kernels import (entropy_rate, kernel_entropy, kernel_from_pair,
 from .polytope import FEAS_TOL, invariant_polytope_extremes, is_invariant
 from .pressure import (decomposition_pressure, path_pressure_sequence,
                        spectral_pressure)
-from .relations import Decomposition, Potential, validate_correspondence
+from .relations import Decomposition, FiniteCorrespondence, Potential
 from .variational import (SolverConfig, abstract_kernel_entropy,
                           abstract_measure_pressure, directional_derivative,
                           gibbs_equilibrium, measure_pressure,
@@ -52,7 +52,7 @@ def random_primitive(rng, n_min=2, n_max=12, extra=0.25):
             if rng.random() < extra:
                 edges.add((i, j))
     edges.add((order[0], order[0]))
-    return validate_correspondence(n, sorted(edges))
+    return FiniteCorrespondence(n, sorted(edges))
 
 
 def random_relation(rng, n_min=2, n_max=10):
@@ -62,7 +62,7 @@ def random_relation(rng, n_min=2, n_max=10):
         deg = int(rng.integers(1, min(3, n) + 1))
         for j in rng.choice(n, size=deg, replace=False):
             edges.add((i, int(j)))
-    return validate_correspondence(n, sorted(edges))
+    return FiniteCorrespondence(n, sorted(edges))
 
 
 def random_potential(rng, corr, lo=-1.0, hi=1.0):
@@ -133,7 +133,7 @@ def random_map_block_relation(rng, max_blocks=3, block_max=3):
                         tgt = blocks[b2][int(rng.integers(len(blocks[b2])))]
                         edges.add((s, tgt))
         if len(edges) <= 24:
-            return (validate_correspondence(base, sorted(edges)),
+            return (FiniteCorrespondence(base, sorted(edges)),
                     Decomposition(blocks))
 
 
@@ -157,7 +157,7 @@ def random_block_relation(rng, max_blocks=4, block_max=4):
             for s in blocks[b]:
                 if rng.random() < 0.25:
                     edges.add((s, blocks[b2][int(rng.integers(len(blocks[b2])))]))
-    return validate_correspondence(base, sorted(edges)), Decomposition(blocks)
+    return FiniteCorrespondence(base, sorted(edges)), Decomposition(blocks)
 
 
 def random_kernel(rng, corr):
@@ -426,7 +426,7 @@ def battery_derivatives(seed=20160, count=100, ineq_count=10, ineq_each=20):
         dd = directional_derivative(corr, phi, psi)
         fd_gap = max(fd_gap, abs(dd.plus - dd.plus_fd),
                      abs(dd.minus - dd.minus_fd))
-    two = validate_correspondence(2, [(0, 0), (1, 1)])
+    two = FiniteCorrespondence(2, [(0, 0), (1, 1)])
     dd = directional_derivative(two, Potential.zero(two),
                                 Potential(two, {(0, 0): 1.0}))
     loop_gap = max(abs(dd.plus - 1.0), abs(dd.minus))

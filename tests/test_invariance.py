@@ -14,7 +14,6 @@ from corrpress import (
     invariant_polytope_extremes,
     is_invariant,
     pushforward,
-    uniform_measure,
 )
 from corrpress.polytope import FEAS_TOL
 from corrpress.verify import random_invariant_measure
@@ -43,7 +42,7 @@ def test_point_mass_at_a_swallowed_state_is_not_invariant():
 
 def test_swap_relation_fixes_the_uniform_measure():
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
-    chk = is_invariant(corr, uniform_measure(2))
+    chk = is_invariant(corr, np.full(2, 1 / 2))
     assert chk.invariant
     assert chk.witness_kernel is not None
     q = chk.witness_kernel.matrix
@@ -118,16 +117,16 @@ def test_modes_agree_and_witnesses_fix_the_measure():
 def test_single_mode_calls():
     """A mode picks the by_mode keys only; both certificates come back."""
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
-    lp_only = is_invariant(corr, uniform_measure(2), mode="lp")
+    lp_only = is_invariant(corr, np.full(2, 1 / 2), mode="lp")
     assert list(lp_only.by_mode) == ["lp"]
-    sub_only = is_invariant(corr, uniform_measure(2), mode="subsets")
+    sub_only = is_invariant(corr, np.full(2, 1 / 2), mode="subsets")
     assert list(sub_only.by_mode) == ["subsets"]
     assert sub_only.witness_kernel is not None
     refused = is_invariant(corr, [1.0, 0.0], mode="lp")
     assert refused.by_mode == {"lp": False}
     assert refused.violating_subset == (0,)
     with pytest.raises(ModeUnsupported):
-        is_invariant(corr, uniform_measure(2), mode="exact")
+        is_invariant(corr, np.full(2, 1 / 2), mode="exact")
 
 
 def excess(corr, mu, subset):
@@ -201,11 +200,11 @@ def test_a_thousand_states_take_the_flow_without_a_cap():
               if i != j}
     corr = FiniteCorrespondence(n, sorted(edges))
     t0 = time.perf_counter()
-    chk = is_invariant(corr, uniform_measure(n))
+    chk = is_invariant(corr, np.full(n, 1 / n))
     assert time.perf_counter() - t0 < 10.0
     assert chk.invariant
-    assert np.abs(pushforward(uniform_measure(n), chk.witness_kernel)
-                  - uniform_measure(n)).sum() <= 1e-10
+    assert np.abs(pushforward(np.full(n, 1 / n), chk.witness_kernel)
+                  - np.full(n, 1 / n)).sum() <= 1e-10
     delta = np.zeros(n)
     delta[1] = 1.0
     refused = is_invariant(corr, delta)    # state 1 has no loop

@@ -24,6 +24,7 @@ from corrpress import (
     path_pressure_sequence,
     decomposition_validate,
     spectral_pressure,
+    tangent_functionals,
 )
 from corrpress.verify import random_block_relation
 from corrpress import pressure, relations
@@ -324,7 +325,8 @@ def test_convexity_on_a_grid():
         p0 = spectral_pressure(corr, phi).pressure
         p1 = spectral_pressure(corr, psi).pressure
         for t in np.linspace(0.0, 1.0, 11):
-            mix = phi.scale(t) + psi.scale(1.0 - t)
+            mix = (Potential(corr, t * phi.values)
+                   + Potential(corr, (1.0 - t) * psi.values))
             assert spectral_pressure(corr, mix).pressure \
                 <= t * p0 + (1.0 - t) * p1 + 1e-10
 
@@ -360,19 +362,27 @@ def test_coboundary_past_the_dense_range_is_a_solver_error():
 def test_a_two_cycle_is_exact_at_any_weight_span():
     """phi = (a, -a) on the 2-cycle is a coboundary: pressure 0 and the
     uniform Gibbs measure for every a.  A cycle's log rho is its mean
-    weight, so no weight underflows as on the dense route."""
+    weight, so no weight underflows as on the dense route.  Past a span
+    of about 745 the Perron vectors r and l = 1 / r span past exp's
+    range, so l r would underflow; the Gibbs state and the tangent come
+    from the closed form instead, with kernel 1 on the cycle's edges."""
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0)])
     cache = SpectralCache(corr.n_states, *corr.edge_arrays())
-    for a in (400.0, 1000.0, 1e308):
+    for a in (400.0, 800.0, 1000.0, 1e308):
         phi = Potential(corr, [a, -a])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert spectral_pressure(corr, phi).pressure == 0.0
             assert cache.solve(0, phi.values, vectors=False)[3] == (0.0, 0.0)
+            eq = gibbs_equilibrium(corr, phi)
+            tset = tangent_functionals(corr, phi)
+        assert eq.pressure == 0.0 and eq.entropy == 0.0 and eq.integral == 0.0
+        assert eq.measure.tolist() == [0.5, 0.5]
+        assert eq.kernel.probs.tolist() == [1.0, 1.0]
+        assert tset.is_unique and tset.tangents[0].tolist() == [0.5, 0.5]
     phi = Potential(corr, [400.0, -400.0])
     logrho, _, _, bracket = cache.solve(0, phi.values)
     assert logrho == 0.0 and bracket == (0.0, 0.0)
-    assert gibbs_equilibrium(corr, phi).measure.tolist() == [0.5, 0.5]
 
 
 def test_a_cycle_mean_cannot_overflow():
@@ -395,14 +405,17 @@ def test_a_cycle_mean_cannot_overflow():
 def test_an_equal_weight_cycle_has_the_uniform_gibbs_state_at_any_scale():
     """Equal weights on a cycle give r = 1 exactly, whatever their scale:
     the steps of log r are differences from one weight, not from the
-    rounded mean, which at 1e100 is off by about 1e84.  The Gibbs kernel
-    is 1 on every cycle edge."""
+    rounded mean, which at 1e100 is off by about 1e84.  The Gibbs state
+    is uniform, with kernel 1 on every cycle edge."""
     n = 100
     ring = FiniteCorrespondence(n, [(i, (i + 1) % n) for i in range(n)])
+    cache = SpectralCache(n, *ring.edge_arrays())
     for a in (1e20, 1e100, 1e200, 1e300, 1e308):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            _, right, left, _ = cache.solve(0, np.full(n, a))
             eq = gibbs_equilibrium(ring, Potential(ring, np.full(n, a)))
+        assert right.tolist() == left.tolist() == [1.0 / n] * n
         assert eq.measure.tolist() == [1.0 / n] * n
         assert eq.kernel.probs.tolist() == [1.0] * n
 
