@@ -75,7 +75,6 @@ from .variational import (
 from .intervals import (
     GridRelation,
     IntervalCorrespondence,
-    MarkovModel,
     PiecewiseLinearMap,
     example_branches,
     example_report,

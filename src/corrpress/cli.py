@@ -20,6 +20,7 @@ from .errors import (
     CorrpressError,
     DuplicateEdge,
     IndexOutOfRange,
+    NonUniqueDominantClass,
     ShapeMismatch,
     SolverError,
 )
@@ -53,6 +54,7 @@ from .variational import (
     directional_derivative,
     gibbs_equilibrium,
     measure_pressure,
+    tangent_functionals,
 )
 from .intervals import (
     IntervalCorrespondence,
@@ -439,16 +441,28 @@ def cmd_equilibrium(args):
     inputs = Inputs()
     corr = _corr_from(inputs.load("input", args.input))
     phi = _potential_from(corr, inputs.load("phi", args.phi))
-    eq = gibbs_equilibrium(corr, phi)
-    results = {
-        "pressure": eq.pressure,
-        "entropy": eq.entropy,
-        "integral": eq.integral,
-        "dominant_class": eq.dominant_class,
-        "measure": {"weights": eq.measure},
-        "kernel": _kernel_doc(eq.kernel),
-        "pair": _pair_doc(corr, eq.pair),
-    }
+    try:
+        eq = gibbs_equilibrium(corr, phi)
+    except NonUniqueDominantClass:
+        # the equilibrium states are the hull of the tied classes' Gibbs
+        # states, one pair measure each
+        tset = tangent_functionals(corr, phi)
+        results = {
+            "pressure": tset.pressure,
+            "unique": False,
+            "gibbs_states": [{"dominant_class": c, "pair": _pair_doc(corr, nu)}
+                             for c, nu in zip(tset.classes, tset.tangents)],
+        }
+    else:
+        results = {
+            "pressure": eq.pressure,
+            "entropy": eq.entropy,
+            "integral": eq.integral,
+            "dominant_class": eq.dominant_class,
+            "measure": {"weights": eq.measure},
+            "kernel": _kernel_doc(eq.kernel),
+            "pair": _pair_doc(corr, eq.pair),
+        }
     _emit("equilibrium", inputs, results, args.output)
     return 0
 
@@ -621,11 +635,11 @@ def cmd_discretize(args):
             raise ShapeMismatch("the markov route needs a map document "
                                 "with a cells array")
         model = markov_model(_map_from(doc), doc["cells"])
-        pres = spectral_pressure(model.corr, Potential.zero(model.corr))
+        pres = spectral_pressure(model, Potential.zero(model))
         results = {
-            "n_states": model.corr.n_states,
+            "n_states": model.n_states,
             "pressure": pres.pressure,
-            "correspondence": _corr_doc(model.corr),
+            "correspondence": _corr_doc(model),
         }
     else:
         raise ShapeMismatch(f"unknown discretize method {method!r}")

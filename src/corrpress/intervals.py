@@ -192,19 +192,13 @@ def _piece_cells(a, c, d, k0, k1, n):
             np.arange(heads[-1] + count[-1]) + np.repeat(first - heads, count))
 
 
-@dataclass(frozen=True, eq=False)
-class MarkovModel:
-    pmap: PiecewiseLinearMap
-    cells: tuple
-    corr: FiniteCorrespondence
-
-
 def markov_model(pmap, cells):
     """Transition relation of a map over a partition it maps cell-onto-cells.
 
     Every cell must sit inside one affine piece and its exact image
     must be a union of cells; cell i then points to every cell its
-    image covers.  Checked entirely in rational arithmetic.
+    image covers, in the order of the sorted cells.  Checked entirely in
+    rational arithmetic.
     """
     cells = tuple((_frac(a), _frac(b)) for a, b in cells)
     for a, b in cells:
@@ -231,7 +225,7 @@ def markov_model(pmap, cells):
             raise NotMarkov(
                 f"image [{ilo}, {ihi}] of cell [{a}, {b}] is not a union of cells")
         edges += [(i, j) for j in range(pos[ilo], pos[ihi])]
-    return MarkovModel(pmap, order, FiniteCorrespondence(len(order), edges))
+    return FiniteCorrespondence(len(order), edges)
 
 
 def example_branches():
@@ -273,9 +267,9 @@ def example_report(resolution=1024):
     h1, h2 = example_inner_maps()
     m1 = markov_model(h1, [(0, Fraction(1, 2))])
     m2 = markov_model(h2, [(Fraction(1, 2), Fraction(3, 4)), (Fraction(3, 4), 1)])
-    inv2 = inverse_correspondence(m2.corr)
-    offset = m1.corr.n_states
-    edges = list(m1.corr.edges)
+    inv2 = inverse_correspondence(m2)
+    offset = m1.n_states
+    edges = list(m1.edges)
     edges += [(i + offset, j + offset) for i, j in inv2.edges]
     # the folded branch carries the lower half onto the upper block
     for j in range(inv2.n_states):

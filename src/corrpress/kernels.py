@@ -37,23 +37,14 @@ class TransitionKernel:
 
     def __init__(self, corr, probs, tol=1e-12):
         p = np.asarray(probs, dtype=float)
-        n = corr.n_states
-        src, dst = corr.edge_arrays()
-        if p.shape not in ((corr.n_edges,), (n, n)):
+        if p.shape != (corr.n_edges,):
             raise ShapeMismatch(f"kernel has shape {p.shape}, expected "
-                                f"({corr.n_edges},) or ({n}, {n})")
+                                f"({corr.n_edges},)")
         if not np.all(p >= -tol):    # NaN fails here too
             raise ShapeMismatch("negative or NaN kernel entry")
-        if p.ndim == 2:
-            # a dense matrix is read at the edges and not kept
-            off = p > 0.0
-            off[src, dst] = False
-            if np.any(off):
-                bad = [tuple(map(int, e)) for e in np.argwhere(off)[:8]]
-                raise ShapeMismatch(f"kernel mass outside the edge set: {bad}")
-            p = p[src, dst]
         p = np.where(p < 0.0, 0.0, p)
-        rows = np.bincount(src, weights=p, minlength=n)
+        rows = np.bincount(corr.edge_arrays()[0], weights=p,
+                           minlength=corr.n_states)
         if not np.all(np.abs(rows - 1.0) <= tol):    # inf fails here too
             worst = int(np.argmax(np.abs(rows - 1.0)))
             raise ShapeMismatch(f"row {worst} sums to {rows[worst]!r}")
@@ -82,7 +73,7 @@ class TransitionKernel:
 
     @property
     def matrix(self):
-        """Dense n x n copy, built on each call, for tests only."""
+        """Dense n x n copy, built on each call, for tests and perfbench."""
         m = np.zeros((self.corr.n_states, self.corr.n_states))
         m[self.corr.edge_arrays()] = self.probs
         return m

@@ -279,10 +279,10 @@ class PolytopeExtremes:
     extremes, the marginals of the cycles that are the only cycle cover
     of their states, as float arrays in ascending order.  Built on first
     access and then kept, as tuples of Fraction: pair_vertices, the
-    uniform measure on each cycle's edges, ascending; projections, their
-    state marginals in the same order; and extremes_exact, the extremes.
-    Every entry is 0 or 1/len(cycle), and 1/k falls as k grows in floats
-    as in fractions, so the float tables give both orders.
+    uniform measure on each cycle's edges, ascending, and extremes_exact,
+    the extremes.  Every entry is 0 or 1/len(cycle), and 1/k falls as k
+    grows in floats as in fractions, so the float tables give both
+    orders.
     """
     corr: object = field(repr=False)
     cycles: tuple
@@ -290,21 +290,12 @@ class PolytopeExtremes:
     extremes: tuple
 
     @functools.cached_property
-    def _by_vertex(self):
-        """(cycle, its edge indices) of every cycle, in pair-vertex order."""
-        index = self.corr.edge_index()
-        cells = [(c, [index[e] for e in zip(c, c[1:] + c[:1])])
-                 for c in self.cycles]
-        keys = _float_rows(self.corr.n_edges, [e for _, e in cells])
-        return [cells[k] for k in sorted(range(len(cells)), key=keys.__getitem__)]
-
-    @functools.cached_property
     def pair_vertices(self):
-        return _fraction_rows(self.corr.n_edges, [e for _, e in self._by_vertex])
-
-    @functools.cached_property
-    def projections(self):
-        return _fraction_rows(self.corr.n_states, [c for c, _ in self._by_vertex])
+        index = self.corr.edge_index()
+        cells = [[index[e] for e in zip(c, c[1:] + c[:1])] for c in self.cycles]
+        keys = _float_rows(self.corr.n_edges, cells)
+        order = sorted(range(len(cells)), key=keys.__getitem__)
+        return _fraction_rows(self.corr.n_edges, [cells[k] for k in order])
 
     @functools.cached_property
     def extremes_exact(self):

@@ -175,6 +175,8 @@ def _power_vector(src, dst, w, k, period, cap, segments):
     _target_segments(dst), which SpectralCache keeps per class.  Returns
     None when the bracket is still too wide after cap steps.  The class
     is strongly connected with k > 1 states, so every state is a target.
+    The bracket is computed in floating point, with no allowance for
+    rounding, so it is an estimate, not an enclosure of log rho.
     """
     step = _edge_operator(src, dst, w, segments)
     v = np.zeros(k)
@@ -511,11 +513,12 @@ class SpectralCache:
         a bracket that encloses its exact mean weight.  Other classes of
         up to DENSE_MAX states take a dense eigensolve, with bracket None;
         larger ones a power iteration, whose bracket is the
-        Collatz-Wielandt interval that stopped it, or the dense route
-        if it cannot settle within its step budget, in this and every
-        later call on this cache.  A class with no internal edge, or
-        whose internal weights are all -inf, has log rho = -inf and no
-        Perron vectors.
+        Collatz-Wielandt interval that stopped it, computed in floating
+        point and so an estimate, not an enclosure as a cycle's is; or
+        the dense route if it cannot settle within its step budget, in
+        this and every later call on this cache.  A class with no
+        internal edge, or whose internal weights are all -inf, has
+        log rho = -inf and no Perron vectors.
         """
         rows, cols, eidx = self.class_edges(c)
         w = values[eidx]
@@ -569,8 +572,8 @@ class SpectralCache:
         return shift + math.log(rho), right, left, None
 
     def log_radii(self, values):
-        """log rho of every class, as a list: the cycle classes in one
-        segment sum of their weights over their lengths, bit for bit
+        """log rho of every class, as a float array: the cycle classes in
+        one segment sum of their weights over their lengths, bit for bit
         solve()'s, -inf on one-state classes with no loop, and solve()
         on the others."""
         radii = np.full(len(self.components), -np.inf)
@@ -578,17 +581,17 @@ class SpectralCache:
         radii[cycles] = np.add.reduceat(values[edges] / lengths, heads)
         for c in self._others:
             radii[c] = self.solve(c, values, vectors=False)[0]
-        return radii.tolist()
-
-    def pressure(self, values):
-        return max(self.log_radii(values))
+        return radii
 
     def dominant(self, values):
+        """(pressure, dominant classes, log radii).  The pressure is the
+        first maximal radius, as Python's max picks it, which fixes the
+        sign of a zero."""
         radii = self.log_radii(values)
-        top = max(radii)
+        top = float(radii[np.argmax(radii)])
         if top == -np.inf:
             return top, [], radii
-        dom = np.flatnonzero(top - np.array(radii) <= TIE_TOL).tolist()
+        dom = np.flatnonzero(top - radii <= TIE_TOL).tolist()
         return top, dom, radii
 
 
@@ -598,10 +601,6 @@ class SpectralResult:
     components: tuple
     log_radii: tuple
     dominant: tuple
-
-    @property
-    def dominant_classes(self):
-        return tuple(self.components[k] for k in self.dominant)
 
 
 def spectral_pressure(corr, phi):
@@ -615,7 +614,7 @@ def spectral_pressure(corr, phi):
     """
     cache = corr.spectral_cache()
     top, dom, radii = cache.dominant(phi.values)
-    return SpectralResult(float(top), tuple(cache.components), tuple(radii),
+    return SpectralResult(top, tuple(cache.components), tuple(radii.tolist()),
                           tuple(dom))
 
 
@@ -721,7 +720,7 @@ def decomposition_pressure(corr, phi, decomp):
     if not report["valid"]:
         raise InvalidDecomposition(report)
     cache = corr.spectral_cache()
-    radii = np.array(cache.log_radii(phi.values))
+    radii = cache.log_radii(phi.values)
     src, dst = corr.edge_arrays()
     vals = []
     for block in decomp.blocks:
@@ -743,6 +742,6 @@ def decomposition_pressure(corr, phi, decomp):
             a, b = pos[src], pos[dst]
             keep = (a >= 0) & (b >= 0)
             sub = SpectralCache(part.size, a[keep], b[keep])
-            r[split] = np.array(sub.log_radii(phi.values[keep]))[sub.class_of]
+            r[split] = sub.log_radii(phi.values[keep])[sub.class_of]
         vals.append(float(r[np.argmax(r)]))
     return DecompositionPressure(float(max(vals)), tuple(vals))

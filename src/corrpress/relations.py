@@ -150,27 +150,6 @@ class FiniteCorrespondence:
             self._index = MappingProxyType({e: k for k, e in enumerate(self.edges)})
         return self._index
 
-    def restrict(self, states):
-        """Sub-relation induced on the given states.
-
-        Returns the restricted correspondence together with the list
-        mapping its state indices back to the original ones.  Raises
-        EmptySuccessor if some state loses all successors; a state
-        outside 0..n_states-1 has none.
-        """
-        order = sorted(set(states))
-        pos = np.full(self.n_states, -1, dtype=np.int64)
-        lo, hi = bisect_left(order, 0), bisect_left(order, self.n_states)
-        pos[order[lo:hi]] = np.arange(lo, hi)
-        src, dst = pos[self._src], pos[self._dst]
-        keep = (src >= 0) & (dst >= 0)
-        src, dst = src[keep], dst[keep]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[s] for s in order]
-        return (FiniteCorrespondence(len(order), np.stack((src, dst), axis=1), labels),
-                order)
-
     def relabel(self, theta):
         theta = list(theta)
         if sorted(theta) != list(range(self.n_states)):
@@ -299,10 +278,6 @@ class Potential:
         psi = np.asarray(psi, dtype=float)
         src, dst = corr.edge_arrays()
         return cls(corr, psi[src] - psi[dst])
-
-    def __getitem__(self, edge):
-        idx = self.corr.edge_index()
-        return float(self.values[idx[(edge[0], edge[1])]])
 
     def shift(self, c):
         return Potential(self.corr, self.values + float(c))

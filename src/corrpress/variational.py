@@ -419,8 +419,8 @@ def _one_sided_fd(cache, values, direction, sign, base):
     """Richardson-extrapolated one-sided difference of the pressure
     along direction, from base, the pressure at values."""
     t1, t2 = FD_STEPS
-    fd1, fd2 = ((cache.pressure(values + sign * t * direction) - base) / (sign * t)
-                for t in FD_STEPS)
+    fd1, fd2 = ((cache.dominant(values + sign * t * direction)[0] - base)
+                / (sign * t) for t in FD_STEPS)
     return (t1 * fd2 - t2 * fd1) / (t1 - t2)
 
 

@@ -27,7 +27,7 @@ corrpress.polytope.PolytopeExtremes.
 The measure pressure runs its Newton solve on every finite edge
 between mu-positive states, without the face the flow certifies, as
 the reference for corrpress.variational.measure_pressure.  Each block
-pressure is the spectral pressure of the relation restricted to the
+pressure is the spectral pressure of the relation induced on the
 block, as the reference for corrpress.pressure.decomposition_pressure.
 """
 
@@ -44,7 +44,7 @@ from corrpress.kernels import pushforward, stationary_gap
 from corrpress.polytope import (FEAS_TOL, _hall_flow, _simple_cycles,
                                 _sole_cycle_cover, gauss_solve)
 from corrpress.pressure import BRACKET_TOL, SpectralCache, spectral_pressure
-from corrpress.relations import Potential
+from corrpress.relations import FiniteCorrespondence, Potential
 
 def relation(n_states, edges):
     """(edges, successor tuples, predecessor tuples) of a relation, or
@@ -342,13 +342,19 @@ def component_period(k, rows, cols):
 
 
 def block_pressures(corr, phi, decomp):
-    """spectral_pressure on corr.restrict(block) for each block, with
-    phi carried onto the restricted relation edge by edge."""
+    """spectral_pressure on the relation induced on each block: the
+    edges with both ends in it, by index masks, renumbered in state
+    order (which keeps their order), with phi read at the same edges."""
+    src, dst = corr.edge_arrays()
     out = []
     for block in decomp.blocks:
-        sub, order = corr.restrict(block)
-        values = [phi[(order[i], order[j])] for i, j in sub.edges]
-        out.append(spectral_pressure(sub, Potential(sub, values)).pressure)
+        states = sorted(set(block))
+        pos = np.full(corr.n_states, -1)
+        pos[states] = np.arange(len(states))
+        keep = (pos[src] >= 0) & (pos[dst] >= 0)
+        sub = FiniteCorrespondence(
+            len(states), np.stack((pos[src][keep], pos[dst][keep]), axis=1))
+        out.append(spectral_pressure(sub, Potential(sub, phi.values[keep])).pressure)
     return tuple(out)
 
 

@@ -561,6 +561,22 @@ def test_pressure_of_minus_infinity_has_no_equilibrium_or_tangent(
     assert "pressure is -inf" in doc["error"]["message"]
 
 
+def test_equilibrium_at_a_tie_lists_each_dominant_gibbs_state(tmp_path, capsys):
+    """Two loops of weight 0 tie: a valid input, so exit 0 and one Gibbs
+    state per dominant class, the point mass on its loop."""
+    corr = write(tmp_path, "loops.json", {"n_states": 2, "edges": [[0, 0], [1, 1]]})
+    code, doc = run(capsys, ["equilibrium", "--input", corr])
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["results"] == {
+        "pressure": 0.0, "unique": False,
+        "gibbs_states": [
+            {"dominant_class": [0], "pair": {"edges": [[0, 0, 1.0]]}},
+            {"dominant_class": [1], "pair": {"edges": [[1, 1, 1.0]]}}]}
+    # one dominant class: the report has no unique key
+    code, doc = run(capsys, ["equilibrium", "--input", golden_corr(tmp_path)])
+    assert code == 0 and "unique" not in doc["results"]
+
+
 def test_invariance_has_no_state_cap(tmp_path, capsys):
     """The 40-state cycle with a loop at 0: the point mass at 1 is refused
     with a certified subset, and the uniform measure on the cycle gets a

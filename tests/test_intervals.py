@@ -1,13 +1,11 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrpress import (
     DegenerateCell,
-    FiniteCorrespondence,
     IntervalCorrespondence,
     MisalignedBreakpoints,
     NotMarkov,
@@ -114,18 +112,18 @@ def test_markov_model_of_the_inner_maps():
     h1, h2 = example_inner_maps()
     # identity on the left half, one cell, entropy zero
     model1 = markov_model(h1, [("0", "1/2")])
-    assert model1.corr.edges == ((0, 0),)
+    assert model1.edges == ((0, 0),)
     # tent-like on the right half, two cells, full transition matrix
     model2 = markov_model(h2, [("1/2", "3/4"), ("3/4", "1")])
-    assert model2.corr.edges == ((0, 0), (0, 1), (1, 0), (1, 1))
-    p = spectral_pressure(model2.corr, Potential.zero(model2.corr)).pressure
+    assert model2.edges == ((0, 0), (0, 1), (1, 0), (1, 1))
+    p = spectral_pressure(model2, Potential.zero(model2)).pressure
     assert p == pytest.approx(LOG2, abs=1e-12)
     # the tent on four quarter cells: each cell covers one half
     model4 = markov_model(tent(), [("0", "1/4"), ("1/4", "1/2"),
                                    ("1/2", "3/4"), ("3/4", "1")])
-    assert model4.corr.edges == ((0, 0), (0, 1), (1, 2), (1, 3),
-                                 (2, 2), (2, 3), (3, 0), (3, 1))
-    p = spectral_pressure(model4.corr, Potential.zero(model4.corr)).pressure
+    assert model4.edges == ((0, 0), (0, 1), (1, 2), (1, 3),
+                            (2, 2), (2, 3), (3, 0), (3, 1))
+    p = spectral_pressure(model4, Potential.zero(model4)).pressure
     assert p == pytest.approx(LOG2, abs=1e-12)
 
 
@@ -147,7 +145,7 @@ def test_doubling_type_full_branch_map():
     # both branches map their cell onto the whole interval
     m = PiecewiseLinearMap(["0", "1/2", "1"], [("2", "0"), ("-2", "2")])
     model = markov_model(m, [("0", "1/2"), ("1/2", "1")])
-    assert spectral_pressure(model.corr, Potential.zero(model.corr)).pressure \
+    assert spectral_pressure(model, Potential.zero(model)).pressure \
         == pytest.approx(LOG2, abs=1e-12)
 
 

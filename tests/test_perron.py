@@ -217,7 +217,7 @@ def test_two_large_equal_classes_tie():
     phi = Potential(corr, {e: v for e, v in zip(one.edges, values)}
                     | {(i + n, j + n): v for (i, j), v in zip(one.edges, values)})
     res = spectral_pressure(corr, phi)
-    assert [len(c) for c in res.dominant_classes] == [n, n]
+    assert [len(res.components[k]) for k in res.dominant] == [n, n]
     with pytest.raises(NonUniqueDominantClass):
         gibbs_equilibrium(corr, phi)
 
@@ -226,14 +226,15 @@ def test_kernel_support_check_rejects_mass_off_the_edges():
     rng = np.random.default_rng(78)
     corr = sparse_primitive(rng, 200)
     eq = gibbs_equilibrium(corr, Potential.zero(corr))
-    TransitionKernel(corr, eq.kernel.matrix)
+    rows = [[] for _ in range(corr.n_states)]
+    for (a, b), p in zip(corr.edges, eq.kernel.probs):
+        rows[a].append((b, p))
+    TransitionKernel.from_rows(corr, rows)
     i = 5
     j = next(j for j in range(corr.n_states) if (i, j) not in corr.edge_index())
-    moved = eq.kernel.matrix.copy()
-    k = corr.successors(i)[0]
-    moved[i, j], moved[i, k] = moved[i, k], 0.0
+    rows[i][0] = (j, rows[i][0][1])
     with pytest.raises(ShapeMismatch, match=rf"\({i}, {j}\)"):
-        TransitionKernel(corr, moved)
+        TransitionKernel.from_rows(corr, rows)
 
 
 def slowly_mixing_class(n=80):

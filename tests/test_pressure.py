@@ -286,7 +286,7 @@ def test_reducible_relation_takes_component_maximum():
     res = spectral_pressure(corr, phi)
     assert res.pressure == pytest.approx(0.75, abs=1e-12)
     assert len(res.components) == 3
-    assert res.dominant_classes == ((2,),)
+    assert tuple(res.components[k] for k in res.dominant) == ((2,),)
 
 
 def test_tied_dominant_classes_are_reported():
@@ -458,7 +458,7 @@ def test_reversal_preserves_pressure():
             continue
         phi = random_potential(rng, corr)
         inv = inverse_correspondence(corr)
-        flipped = Potential(inv, {(j, i): phi[(i, j)] for i, j in corr.edges})
+        flipped = Potential(inv, {(j, i): w for (i, j), w in zip(corr.edges, phi.values)})
         assert spectral_pressure(inv, flipped).pressure \
             == pytest.approx(spectral_pressure(corr, phi).pressure, abs=1e-12)
 
@@ -666,7 +666,7 @@ def test_spectral_cache_agrees_with_power_iteration_route():
         corr = random_relation(rng, int(rng.integers(2, 9)))
         phi = random_potential(rng, corr)
         cache = SpectralCache(corr.n_states, *corr.edge_arrays())
-        assert cache.pressure(phi.values) \
+        assert max(cache.log_radii(phi.values)) \
             == pytest.approx(spectral_pressure(corr, phi).pressure, abs=1e-9)
 
 
@@ -909,8 +909,8 @@ def test_one_state_log_radii_are_the_per_class_solves_bit_for_bit():
     for corr, values in cases:
         cache = SpectralCache(corr.n_states, *corr.edge_arrays())
         radii = cache.log_radii(values)
-        assert radii == per_class_radii(cache, values)
-        assert all(type(r) is float for r in radii)
+        assert radii.dtype == np.float64
+        assert radii.tobytes() == np.array(per_class_radii(cache, values)).tobytes()
         kinds.update(cache.class_edges(c)[2].size
                      for c, comp in enumerate(cache.components) if len(comp) == 1)
     assert kinds == {0, 1}      # one-state classes without and with a loop
@@ -951,7 +951,7 @@ def test_cycle_log_radii_are_the_per_class_solves_bit_for_bit(seed):
     values[draw < 0.3] = -0.0
     values[draw > 0.9] = -np.inf
     cache = SpectralCache(corr.n_states, *corr.edge_arrays())
-    radii = np.array(cache.log_radii(values))
+    radii = cache.log_radii(values)
     solved = np.array(per_class_radii(cache, values))
     assert radii.tobytes() == solved.tobytes()
     lengths = [len(comp) for c, comp in enumerate(cache.components)

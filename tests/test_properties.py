@@ -36,6 +36,7 @@ from corrpress import (
 )
 from corrpress.cli import _json_text, main
 from corrpress.pressure import DENSE_MAX, SpectralCache
+import references
 from references import INFEASIBLE, OPTIMAL, simplex
 from corrpress.verify import (
     random_kernel,
@@ -66,7 +67,7 @@ def balanced_pair(rng, corr, thin=False):
             drop = np.setdiff1d(succ, keep)
             m[i, drop] = 0.0
             m[i] /= m[i].sum()
-        ker = TransitionKernel(corr, m)
+        ker = TransitionKernel(corr, m[corr.edge_arrays()])
     _, mu = stationary_measures(ker)[0]
     return pair_from_kernel(mu, ker)
 
@@ -183,10 +184,10 @@ def test_pair_vertices_are_the_simple_cycle_measures(seed):
                             for v in ext.pair_vertices)
 
 
-def lp_extremes(ext):
-    """Distinct projections that no exact LP writes as a mixture of the
-    other distinct projections, sorted."""
-    distinct = sorted(set(ext.projections))
+def lp_extremes(corr):
+    """Distinct cycle marginals that no exact LP writes as a mixture of
+    the other distinct ones, sorted."""
+    distinct = sorted(set(references.polytope_tables(corr)[1]))
     keep = []
     for p in distinct:
         others = [q for q in distinct if q != p]
@@ -207,7 +208,7 @@ def test_extremes_are_the_projections_no_lp_can_mix(seed):
     rng = np.random.default_rng(seed)
     corr = random_relation(rng, 2, 7)
     ext = invariant_polytope_extremes(corr)
-    assert list(ext.extremes_exact) == lp_extremes(ext)
+    assert list(ext.extremes_exact) == lp_extremes(corr)
     for exact, approx in zip(ext.extremes_exact, ext.extremes):
         assert approx.tolist() == [float(v) for v in exact]
 

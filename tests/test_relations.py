@@ -90,20 +90,13 @@ def test_relabel_round_trip():
         assert corr.relabel(theta).relabel(back) == corr
 
 
-def test_restrict_keeps_induced_edges():
-    corr = FiniteCorrespondence(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
-    sub, order = corr.restrict([2, 3])
-    assert list(order) == [2, 3]
-    assert sub.edges == ((0, 1), (1, 0))
-
-
 def test_potential_forms_agree():
     corr = FiniteCorrespondence(2, [(0, 0), (0, 1), (1, 0)])
     by_dict = Potential(corr, {(0, 1): 2.0, (1, 0): -1.0})
     by_array = Potential(corr, np.array([0.0, 2.0, -1.0]))
     assert np.allclose(by_dict.values, by_array.values)
     assert np.max(np.abs(Potential.zero(corr).values)) == 0.0
-    assert by_dict[(0, 1)] == 2.0
+    assert by_dict.values[corr.edge_index()[(0, 1)]] == 2.0
     with pytest.raises(IndexOutOfRange):
         Potential(corr, {(1, 1): 1.0})
 
@@ -121,7 +114,7 @@ def test_edge_index_is_built_once_and_read_only():
 def test_potential_weights_are_finite_or_minus_infinity():
     corr = FiniteCorrespondence(2, [(0, 1), (1, 0), (1, 1)])
     absent = Potential(corr, {(1, 1): -np.inf})
-    assert absent[(1, 1)] == -np.inf
+    assert absent.values[corr.edge_index()[(1, 1)]] == -np.inf
     for bad in (np.nan, np.inf):
         with pytest.raises(ShapeMismatch, match=r"\(1, 0\)"):
             Potential(corr, {(1, 0): bad})
@@ -179,13 +172,6 @@ def test_block_states_past_int64_are_listed_as_outside():
     assert rep["outside"] == [-(10 ** 30), 2 ** 63, 10 ** 30]
     assert rep["missing"] == [] and not rep["valid"]
     assert rep["block_rows"] == [] and rep["forbidden_edges"] == []
-
-
-def test_restrict_to_a_state_outside_the_relation_leaves_it_empty():
-    corr = FiniteCorrespondence(2, [(0, 0), (0, 1), (1, 1)])
-    with pytest.raises(EmptySuccessor) as err:
-        corr.restrict([1, 7])
-    assert err.value.states == [1]
 
 
 def test_state_indices_and_counts_are_whole_numbers():

@@ -610,31 +610,31 @@ def test_derivative_matches_finite_differences():
 
 def test_finite_differences_start_from_the_tangent_pressure(monkeypatch):
     """Both sides take the pressure at phi from tangent_functionals, so
-    two pressures per side, at the steps 1e-4 and 1e-5 that the
-    Richardson extrapolation reads, bit for bit the differences that
-    compute their own base."""
+    past its one dominant() call, two pressures per side, at the steps
+    1e-4 and 1e-5 that the Richardson extrapolation reads, bit for bit
+    the differences that compute their own base."""
     rng = np.random.default_rng(69)
     corr = random_relation(rng, 5)
     phi, psi = random_potential(rng, corr), random_potential(rng, corr)
     cache = corr.spectral_cache()
-    base = cache.pressure(phi.values)
+    base = max(cache.log_radii(phi.values))
     expected = []
     t1, t2 = 1e-4, 1e-5
     for sign in (1.0, -1.0):
-        fds = [(cache.pressure(phi.values + sign * t * psi.values) - base) / (sign * t)
-               for t in (t1, t2)]
+        fds = [(max(cache.log_radii(phi.values + sign * t * psi.values)) - base)
+               / (sign * t) for t in (t1, t2)]
         expected.append((t1 * fds[1] - t2 * fds[0]) / (t1 - t2))
     calls = []
-    original = pressure.SpectralCache.pressure
+    original = pressure.SpectralCache.dominant
 
     def counting(self, values):
         calls.append(1)
         return original(self, values)
 
-    monkeypatch.setattr(pressure.SpectralCache, "pressure", counting)
+    monkeypatch.setattr(pressure.SpectralCache, "dominant", counting)
     der = directional_derivative(corr, phi, psi)
     assert [der.plus_fd, der.minus_fd] == expected
-    assert len(calls) == 4
+    assert len(calls) == 1 + 4
 
 
 def test_derivative_builds_one_class_index(monkeypatch):
