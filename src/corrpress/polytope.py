@@ -10,9 +10,9 @@ of the relation on their states.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,24 +40,33 @@ class InvarianceCheck:
     violating_subset: tuple | None
 
 
-def _hall_flow(n, edges, mu, exact):
+def _hall_flow(n, src, dst, mu, exact):
     """Invariance of mu by one maximum flow, with a certificate either way.
 
-    The states are 0..n-1 and edges any list of pairs of them; they
-    need not form a correspondence.  The network is s -> i (capacity
-    mu_i) -> j' (one unbounded arc per edge (i, j)) -> t (capacity
-    mu_j).  By Gale's supply-demand theorem (Gale 1957, Pacific J.
-    Math. 7) and max-flow/min-cut (Ford & Fulkerson 1956), its value
-    falls short of the mass of mu by max over A of mu(A) - mu(pre A),
-    the deficiency; mu is invariant
-    when that is at most FEAS_TOL, or exactly 0 when exact (mu is then
-    ints and Fractions, and so is all the arithmetic).
+    The states are 0..n-1 and the edges the pairs (src[e], dst[e]) of
+    them, grouped by source in increasing order, as corr.edges are;
+    they need not form a correspondence.  The network is s -> i
+    (capacity mu_i) -> j' (one unbounded arc per edge (i, j)) -> t
+    (capacity mu_j).  By Gale's supply-demand theorem (Gale 1957,
+    Pacific J. Math. 7) and max-flow/min-cut (Ford & Fulkerson 1956),
+    its value falls short of the mass of mu by max over A of mu(A) -
+    mu(pre A), the deficiency; mu is invariant when that is at most
+    FEAS_TOL, or exactly 0 when exact (mu is then ints and Fractions,
+    and so is all the arithmetic).
 
-    Dinic's algorithm (Dinic 1970), without recursion: each phase
-    levels the residual graph by a breadth-first search from s, then
-    saturates every shortest path by a depth-first search that keeps
-    one current arc per node.  A float residual at or below SATURATED
-    counts as saturated, so every phase ends.
+    Dinic's algorithm (Dinic 1970), with s and t implicit: the supply
+    of i is its residual arc from s and the demand of j' its residual
+    arc to t.  The first phase takes every path s -> i -> j' -> t, with
+    the states in order and each state's edges in edge order, so it is
+    one greedy pass over the edges that pushes min(supply, demand)
+    wherever both are above SATURATED.  When it leaves no supply above
+    SATURATED, no later phase can push.  Each later phase levels the
+    bipartite residual graph (i -> j' for every edge, then j' -> i for
+    every edge with flow, in edge order) by a breadth-first search from
+    the unsaturated supplies, then saturates every shortest path to a
+    demand by a depth-first search that keeps one current arc per node.
+    A float residual at or below SATURATED counts as saturated, so every
+    phase ends.
 
     Returns (invariant, the flow on each edge, a subset A).  The flow
     on the edges is a pair measure with both marginals mu up to the
@@ -66,69 +75,121 @@ def _hall_flow(n, edges, mu, exact):
     the states of positive mass outside succ X, so pre A misses X, and
     mu(A) - mu(pre A) is at least the deficiency.
     """
-    s, t = 2 * n, 2 * n + 1
     eps = 0 if exact else SATURATED
     zero = Fraction(0) if exact else 0.0
-    head, cap, out = [], [], [[] for _ in range(2 * n + 2)]
-
-    def arc(u, v, c):
-        out[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-        out[v].append(len(head))
-        head.append(u)
-        cap.append(zero)
-
-    for i in range(n):
-        if mu[i] > 0:
-            arc(s, i, mu[i])
-            arc(n + i, t, mu[i])
-    first = len(head)
-    for i, j in edges:
-        arc(i, n + j, math.inf)
-    flow = zero
-    while True:
-        level = [-1] * (2 * n + 2)
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for a in out[u]:
-                if cap[a] > eps and level[head[a]] < 0:
-                    level[head[a]] = level[u] + 1
-                    queue.append(head[a])
-        if level[t] < 0:
-            break
-        ptr = [0] * (2 * n + 2)
-        path, u = [], s
+    supply, demand = list(mu), list(mu)
+    flow = [zero] * len(src)
+    total = zero
+    for e, (i, j) in enumerate(zip(src, dst)):
+        a = supply[i]
+        if a > eps:
+            b = demand[j]
+            if b > eps:
+                push = b if b < a else a
+                supply[i] = a - push
+                demand[j] = b - push
+                flow[e] += push
+                total += push
+    level = [-1] * (2 * n)
+    if any(a > eps for a in supply):
+        # left copy i is node i and right copy j' node n + j; a left
+        # node's arcs are its edges and a right node's are its arc to t
+        # (slot 0) and then its incoming edges (slot k at into[j][k - 1])
+        start = [bisect.bisect_left(src, i) for i in range(n + 1)]
+        into = [[] for _ in range(n)]
+        for e, j in enumerate(dst):
+            into[j].append(e)
         while True:
-            if u == t:
-                push = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                flow += push
-                # back to the tail of the first saturated arc
-                del path[next(k for k, a in enumerate(path) if cap[a] <= eps):]
-                u = head[path[-1]] if path else s
-                continue
-            arcs, k = out[u], ptr[u]
-            while k < len(arcs) and not (cap[arcs[k]] > eps
-                                         and level[head[arcs[k]]] == level[u] + 1):
-                k += 1
-            ptr[u] = k
-            if k < len(arcs):
-                path.append(arcs[k])
-                u = head[arcs[k]]
-            elif u == s:
+            level = [-1] * (2 * n)
+            layer, depth = [i for i in range(n) if supply[i] > eps], 1
+            for i in layer:
+                level[i] = 1
+            while layer:
+                right = []
+                for i in layer:
+                    for j in dst[start[i]:start[i + 1]]:
+                        if level[n + j] < 0:
+                            level[n + j] = depth + 1
+                            right.append(j)
+                depth += 2
+                # only nodes below t's level lie on a shortest path
+                if any(demand[j] > eps for j in right):
+                    break
+                layer = []
+                for j in right:
+                    for e in into[j]:
+                        i = src[e]
+                        if flow[e] > eps and level[i] < 0:
+                            level[i] = depth
+                            layer.append(i)
+            else:
                 break
-            else:    # a dead end: retreat, and skip the arc that led here
-                u = head[path.pop() ^ 1]
-                ptr[u] += 1
-    deficiency = sum(v for v in mu if v > 0) - flow
-    reached = {i for i in queue if i < n}
-    image = {j for i, j in edges if i in reached}
-    subset = tuple(j for j in range(n) if mu[j] > 0 and j not in image)
-    return deficiency <= (0 if exact else FEAS_TOL), cap[first + 1::2], subset
+            # the search stopped at the first layer of right nodes with
+            # demand, so no node below it has any and none past it has a
+            # level: a right node's arc to t is on a shortest path when
+            # its demand is unsaturated
+            ptr = start[:n] + [0] * n
+            for i0 in range(n):
+                if not supply[i0] > eps:
+                    continue
+                path, u = [], i0     # path: edges, forward and back in turn
+                while True:
+                    if u < n:
+                        k, stop, next_level = ptr[u], start[u + 1], level[u] + 1
+                        while k < stop and level[n + dst[k]] != next_level:
+                            k += 1
+                        ptr[u] = k
+                        if k < stop:
+                            path.append(k)
+                            u = n + dst[k]
+                        elif path:     # a dead end: retreat past its arc
+                            u = n + dst[path.pop()]
+                            ptr[u] += 1
+                        else:
+                            break
+                        continue
+                    j, k = u - n, ptr[u]
+                    if k == 0:
+                        if demand[j] > eps:
+                            push = supply[i0]
+                            for e in path[1::2]:
+                                if flow[e] < push:
+                                    push = flow[e]
+                            if demand[j] < push:
+                                push = demand[j]
+                            supply[i0] -= push
+                            for m, e in enumerate(path):
+                                if m & 1:
+                                    flow[e] -= push
+                                else:
+                                    flow[e] += push
+                            demand[j] -= push
+                            total += push
+                            # back to the tail of the first saturated arc
+                            if supply[i0] <= eps:
+                                break
+                            for m in range(1, len(path), 2):
+                                if flow[path[m]] <= eps:
+                                    u = n + dst[path[m]]
+                                    del path[m:]
+                                    break
+                            continue
+                        k = 1
+                    arcs, next_level = into[j], level[u] + 1
+                    while k <= len(arcs) and not (flow[arcs[k - 1]] > eps and
+                                                  level[src[arcs[k - 1]]] == next_level):
+                        k += 1
+                    ptr[u] = k
+                    if k <= len(arcs):
+                        path.append(arcs[k - 1])
+                        u = src[arcs[k - 1]]
+                    else:
+                        u = src[path.pop()]
+                        ptr[u] += 1
+    deficiency = sum(v for v in mu if v > 0) - total
+    # the last search levels the right copies of the successors of X
+    subset = tuple(j for j in range(n) if mu[j] > 0 and level[n + j] < 0)
+    return deficiency <= (0 if exact else FEAS_TOL), flow, subset
 
 
 def is_invariant(corr, mu, mode="both"):
@@ -146,21 +207,30 @@ def is_invariant(corr, mu, mode="both"):
     mode picks only the keys of by_mode: "lp" (a coupling exists),
     "subsets" (no subset outgrows its preimage), or both.  Every mode
     runs the one flow once, and the two keys always agree.  The modes
-    stay for the benchmark scripts that call them by name, until the
-    benchmark reads the solver trace (ROADMAP item 1).
+    stay for the benchmark scripts that call them by name; ROADMAP item
+    5, the benchmark rewrite that reads the solver trace, removes them.
     """
-    exact = all(isinstance(v, (int, Fraction)) for v in mu)
+    exact = _exact(mu)
     checked = validate_measure(corr.n_states, mu)
     if mode not in ("lp", "subsets", "both"):
         raise ModeUnsupported(f"unknown mode {mode!r}")
+    src, dst = corr.edge_arrays()
     verdict, pair, subset = _hall_flow(
-        corr.n_states, corr.edges, list(mu) if exact else checked.tolist(),
-        exact)
+        corr.n_states, src.tolist(), dst.tolist(),
+        list(mu) if exact else checked.tolist(), exact)
     by_mode = {k: verdict for k in ("lp", "subsets") if mode in (k, "both")}
     if not verdict:
         return InvarianceCheck(False, by_mode, None, None, subset)
     pair = np.array(pair, dtype=object if exact else float)
     return InvarianceCheck(True, by_mode, pair, kernel_from_pair(corr, pair), None)
+
+
+def _exact(mu):
+    """Whether every weight of mu is an int or a Fraction; none of a
+    float array's is."""
+    if isinstance(mu, np.ndarray) and mu.dtype.kind == "f":
+        return False
+    return all(isinstance(v, (int, Fraction)) for v in mu)
 
 
 def _csr(rows):
@@ -361,7 +431,7 @@ def extremal_decomposition(corr, mu, extremes=None):
     size, summed over the subsets searched, solved or not, passes
     DECOMP_WORK_CAP.
     """
-    exact = all(isinstance(v, (int, Fraction)) for v in mu)
+    exact = _exact(mu)
     if extremes is None:
         extremes = invariant_polytope_extremes(corr)
     pool = (extremes.extremes_exact if exact
@@ -401,8 +471,10 @@ def extremal_decomposition(corr, mu, extremes=None):
             return found
     # mu mixes extremes exactly when it is invariant: the polytope is
     # their hull, and only the face extremes can carry weight
+    src, dst = corr.edge_arrays()
     invariant, _, subset = _hall_flow(
-        n, corr.edges, list(mu) if exact else [float(v) for v in mu], exact)
+        n, src.tolist(), dst.tolist(),
+        list(mu) if exact else [float(v) for v in mu], exact)
     if not invariant:
         raise NotInvariant(subset)
     if found is not None:

@@ -218,7 +218,7 @@ def measure_pressure(corr, phi, mu, tol=1e-10, max_iter=SolverConfig.max_iterati
     carried = (np.all(np.bincount(rows, minlength=n))
                and np.all(np.bincount(cols, minlength=n)))
     if carried:
-        carried, flow, _ = _hall_flow(n, list(zip(rows.tolist(), cols.tolist())),
+        carried, flow, _ = _hall_flow(n, rows.tolist(), cols.tolist(),
                                       mu_s.tolist(), False)
     if not carried:
         chk = is_invariant(corr, mu)

@@ -11,10 +11,13 @@ Fraction entries), the coupling LP built on it, and the bitmask Hall
 program over all 2^n target subsets, which also finds the edges a
 coupling can charge by their tight subsets.  They are slow and capped by
 nothing but patience, so they serve the tests only, as independent
-references for corrpress.polytope.  The path sums and the power
-iteration step by an np.logaddexp.at scatter onto -inf, one edge at a
-time in edge order, and the period of a class comes from a
-breadth-first search, as references for corrpress.pressure.  The chain
+references for corrpress.polytope.  Dinic's algorithm on the whole
+network, with its source, its sink and an arc list per node, is the
+reference for corrpress.polytope._hall_flow, which must push the same
+flow bit for bit; the reference decomposition search calls it.  The
+path sums and the power iteration step by an np.logaddexp.at scatter
+onto -inf, one edge at a time in edge order, and the period of a class
+comes from a breadth-first search, as references for corrpress.pressure.  The chain
 law is enumerated path by path, and the entropy of its coarsening is
 walked afresh for each length, and each closed class's stationary
 measure is checked against the whole relation by its own pushforward,
@@ -41,7 +44,7 @@ from corrpress.errors import (DuplicateEdge, EmptySuccessor,
                               IndexOutOfRange, NotInvariant, NotStationary,
                               TooLarge)
 from corrpress.kernels import pushforward, stationary_gap
-from corrpress.polytope import (FEAS_TOL, _hall_flow, _simple_cycles,
+from corrpress.polytope import (FEAS_TOL, SATURATED, _simple_cycles,
                                 _sole_cycle_cover, gauss_solve)
 from corrpress.pressure import BRACKET_TOL, SpectralCache, spectral_pressure
 from corrpress.relations import FiniteCorrespondence, Potential
@@ -203,6 +206,97 @@ def lp_pair(corr, mu, exact=False):
     return x if status == OPTIMAL else None
 
 
+def dinic_flow(n, edges, mu, exact):
+    """Invariance of mu by one maximum flow, with a certificate either way.
+
+    The states are 0..n-1 and edges any list of pairs of them; they
+    need not form a correspondence.  The network is s -> i (capacity
+    mu_i) -> j' (one unbounded arc per edge (i, j)) -> t (capacity
+    mu_j).  By Gale's supply-demand theorem (Gale 1957, Pacific J.
+    Math. 7) and max-flow/min-cut (Ford & Fulkerson 1956), its value
+    falls short of the mass of mu by max over A of mu(A) - mu(pre A),
+    the deficiency; mu is invariant
+    when that is at most FEAS_TOL, or exactly 0 when exact (mu is then
+    ints and Fractions, and so is all the arithmetic).
+
+    Dinic's algorithm (Dinic 1970), without recursion: each phase
+    levels the residual graph by a breadth-first search from s, then
+    saturates every shortest path by a depth-first search that keeps
+    one current arc per node.  A float residual at or below SATURATED
+    counts as saturated, so every phase ends.
+
+    Returns (invariant, the flow on each edge, a subset A).  The flow
+    on the edges is a pair measure with both marginals mu up to the
+    deficiency.  With X the states whose left copy the last search
+    reaches, the minimum cut gives mu(succ X) = mu(X) - deficiency; A is
+    the states of positive mass outside succ X, so pre A misses X, and
+    mu(A) - mu(pre A) is at least the deficiency.
+    """
+    s, t = 2 * n, 2 * n + 1
+    eps = 0 if exact else SATURATED
+    zero = Fraction(0) if exact else 0.0
+    head, cap, out = [], [], [[] for _ in range(2 * n + 2)]
+
+    def arc(u, v, c):
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(zero)
+
+    for i in range(n):
+        if mu[i] > 0:
+            arc(s, i, mu[i])
+            arc(n + i, t, mu[i])
+    first = len(head)
+    for i, j in edges:
+        arc(i, n + j, math.inf)
+    flow = zero
+    while True:
+        level = [-1] * (2 * n + 2)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for a in out[u]:
+                if cap[a] > eps and level[head[a]] < 0:
+                    level[head[a]] = level[u] + 1
+                    queue.append(head[a])
+        if level[t] < 0:
+            break
+        ptr = [0] * (2 * n + 2)
+        path, u = [], s
+        while True:
+            if u == t:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                flow += push
+                # back to the tail of the first saturated arc
+                del path[next(k for k, a in enumerate(path) if cap[a] <= eps):]
+                u = head[path[-1]] if path else s
+                continue
+            arcs, k = out[u], ptr[u]
+            while k < len(arcs) and not (cap[arcs[k]] > eps
+                                         and level[head[arcs[k]]] == level[u] + 1):
+                k += 1
+            ptr[u] = k
+            if k < len(arcs):
+                path.append(arcs[k])
+                u = head[arcs[k]]
+            elif u == s:
+                break
+            else:    # a dead end: retreat, and skip the arc that led here
+                u = head[path.pop() ^ 1]
+                ptr[u] += 1
+    deficiency = sum(v for v in mu if v > 0) - flow
+    reached = {i for i in queue if i < n}
+    image = {j for i, j in edges if i in reached}
+    subset = tuple(j for j in range(n) if mu[j] > 0 and j not in image)
+    return deficiency <= (0 if exact else FEAS_TOL), cap[first + 1::2], subset
+
+
 def _subset_tables(corr, mu):
     """mu(A) and the bitmask of pre A for every bitmask A of states."""
     n = corr.n_states
@@ -275,7 +369,7 @@ def extremal_decomposition(corr, mu, extremes, cap=None):
     n = corr.n_states
     face = [k for k, p in enumerate(pool)
             if all(mu[i] > 0 for i in range(n) if p[i] != 0)]
-    invariant, _, subset = _hall_flow(
+    invariant, _, subset = dinic_flow(
         n, corr.edges, list(mu) if exact else [float(v) for v in mu], exact)
     if not invariant:
         raise NotInvariant(subset)

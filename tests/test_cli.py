@@ -708,6 +708,20 @@ def test_discretize_map_documents(tmp_path, capsys):
     assert doc["results"]["n_states"] == 2
     assert doc["results"]["pressure"] == pytest.approx(math.log(2.0), abs=1e-12)
 
+    # the tent of slope 3/2 is not Markov on the grid cells: the grid
+    # reports the pressure of its cover relation, log 2, above the
+    # map's entropy log 3/2
+    slow_doc = write(tmp_path, "tent_3_2.json",
+                     {"breakpoints": ["0", "1/2", "1"],
+                      "pieces": [{"slope": "3/2", "intercept": "0"},
+                                 {"slope": "-3/2", "intercept": "3/2"}]})
+    for grid in (64, 256, 4096):
+        code, doc = run(capsys, ["discretize", "--method", "grid",
+                                 "--input", slow_doc, "--grid", str(grid)])
+        assert code == 0
+        assert doc["results"]["n_states"] == grid
+        assert doc["results"]["pressure"] == pytest.approx(math.log(2.0), abs=1e-10)
+
     # a cell [a, b] with a >= b has no interior
     flat_doc = write(tmp_path, "tent_flat.json",
                      dict(tent, cells=[["0", "1/2"], ["1", "1/2"]]))

@@ -15,10 +15,13 @@ from corrpress import (
     is_invariant,
     pushforward,
 )
-from corrpress.polytope import FEAS_TOL
-from corrpress.verify import random_invariant_measure
+from corrpress.kernels import stationary_measures
+from corrpress.polytope import FEAS_TOL, _hall_flow
+from corrpress.verify import (characterization_pairs, random_invariant_measure,
+                              random_kernel, random_map_block_relation,
+                              random_primitive)
 from corrpress.verify import random_relation as verify_relation
-from references import hall_subset, lp_pair
+from references import dinic_flow, hall_subset, lp_pair
 
 
 def random_relation(rng, n):
@@ -210,3 +213,48 @@ def test_a_thousand_states_take_the_flow_without_a_cap():
     refused = is_invariant(corr, delta)    # state 1 has no loop
     assert not refused.invariant
     assert excess(corr, delta, set(refused.violating_subset)) > FEAS_TOL
+
+
+def chords_relation(rng, n):
+    """The n-cycle plus 3 random successors per state."""
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    edges |= {(i, int(j)) for i in range(n) for j in rng.integers(0, n, 3)}
+    return FiniteCorrespondence(n, sorted(edges))
+
+
+def flow_bits(out):
+    """A flow's verdict and subset, and each edge flow's type and bits."""
+    verdict, flow, subset = out
+    return verdict, subset, [(type(v), v.hex() if isinstance(v, float) else v)
+                             for v in flow]
+
+
+def test_flow_pushes_what_dinic_on_the_whole_network_pushes():
+    """The greedy first phase and the later phases on the bipartite
+    residual graph make every push of Dinic's algorithm on the network
+    with its source and sink: the same verdict, the same subset and the
+    same flow on every edge, bit for bit, on cycle mixtures, Dirichlet
+    draws and Fraction measures, from a few states to a thousand."""
+    rng = np.random.default_rng(32)
+    cases = list(characterization_pairs())
+    for _ in range(100):
+        for corr in (verify_relation(rng, 2, 10), random_map_block_relation(rng, 4, 4)[0],
+                     random_primitive(rng, 2, 12)):
+            cases += [(corr, random_invariant_measure(rng, corr)),
+                      (corr, rng.dirichlet(np.ones(corr.n_states)))]
+    for _ in range(50):
+        corr = verify_relation(rng, 2, 9)
+        cases += [(corr, exact_measure(rng, corr, True)),
+                  (corr, exact_measure(rng, corr, False))]
+    corr = chords_relation(rng, 1000)
+    cases += [(corr, stationary_measures(random_kernel(rng, corr))[0][1]),
+              (corr, rng.dirichlet(np.ones(1000)))]
+    verdicts = set()
+    for corr, mu in cases:
+        exact = isinstance(mu, list)
+        m = mu if exact else mu.tolist()
+        src, dst = corr.edge_arrays()
+        got = _hall_flow(corr.n_states, src.tolist(), dst.tolist(), m, exact)
+        assert flow_bits(got) == flow_bits(dinic_flow(corr.n_states, corr.edges, m, exact))
+        verdicts.add((exact, got[0]))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
