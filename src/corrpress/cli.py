@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import (
     CorrpressError,
-    DuplicateEdge,
-    IndexOutOfRange,
     NonUniqueDominantClass,
     ShapeMismatch,
     SolverError,
@@ -29,6 +27,7 @@ from .relations import (
     FiniteCorrespondence,
     Potential,
     decomposition_validate,
+    edge_values,
     whole_number,
 )
 from .pressure import (
@@ -136,31 +135,10 @@ def _corr_from(doc):
 
 def _edge_values(corr, doc, kind):
     """The weights of an {"edges": [[i, j, w], ...]} document as a vector
-    over corr.edges, zero on the edges it leaves out.  A pair outside
-    0..n_states-1 is IndexOutOfRange, any other pair that is not an edge
-    ShapeMismatch, and a pair given twice DuplicateEdge.  A null weight,
-    which is how a report writes -inf, reads as -inf in a potential and
-    is ShapeMismatch in any other document."""
+    over corr.edges, read by relations.edge_values."""
     if not isinstance(doc, dict) or "edges" not in doc:
         raise ShapeMismatch(f"{kind} document needs an edges array")
-    index, n = corr.edge_index(), corr.n_states
-    vec = np.zeros(corr.n_edges)
-    seen = set()
-    for i, j, w in doc["edges"]:
-        e = (whole_number(i), whole_number(j))
-        if e not in index:
-            if not (0 <= e[0] < n and 0 <= e[1] < n):
-                raise IndexOutOfRange([e], n)
-            raise ShapeMismatch(f"pair {e} is not an edge")
-        if e in seen:
-            raise DuplicateEdge([e])
-        seen.add(e)
-        if w is None:
-            if kind != "potential":
-                raise ShapeMismatch(f"{kind} weight null on pair {e}")
-            w = -np.inf
-        vec[index[e]] = float(w)
-    return vec
+    return edge_values(corr, doc["edges"], kind)
 
 
 def _potential_from(corr, doc):

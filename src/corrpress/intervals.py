@@ -123,7 +123,8 @@ class GridRelation:
 
 
 def grid_discretize(system, resolution):
-    """Transition relation of the branches at a dyadic resolution.
+    """Transition relation of an IntervalCorrespondence's branches at a
+    dyadic resolution.
 
     Cell i points to cell j when some branch image of cell i meets
     cell j with nonempty interior; a branch whose image of the cell is
@@ -142,8 +143,6 @@ def grid_discretize(system, resolution):
     if n < GRID_MIN or n > GRID_MAX or n & (n - 1):
         raise ShapeMismatch(
             f"resolution must be a power of two in [{GRID_MIN}, {GRID_MAX}]")
-    if not isinstance(system, IntervalCorrespondence):
-        system = IntervalCorrespondence(system)
     bad = []
     for b in system.branches:
         for p in b.breakpoints:

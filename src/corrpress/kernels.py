@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotStationary, ShapeMismatch, TooLarge
+from .errors import NotStationary, ShapeMismatch, TooLarge
 from .pressure import SpectralCache
-from .relations import Potential, whole_number
+from .relations import Potential, edge_values, whole_number
 
 DENSE_PATH_LIMIT = 10 ** 7
 
@@ -55,21 +55,13 @@ class TransitionKernel:
 
     @classmethod
     def from_rows(cls, corr, rows, tol=1e-12):
-        """Build from per-state lists of (successor, probability)."""
-        n, index = corr.n_states, corr.edge_index()
-        if len(rows) != n:
+        """Build from per-state lists of (successor, probability),
+        read as (i, successor, probability) entries by
+        relations.edge_values."""
+        if len(rows) != corr.n_states:
             raise ShapeMismatch("kernel rows do not match the state count")
-        p = np.zeros(corr.n_edges)
-        for i, row in enumerate(rows):
-            for j, q in row:
-                e, q = (i, whole_number(j)), float(q)
-                if not 0 <= e[1] < n:
-                    raise IndexOutOfRange([e], n)
-                if e in index:
-                    p[index[e]] += q
-                elif not -tol <= q <= 0.0:    # NaN fails here too
-                    raise ShapeMismatch(f"kernel mass outside the edge set: {[e]}")
-        return cls(corr, p, tol)
+        entries = ((i, j, q) for i, row in enumerate(rows) for j, q in row)
+        return cls(corr, edge_values(corr, entries, "kernel"), tol)
 
     @property
     def matrix(self):

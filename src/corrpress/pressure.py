@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, IndexOutOfRange, InvalidDecomposition,
                      ShapeMismatch, SolverError, TooLarge)
-from .relations import Decomposition, csr_offsets, decomposition_validate
+from .relations import csr_offsets, decomposition_validate
 
 # Spectral classes whose log radius lies within this distance of the
 # maximum count as dominant (SpectralCache.dominant).
@@ -696,7 +696,8 @@ class DecompositionPressure:
 
 
 def decomposition_pressure(corr, phi, decomp):
-    """Max of the block pressures of a valid generating cover.
+    """Max of the block pressures of a valid generating cover, a
+    Decomposition.
 
     A block's pressure is the largest log radius over the classes of
     the relation induced on it, read off the relation's own class index:
@@ -714,8 +715,6 @@ def decomposition_pressure(corr, phi, decomp):
     eigensolve gives its radius within the solver's tolerance.  An
     empty block is IndexOutOfRange, as the relation on no states is.
     """
-    if not isinstance(decomp, Decomposition):
-        decomp = Decomposition(decomp)
     report = decomposition_validate(corr, decomp)
     if not report["valid"]:
         raise InvalidDecomposition(report)

@@ -231,31 +231,56 @@ def inverse_correspondence(corr):
                                 corr.labels)
 
 
+def edge_values(corr, entries, kind):
+    """The values of (i, j, value) entries as a vector over corr.edges,
+    zero on the edges they leave out: the one reader of a potential,
+    direction, pair measure or kernel given edge by edge.  An index is
+    read by whole_number.  A pair outside 0..n_states-1 is
+    IndexOutOfRange, any other pair that is not an edge ShapeMismatch,
+    and a pair given twice DuplicateEdge.  A null value, which is how a
+    report writes -inf, reads as -inf in a potential and is
+    ShapeMismatch in any other kind."""
+    index, n = corr.edge_index(), corr.n_states
+    vec = np.zeros(corr.n_edges)
+    seen = set()
+    for i, j, w in entries:
+        e = (whole_number(i), whole_number(j))
+        if e not in index:
+            if not (0 <= e[0] < n and 0 <= e[1] < n):
+                raise IndexOutOfRange([e], n)
+            raise ShapeMismatch(f"pair {e} is not an edge")
+        if e in seen:
+            raise DuplicateEdge([e])
+        seen.add(e)
+        if w is None:
+            if kind != "potential":
+                raise ShapeMismatch(f"{kind} weight null on pair {e}")
+            w = -np.inf
+        vec[index[e]] = float(w)
+    return vec
+
+
 class Potential:
     """Real weight per edge of a correspondence.
 
-    Values are kept as a vector aligned with corr.edges; edges not
-    mentioned at construction get weight zero.  A weight is finite or
-    -inf, which marks an absent edge.
+    Values are kept as a vector aligned with corr.edges.  They are given
+    as such a vector or as a mapping {(i, j): w}, read by edge_values,
+    whose edges left out get weight zero.  A weight is finite or -inf,
+    which marks an absent edge.
     """
 
     def __init__(self, corr, values=None):
         self.corr = corr
-        vec = np.zeros(corr.n_edges)
         if values is None:
-            pass
+            vec = np.zeros(corr.n_edges)
         elif isinstance(values, dict):
-            index = corr.edge_index()
-            for edge, v in values.items():
-                e = (whole_number(edge[0]), whole_number(edge[1]))
-                if e not in index:
-                    raise IndexOutOfRange([e], corr.n_states)
-                vec[index[e]] = float(v)
+            vec = edge_values(corr, ((i, j, v) for (i, j), v in values.items()),
+                              "potential")
         else:
-            values = np.asarray(values, dtype=float)
-            if values.shape != (corr.n_edges,):
-                raise IndexOutOfRange([], corr.n_states)
-            vec = values.copy()
+            vec = np.array(values, dtype=float)
+            if vec.shape != (corr.n_edges,):
+                raise ShapeMismatch(f"potential has shape {vec.shape}, expected "
+                                    f"({corr.n_edges},)")
         # -inf marks an absent edge; NaN and +inf have no meaning
         bad = np.flatnonzero(np.isnan(vec) | (vec == np.inf))
         if bad.size:
@@ -283,11 +308,12 @@ class Potential:
         return Potential(self.corr, self.values + float(c))
 
     def __add__(self, other):
-        if isinstance(other, Potential):
-            if other.corr != self.corr:
-                raise IndexOutOfRange([], self.corr.n_states)
-            return Potential(self.corr, self.values + other.values)
-        return self.shift(other)
+        if other.corr != self.corr:
+            raise ShapeMismatch(
+                f"potential on another relation, of {other.corr.n_states} states "
+                f"and {other.corr.n_edges} edges, expected {self.corr.n_states} "
+                f"and {self.corr.n_edges}")
+        return Potential(self.corr, self.values + other.values)
 
     def relabel(self, theta):
         relabeled = self.corr.relabel(theta)
@@ -309,7 +335,8 @@ class Decomposition:
 
 
 def decomposition_validate(corr, decomp):
-    """Check the generating conditions for an ordered block cover.
+    """Check the generating conditions for an ordered block cover, a
+    Decomposition.
 
     Returns a report dict and never raises: the union must cover the
     states, every induced block relation must itself be a
@@ -318,7 +345,7 @@ def decomposition_validate(corr, decomp):
     0..n_states-1 are listed under "outside" and make the report
     invalid.
     """
-    blocks = decomp.blocks if isinstance(decomp, Decomposition) else Decomposition(decomp).blocks
+    blocks = decomp.blocks
     n = corr.n_states
     src, dst = corr.edge_arrays()
     report = {"valid": True, "covers": True, "block_rows": [], "forbidden_edges": []}

@@ -731,6 +731,23 @@ def test_discretize_map_documents(tmp_path, capsys):
     assert doc["error"]["type"] == "DegenerateCell"
 
 
+def test_a_branches_document_discretizes_as_the_fixture(tmp_path, capsys):
+    """The built-in system written as a {"branches": [...]} document."""
+    branches = write(tmp_path, "branches.json", {"branches": [
+        {"breakpoints": ["0", "1/2", "1"], "pieces": [[1, 0], ["1/2", "1/4"]]},
+        {"breakpoints": ["0", "1/4", "1/2", "1"],
+         "pieces": [[-2, 1], [2, 0], ["-1/2", "5/4"]]}]})
+    reports = []
+    for source in (branches, "interval-example"):
+        code, doc = run(capsys, ["discretize", "--method", "grid", "--grid", "64",
+                                 "--input", source])
+        assert code == 0
+        reports.append(doc["results"])
+    assert reports[0] == reports[1]
+    assert len(reports[0]["correspondence"]["edges"]) == 160
+    assert reports[0]["pressure"] == pytest.approx(math.log(2.0), abs=1e-10)
+
+
 def test_relabel_preserves_pressure(tmp_path, capsys):
     corr = golden_corr(tmp_path)
     theta = write(tmp_path, "theta.json", {"theta": [1, 0]})
@@ -774,6 +791,14 @@ def test_pair_measure_refuses_a_null_weight(tmp_path, capsys):
     assert code == 2
     assert doc["error"]["type"] == "ShapeMismatch"
     assert "(0, 1)" in doc["error"]["message"]
+    # a kernel document reads its rows by the same rule
+    kernel = write(tmp_path, "k.json", kernel_rows([[0, 0, 0.5], [0, 1, None],
+                                                    [1, 0, 1.0]]))
+    code, doc = run(capsys, ["kentropy", "--input", golden_corr(tmp_path),
+                             "--kernel", kernel, "--mu", parry_mu(tmp_path)])
+    assert code == 2
+    assert doc["error"] == {"type": "ShapeMismatch",
+                            "message": "kernel weight null on pair (0, 1)"}
 
 
 def test_relabel_keeps_the_tolerance_a_kernel_document_passed(tmp_path, capsys):
@@ -787,6 +812,16 @@ def test_relabel_keeps_the_tolerance_a_kernel_document_passed(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["kernel"]["rows"] == [[[1, 1.0]],
                                                 [[0, 0.500000000001], [1, 0.5]]]
+
+
+def test_relabel_report_moves_the_labels(tmp_path, capsys):
+    corr = write(tmp_path, "abc.json", {"n_states": 3, "labels": ["a", "b", "c"],
+                                        "edges": [[0, 1], [1, 2], [2, 0]]})
+    theta = write(tmp_path, "theta.json", {"theta": [2, 0, 1]})
+    code, doc = run(capsys, ["relabel", "--input", corr, "--config", theta])
+    assert code == 0
+    assert doc["results"]["correspondence"] == {
+        "n_states": 3, "edges": [[0, 1], [1, 2], [2, 0]], "labels": ["b", "c", "a"]}
 
 
 def test_relabel_rejects_a_bad_permutation(tmp_path, capsys):
@@ -851,21 +886,32 @@ def test_verify_example_suite_passes(capsys):
 
 # ------------------------------------------------------------ edge documents
 
+def kernel_rows(entries):
+    """(i, j, p) entries as the rows of a kernel document on two states."""
+    return {"rows": [[[j, p] for i, j, p in entries if i == s] for s in (0, 1)]}
+
+
 @pytest.mark.parametrize("command, flag", [("pressure", "--phi"),
-                                           ("aentropy", "--nu")])
+                                           ("aentropy", "--nu"),
+                                           ("kentropy", "--kernel")])
 @pytest.mark.parametrize("entries, error, named", [
     # (1, 1) lies in 0..1 but is no edge of the golden-mean relation
     ([[1, 1, 0.5]], "ShapeMismatch", "pair (1, 1) is not an edge"),
     ([[0, 2, 0.5]], "IndexOutOfRange", "edges outside 0..1: [(0, 2)]"),
-    # once kept last in a potential and summed in a pair measure
+    # once kept last in a potential and summed in a pair measure or kernel
     ([[0, 0, 0.5], [0, 1, 0.25], [0, 1, 0.25]], "DuplicateEdge",
      "duplicate edges: [(0, 1)]"),
 ])
 def test_potential_and_pair_documents_name_the_same_bad_pairs(
         tmp_path, capsys, command, flag, entries, error, named):
-    doc = write(tmp_path, "edges.json", {"edges": entries})
+    if flag == "--kernel":
+        doc = write(tmp_path, "rows.json", kernel_rows(entries))
+        extra = ["--mu", parry_mu(tmp_path)]
+    else:
+        doc = write(tmp_path, "edges.json", {"edges": entries})
+        extra = []
     code, report = run(capsys, [command, "--input", golden_corr(tmp_path),
-                                flag, doc])
+                                flag, doc] + extra)
     assert code == 2
     assert report["error"] == {"type": error, "message": named}
 

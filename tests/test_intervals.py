@@ -87,6 +87,17 @@ def test_misaligned_breakpoints_are_rejected():
         grid_discretize(IntervalCorrespondence([skew]), 4)
 
 
+def test_float_breakpoints_read_as_their_nearest_small_fraction():
+    halves = PiecewiseLinearMap([0, 0.5, 1], [(2, 0), (-2, 2)])
+    assert halves.breakpoints == tent().breakpoints
+    assert grid_discretize(IntervalCorrespondence([halves]), 4).corr \
+        == grid_discretize(IntervalCorrespondence([tent()]), 4).corr
+    # 0.3 is 3/10, not the binary fraction nearest it
+    tenths = PiecewiseLinearMap([0, 0.3, 1], [(1, 0), (1, 0)])
+    with pytest.raises(MisalignedBreakpoints, match=r"\[Fraction\(3, 10\)\]"):
+        grid_discretize(IntervalCorrespondence([tenths]), 4)
+
+
 def test_worked_example_grid_at_resolution_eight():
     grid = grid_discretize(example_branches(), 8)
     expected = {0: (0, 6, 7), 1: (1, 4, 5), 2: (2, 4, 5), 3: (3, 6, 7),

@@ -697,13 +697,15 @@ def ring(rng, states, period=1, extra=2):
 
 def class_shape(shape, rng):
     """A relation of at least CLASS_MIN states and edges, its states
-    shuffled, in one of five shapes:
+    shuffled, in one of six shapes:
     giant: one large class fed by transient states, as in a grid model;
     classes: large classes in a row, which leave Tarjan a remainder;
     cycle: one long cycle, on which the reach runs out of levels;
     chain: states in a row with a loop each, peeled by the trim only at
     the ends;
-    periods: classes of periods 2-6 in a row, with transient states."""
+    periods: classes of periods 2-6 in a row, with transient states;
+    loops: a loop at every state, and edges from each state of a first
+    half into the second half, so the one trim pass leaves no state."""
     pieces, n = [], 0
     if shape == "giant":
         k, t = int(rng.integers(700, 1200)), int(rng.integers(300, 800))
@@ -736,6 +738,11 @@ def class_shape(shape, rng):
     elif shape == "cycle":
         n = int(rng.integers(1000, 3000))
         pieces.append(ring(rng, np.arange(n), extra=0))
+    elif shape == "loops":
+        n = 2 * int(rng.integers(350, 1000))
+        first = np.repeat(np.arange(n // 2), 2)
+        pieces.append(np.repeat(np.arange(n), 2).reshape(-1, 2))
+        pieces.append(np.stack((first, rng.integers(n // 2, n, first.size)), axis=1))
     else:
         n = int(rng.integers(700, 2000))
         pieces.append(np.repeat(np.arange(n), 2).reshape(-1, 2))
@@ -745,7 +752,7 @@ def class_shape(shape, rng):
     return FiniteCorrespondence(n, edges)
 
 
-CLASS_SHAPES = ("giant", "classes", "cycle", "chain", "periods")
+CLASS_SHAPES = ("giant", "classes", "cycle", "chain", "periods", "loops")
 
 
 @settings(deadline=None, max_examples=100)
@@ -812,7 +819,8 @@ def test_each_class_shape_takes_its_route(monkeypatch):
     the trim leaves in the giant shape lies in the giant class, so
     Tarjan sees only transient states; a long cycle spends the reach's
     levels, so Tarjan sees every state; a chain loses only its two ends
-    to the trim."""
+    to the trim, and loops lose every state to it, so Tarjan never
+    runs."""
     seen = []
 
     def counting(offsets, targets):
@@ -830,6 +838,8 @@ def test_each_class_shape_takes_its_route(monkeypatch):
             assert seen == [corr.n_states]
         elif shape == "chain":
             assert seen[0] >= corr.n_states - 3
+        elif shape == "loops":
+            assert seen == []
         else:
             assert 0 < sum(seen) < corr.n_states
 

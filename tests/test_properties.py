@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrpress import (
     FiniteCorrespondence,
@@ -359,6 +359,8 @@ def test_malformed_measure_documents_exit_cleanly(doc, overflow, command):
 
 @settings(deadline=None, max_examples=150)
 @given(doc=KERNEL_DOCS, overflow=st.booleans())
+# a successor listed twice, once with inf and once with -inf
+@example(doc={"rows": [[], [[0, math.inf], [0, -math.inf]]]}, overflow=False)
 def test_malformed_kernel_documents_exit_cleanly(doc, overflow):
     assert_contract(*run_documents(
         ["kentropy", "--input", "c.json", "--kernel", "k.json", "--mu", "m.json"],

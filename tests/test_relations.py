@@ -97,8 +97,27 @@ def test_potential_forms_agree():
     assert np.allclose(by_dict.values, by_array.values)
     assert np.max(np.abs(Potential.zero(corr).values)) == 0.0
     assert by_dict.values[corr.edge_index()[(0, 1)]] == 2.0
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ShapeMismatch, match=r"pair \(1, 1\) is not an edge"):
         Potential(corr, {(1, 1): 1.0})
+    with pytest.raises(ShapeMismatch, match=r"shape \(2,\), expected \(3,\)"):
+        Potential(corr, [0.0, 2.0])
+    other = FiniteCorrespondence(2, [(0, 1), (1, 0), (1, 1)])
+    with pytest.raises(ShapeMismatch, match="another relation, of 2 states and 3 edges"):
+        by_dict + Potential.zero(other)
+
+
+def test_potential_mapping_names_the_bad_pairs_the_documents_name():
+    """Potential's mapping form is read by the same rule as the
+    command line's edge documents (test_cli.py)."""
+    corr = FiniteCorrespondence(2, [(0, 0), (0, 1), (1, 0)])
+    with pytest.raises(ShapeMismatch, match=r"^pair \(1, 1\) is not an edge$"):
+        Potential(corr, {(0, 0): 0.5, (1, 1): 0.5})
+    with pytest.raises(IndexOutOfRange, match=r"^edges outside 0\.\.1: \[\(0, 2\)\]$"):
+        Potential(corr, {(0, 2): 0.5})
+    with pytest.raises(ShapeMismatch, match="whole number"):
+        Potential(corr, {(0, 0.5): 0.5})
+    # null reads as -inf in a potential, as in a potential document
+    assert Potential(corr, {(0, 1): None}).values.tolist() == [0.0, -math.inf, 0.0]
 
 
 def test_edge_index_is_built_once_and_read_only():
